@@ -21,13 +21,27 @@ class Caps:
     max_ambient: int = 10_000_000
     max_group: int = 64
 
+    def __post_init__(self):
+        for name in ("max_degree", "max_ambient", "max_group"):
+            if getattr(self, name) < 0:
+                raise ValueError("%s must be non-negative, got %d"
+                                 % (name, getattr(self, name)))
+
     @classmethod
     def from_env(cls, max_degree=None, max_ambient=None, max_group=None):
+        """Caps from explicit values, else LTSDEFORM_MAX_* variables, else
+        the defaults; ValueError on a malformed or negative value."""
         def pick(explicit, var, default):
             if explicit is not None:
                 return explicit
             raw = os.environ.get(var)
-            return int(raw) if raw else default
+            if not raw:
+                return default
+            try:
+                return int(raw)
+            except ValueError:
+                raise ValueError("%s must be a non-negative integer, got %r"
+                                 % (var, raw)) from None
 
         return cls(
             max_degree=pick(max_degree, "LTSDEFORM_MAX_DEGREE", cls.max_degree),

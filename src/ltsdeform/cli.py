@@ -110,12 +110,20 @@ def _emit(args, report, human_lines):
 
 
 def _caps(args):
-    return Caps.from_env(max_degree=args.max_degree, max_ambient=args.max_ambient,
-                         max_group=args.max_group)
+    try:
+        return Caps.from_env(max_degree=args.max_degree, max_ambient=args.max_ambient,
+                             max_group=args.max_group)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _field_override(args):
-    return field_from_spec(args.field) if args.field else None
+    if not args.field:
+        return None
+    try:
+        return field_from_spec(args.field)
+    except LinAlgError as exc:
+        raise UsageError("--field: %s" % exc) from None
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,20 @@ flattened row-major over (inputs..., value coordinate).
 The square condition is imposed in polarized form plus the diagonal, and
 invariant subspaces come from stacked nullspaces, so every computation is
 valid in any characteristic.
+
+Coboundary matrices are assembled by pushing each nonzero entry of a basis
+column forward through the coboundary formula, at a cost proportional to
+nnz * d^2 per column rather than the d^(k+2) output tuples of a degree-k
+cochain; the images are read off as sparse coordinates and fed straight
+into the echelon form.  apply_coboundary evaluates the same formula
+pointwise on a dense cochain and is the reference the tests compare
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .caps import DEFAULT_CAPS
@@ -243,19 +252,42 @@ class CochainBasis:
             dense.append(v)
         return Matrix.from_columns(dense, self.ambient_dim, self.field)
 
+    @cached_property
+    def _free_index(self):
+        return {pos: j for j, pos in enumerate(self.free_positions)}
+
     def express(self, data):
-        """Coordinates of an ambient vector in this basis; SpanError if outside."""
+        """Coordinates of an ambient vector in this basis; SpanError if outside.
+
+        The vector is a sparse {ambient position: scalar} dict, a dense
+        sequence of ambient length, or a Cochain.
+        """
         if isinstance(data, Cochain):
             data = data.data
-        if len(data) != self.ambient_dim:
-            raise LinAlgError("ambient vector of length %d, expected %d"
-                              % (len(data), self.ambient_dim))
-        coords = [data[pos] for pos in self.free_positions]
+        if isinstance(data, dict):
+            support = {pos: v for pos, v in data.items() if v}
+        else:
+            if len(data) != self.ambient_dim:
+                raise LinAlgError("ambient vector of length %d, expected %d"
+                                  % (len(data), self.ambient_dim))
+            support = {pos: v for pos, v in enumerate(data) if v}
+        coords = self._coordinates(support)
+        z = self.field.zero
+        return [coords.get(j, z) for j in range(len(self.columns))]
+
+    def _coordinates(self, support):
+        """Sparse coordinates {column: scalar} of a sparse vector without
+        zero entries, read off the free positions in its support and
+        verified by exact reconstruction."""
+        index = self._free_index
+        coords = {}
+        for pos, v in support.items():
+            j = index.get(pos)
+            if j is not None:
+                coords[j] = v
         recon = {}
-        for coef, col in zip(coords, self.columns):
-            if not coef:
-                continue
-            for pos, v in col.items():
+        for j, coef in coords.items():
+            for pos, v in self.columns[j].items():
                 cur = recon.get(pos)
                 if cur is None:
                     recon[pos] = coef * v
@@ -265,10 +297,9 @@ class CochainBasis:
                         recon[pos] = cur
                     else:
                         del recon[pos]
-        for pos, v in enumerate(data):
-            if v:
-                if recon.pop(pos, None) != v:
-                    raise SpanError("vector is not in the span of the basis")
+        for pos, v in support.items():
+            if recon.pop(pos, None) != v:
+                raise SpanError("vector is not in the span of the basis")
         if recon:
             raise SpanError("vector is not in the span of the basis")
         return coords
@@ -443,28 +474,104 @@ def apply_coboundary(module, f, caps=DEFAULT_CAPS):
     return Cochain.build(deg_out, d, m, out)
 
 
-def coboundary_matrix(module, basis_from, basis_to, caps=DEFAULT_CAPS):
-    """Matrix of the coboundary in the given bases (columns via apply_coboundary).
+def _coboundary_images(module, basis_from, caps):
+    """Sparse coboundary image {ambient position: scalar} of each column of
+    basis_from, yielded one column at a time.
 
-    Both bases must be plain or both invariant; for invariant bases the image
-    of every column is verified to lie in the invariant target span, so a
-    SpanError here signals an internal inconsistency.
+    Same formula as apply_coboundary, but every nonzero entry f(y)_w of a
+    column is pushed forward instead of evaluating all d^(k+2) output
+    tuples: the theta and D terms insert a pair (a, c) into y, and the
+    substitution terms replace an argument y_s = l by each e with
+    [e_a e_c e_e] having an l-component, found through the inverse bracket
+    index l -> [(a, c, e, coef)].
     """
+    d = module.system.dim
+    m = module.dim
+    if basis_from.dim != d or basis_from.mdim != m:
+        raise LinAlgError("cochain does not match the module shape")
+    deg_in = basis_from.degree
+    n = (deg_in + 1) // 2
+    caps.check_degree(deg_in + 2)
+    caps.check_ambient(d ** (deg_in + 2) * m)
+
+    # theta[w] and dop[w]: (a, c, l, coef) with theta(e_a, e_c) resp.
+    # D(e_a, e_c) sending v_w to coef * v_l + ...
+    th = [[module.theta_basis(a, c).rows for c in range(d)] for a in range(d)]
+    theta = [[] for _ in range(m)]
+    dop = [[] for _ in range(m)]
+    for a, c, l, w in product(range(d), range(d), range(m), range(m)):
+        if th[a][c][l][w]:
+            theta[w].append((a, c, l, th[a][c][l][w]))
+        dv = th[c][a][l][w] - th[a][c][l][w]
+        if dv:
+            dop[w].append((a, c, l, dv))
+    inverse_bracket = [[] for _ in range(d)]
+    mu = module.system.mu
+    for a, c, e in product(range(d), repeat=3):
+        for l, coef in enumerate(mu.basis_value(a, c, e)):
+            if coef:
+                inverse_bracket[l].append((a, c, e, coef))
+
+    place = [d ** (deg_in - 1 - s) for s in range(deg_in)]
+    for col in basis_from.columns:
+        out = {}
+        for pos, v in col.items():
+            ybase, w = divmod(pos, m)
+            y = [ybase // p % d for p in place]
+            # theta(x_{2n}, x_{2n+1}) f(x_1, ..., x_{2n-1})
+            # - theta(x_{2n-1}, x_{2n+1}) f(x_1, ..., x_{2n-2}, x_{2n})
+            head, last = divmod(ybase, d)
+            for a, c, l, t in theta[w]:
+                key = ((ybase * d + a) * d + c) * m + l
+                out[key] = out.get(key, 0) + t * v
+                key = (((head * d + a) * d + last) * d + c) * m + l
+                out[key] = out.get(key, 0) - t * v
+            for k in range(1, n + 1):
+                sv = v if (k + n) % 2 == 0 else -v
+                gap = 2 * k - 2
+                tail = d ** (deg_in - gap)
+                hi, lo = divmod(ybase, tail)
+                # D(x_{2k-1}, x_{2k}) f(..omit pair k..)
+                for a, c, l, t in dop[w]:
+                    key = (((hi * d + a) * d + c) * tail + lo) * m + l
+                    out[key] = out.get(key, 0) + t * sv
+                # -f(..omit pair k.., [x_{2k-1} x_{2k} x_j], ..) for j > 2k
+                for s in range(gap, deg_in):
+                    for a, c, e, coef in inverse_bracket[y[s]]:
+                        key = ((((hi * d + a) * d + c) * tail + lo
+                                + (e - y[s]) * place[s]) * m + w)
+                        out[key] = out.get(key, 0) - coef * sv
+        yield {key: val for key, val in out.items() if val}
+
+
+def _coboundary_columns(module, basis_from, basis_to, caps):
+    """Sparse coordinate columns {row: scalar} of the coboundary matrix."""
     if basis_to.degree != basis_from.degree + 2:
         raise LinAlgError("bases must sit in consecutive odd degrees")
     if basis_from.invariant != basis_to.invariant:
         raise LinAlgError("bases must be both plain or both invariant")
-    field = basis_from.field
-    cols = []
-    for j in range(len(basis_from)):
-        image = apply_coboundary(module, basis_from.column_cochain(j), caps)
+    for image in _coboundary_images(module, basis_from, caps):
         try:
-            cols.append(basis_to.express(image))
+            yield basis_to._coordinates(image)
         except SpanError as exc:
             raise RuntimeError(
                 "coboundary image escaped the target cochain space; this must "
                 "not happen and indicates an internal inconsistency") from exc
-    return Matrix.from_columns(cols, len(basis_to), field)
+
+
+def coboundary_matrix(module, basis_from, basis_to, caps=DEFAULT_CAPS):
+    """Matrix of the coboundary in the given bases.
+
+    Both bases must be plain or both invariant; for invariant bases the image
+    of every column is verified to lie in the invariant target span, so a
+    RuntimeError here signals an internal inconsistency.
+    """
+    field = basis_from.field
+    rows = [[field.zero] * len(basis_from) for _ in range(len(basis_to))]
+    for j, col in enumerate(_coboundary_columns(module, basis_from, basis_to, caps)):
+        for i, v in col.items():
+            rows[i][j] = v
+    return Matrix(rows, field, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -493,23 +600,19 @@ def cohomology(module, degree, action=None, module_action=None,
     field = module.system.field
     basis_k = cochain_space_basis(module, degree, action, module_action, caps)
     basis_up = cochain_space_basis(module, degree + 2, action, module_action, caps)
-    mat_out = coboundary_matrix(module, basis_k, basis_up, caps)
-
-    out_rows = ({j: v for j, v in enumerate(row) if v} for row in mat_out.rows)
-    zcols, _ = nullspace_from_rref(rref_rows(out_rows, field), len(basis_k), field)
+    out_rows = {}
+    for j, col in enumerate(_coboundary_columns(module, basis_k, basis_up, caps)):
+        for i, v in col.items():
+            out_rows.setdefault(i, {})[j] = v
+    pivots = rref_rows((out_rows[i] for i in sorted(out_rows)), field)
+    zcols, _ = nullspace_from_rref(pivots, len(basis_k), field)
     dim_z = len(zcols)
 
-    img_cols = []
+    acc = RrefAccumulator(field)
     if degree > 1:
         basis_down = cochain_space_basis(module, degree - 2, action, module_action, caps)
-        mat_in = coboundary_matrix(module, basis_down, basis_k, caps)
-        for j in range(mat_in.ncols):
-            col = {i: mat_in.rows[i][j] for i in range(mat_in.nrows)
-                   if mat_in.rows[i][j]}
-            img_cols.append(col)
-    acc = RrefAccumulator(field)
-    for col in img_cols:
-        acc.add(col)
+        for col in _coboundary_columns(module, basis_down, basis_k, caps):
+            acc.add(col)
     dim_b = acc.rank
 
     # representatives: extend the coboundary span through the cocycle basis,

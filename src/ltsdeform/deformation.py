@@ -28,7 +28,8 @@ from itertools import product
 from .caps import DEFAULT_CAPS, CapExceeded
 from .cohomology import (Cochain, apply_coboundary, coboundary_matrix,
                          cochain_space_basis, cochain_to_tensor,
-                         cochain_violations, cohomology, tensor_to_cochain)
+                         cochain_violations, cohomology, is_coboundary,
+                         tensor_to_cochain)
 from .groups import apply_group_dense, self_module_action
 from .linalg import Matrix, solve
 from .lts import StructureTensor, self_module
@@ -283,21 +284,8 @@ def obstruction(defo, caps=DEFAULT_CAPS):
     except CapExceeded:
         cocycle_flag = None
 
-    preimage = _equivariant_coboundary_preimage(defo, cochain, caps)
+    preimage = is_coboundary(module, cochain, defo.action, module_action, caps)
     return ObstructionResult(cochain, cocycle_flag, preimage)
-
-
-def _equivariant_coboundary_preimage(defo, cochain, caps):
-    module = self_module(defo.system)
-    module_action = self_module_action(defo.action, module)
-    basis3 = cochain_space_basis(module, 3, defo.action, module_action, caps)
-    basis5 = cochain_space_basis(module, 5, defo.action, module_action, caps)
-    mat = coboundary_matrix(module, basis3, basis5, caps)
-    coords = basis5.express(cochain)
-    x = solve(mat, coords)
-    if x is None:
-        return None
-    return basis3.combine(x)
 
 
 def extend(defo, caps=DEFAULT_CAPS):

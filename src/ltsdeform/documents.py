@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 
-from .linalg import Matrix, field_from_spec, field_spec
+from .linalg import LinAlgError, Matrix, field_from_spec, field_spec
 from .lts import LieTripleSystem, StructureTensor
 
 _COEFF_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
@@ -56,7 +56,8 @@ def _require(doc, key, types, what):
     if key not in doc:
         raise DocumentError("%s is missing %r" % (what, key))
     val = doc[key]
-    if not isinstance(val, types):
+    # JSON true/false would pass as the ints 1/0
+    if not isinstance(val, types) or isinstance(val, bool):
         raise DocumentError("%s field %r has the wrong type" % (what, key))
     return val
 
@@ -86,7 +87,8 @@ def _parse_quadruples(raw, dim, dim_out, fld, what):
     seen = set()
     for item in raw:
         if (not isinstance(item, list) or len(item) != 4
-                or not all(isinstance(x, int) for x in item[:3])):
+                or not all(isinstance(x, int) and not isinstance(x, bool)
+                           for x in item[:3])):
             raise DocumentError("%s entries must be [i, j, k, {l: coeff}]" % what)
         i, j, k, cmap = item
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
@@ -130,7 +132,11 @@ def system_from_document(doc, field_override=None):
     """Parse a system document; axiom validation is the caller's concern."""
     if _require(doc, "schema", str, "system document") != SYSTEM_SCHEMA:
         raise DocumentError("expected schema %r" % SYSTEM_SCHEMA)
-    fld = field_override or field_from_spec(_require(doc, "field", str, "system document"))
+    spec = _require(doc, "field", str, "system document")
+    try:
+        fld = field_override or field_from_spec(spec)
+    except LinAlgError as exc:
+        raise DocumentError("system document field: %s" % exc) from None
     dim = _require(doc, "dim", int, "system document")
     if dim < 1:
         raise DocumentError("dim must be positive")

@@ -199,7 +199,11 @@ def field_from_spec(spec):
     if spec == "rational":
         return QQ
     if spec.startswith("gf:"):
-        return PrimeField(int(spec[3:]))
+        try:
+            p = int(spec[3:])
+        except ValueError:
+            raise LinAlgError("field spec %r: modulus is not an integer" % (spec,)) from None
+        return PrimeField(p)
     raise LinAlgError("unknown field spec %r" % (spec,))
 
 

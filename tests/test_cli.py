@@ -135,3 +135,39 @@ def test_console_entry_point_runs():
 def test_env_cap_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LTSDEFORM_MAX_AMBIENT", "4")
     assert run_cli("cohomology", data("meson2.json"), "--degree", "3") == 3
+
+
+def assert_one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def test_malformed_field_flag_is_usage_error(capsys):
+    # a non-integer modulus used to escape as a ValueError traceback, and a
+    # composite one exited 1 as if it were a mathematical failure
+    for spec in ("gf:abc", "gf:4"):
+        assert run_cli("verify", data("meson2.json"), "--field", spec) == 2
+        assert_one_line_error(capsys, "usage error:")
+
+
+def test_malformed_document_field_is_document_error(tmp_path, capsys):
+    doc = load_document(bundled_path("meson2.json").read_text())
+    doc["field"] = "gf:abc"
+    bad = tmp_path / "bad_field.json"
+    bad.write_text(dump_document(doc))
+    assert run_cli("verify", str(bad)) == 2
+    assert_one_line_error(capsys, "document error:")
+
+
+def test_malformed_or_negative_caps_are_usage_errors(monkeypatch, capsys):
+    argv = ("cohomology", data("meson2.json"), "--degree", "3")
+    monkeypatch.setenv("LTSDEFORM_MAX_DEGREE", "x")
+    assert run_cli(*argv) == 2
+    assert_one_line_error(capsys, "usage error:")
+    monkeypatch.delenv("LTSDEFORM_MAX_DEGREE")
+    monkeypatch.setenv("LTSDEFORM_MAX_AMBIENT", "-5")
+    assert run_cli(*argv) == 2
+    assert_one_line_error(capsys, "usage error:")
+    monkeypatch.delenv("LTSDEFORM_MAX_AMBIENT")
+    assert run_cli(*argv, "--max-ambient", "-5") == 2
+    assert_one_line_error(capsys, "usage error:")

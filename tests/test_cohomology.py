@@ -10,9 +10,11 @@ from ltsdeform.cohomology import (Cochain, SpanError, apply_coboundary,
                                   cochain_to_tensor, cochain_violations, cohomology,
                                   constraint_rows, is_coboundary, is_cocycle,
                                   tensor_to_cochain)
-from ltsdeform.groups import apply_group_dense, make_group_action, self_module_action
-from ltsdeform.linalg import Matrix, QQ, nullspace_from_rref, rref_rows
-from ltsdeform.lts import StructureTensor, make_system, meson, self_module, skew_lts
+from ltsdeform.groups import (apply_group_dense, make_group_action, self_module_action,
+                              sign_action, transpose_action_on_rect)
+from ltsdeform.linalg import Matrix, PrimeField, QQ, nullspace_from_rref, rref_rows
+from ltsdeform.lts import (StructureTensor, from_lie_algebra, make_system, meson,
+                           self_module, skew_lts, sl2_brackets)
 
 
 @pytest.fixture(scope="module")
@@ -193,17 +195,53 @@ def test_mu_is_a_3_cocycle_everywhere():
         assert apply_coboundary(module, tensor_to_cochain(system.mu)).is_zero()
 
 
-def test_coboundary_matrix_matches_pointwise_application(m2, swap_action):
-    rng = random.Random(11)
-    for degree in (1, 3, 5):
-        for action in (None, swap_action):
-            basis = cochain_space_basis(m2, degree, action)
-            target = cochain_space_basis(m2, degree + 2, action)
-            mat = coboundary_matrix(m2, basis, target)
-            for _ in range(10):
-                f, coords = random_member(basis, rng)
-                via_matrix = target.combine(mat.apply(coords))
-                assert via_matrix == apply_coboundary(m2, f)
+def changed_basis(system, p, pinv):
+    """The same system written in the basis given by the columns of p."""
+    cols = [p.column(j) for j in range(system.dim)]
+    mu = StructureTensor.from_map(
+        lambda i, j, k: pinv.apply(system.mu.evaluate(cols[i], cols[j], cols[k])),
+        (system.dim,) * 3, system.dim, system.field)
+    return make_system(system.basis_names, mu, system.field)
+
+
+def oracle_cases(fld):
+    """(label, module, action, degrees) for the pointwise coboundary oracle."""
+    one, zero = fld.one, fld.zero
+    t2 = meson(2, fld)
+    swap = make_group_action(t2, [("0", Matrix.identity(2, fld)),
+                                  ("1", Matrix([[zero, one], [one, zero]], fld))])
+    skew3 = skew_lts(3, fld)
+    rect, transpose = transpose_action_on_rect(2, fld)
+    # unimodular, so the changed brackets stay integral but turn dense
+    p = Matrix([[1, 1, 0], [0, 1, 1], [1, 1, 1]], fld)
+    pinv = Matrix([[0, -1, 1], [1, 1, -1], [-1, 0, 1]], fld)
+    assert p * pinv == Matrix.identity(3, fld)
+    sl2 = from_lie_algebra(sl2_brackets(fld), fld=fld)
+    return [("meson2", self_module(t2), None, (1, 3, 5)),
+            ("meson2/swap", self_module(t2), swap, (1, 3, 5)),
+            ("meson3", self_module(meson(3, fld)), None, (1, 3)),
+            ("skew3/sign", self_module(skew3), sign_action(skew3), (1, 3)),
+            # degree 3 of rect22 is the slowest case; it runs over QQ only
+            ("rect22/transpose", self_module(rect), transpose,
+             (1, 3) if fld == QQ else (1,)),
+            ("sl2", self_module(sl2), None, (1, 3)),
+            ("meson3 changed basis",
+             self_module(changed_basis(meson(3, fld), p, pinv)), None, (1, 3))]
+
+
+def test_coboundary_matrix_matches_pointwise_application():
+    # every column of the assembled matrix reproduces the dense pointwise
+    # coboundary of its basis column, so the matrix agrees on all members
+    for fld in (QQ, PrimeField(10007)):
+        for label, module, action, degrees in oracle_cases(fld):
+            for degree in degrees:
+                basis = cochain_space_basis(module, degree, action)
+                target = cochain_space_basis(module, degree + 2, action)
+                mat = coboundary_matrix(module, basis, target)
+                for j in range(len(basis)):
+                    expected = apply_coboundary(module, basis.column_cochain(j))
+                    assert target.combine(mat.column(j)) == expected, \
+                        (fld, label, degree, j)
 
 
 def test_complex_property_d_squared_zero(m2, swap_action):

@@ -114,3 +114,20 @@ def test_sparse_entries_omit_zero_maps():
     doc = deformation_to_document("s.json", None, [(1, zero)], t2.field)
     assert doc["terms"][0]["entries"] == []
     assert "action" not in doc
+
+
+def test_json_booleans_are_not_integers():
+    # true would otherwise pass as the int 1: a one-dimensional document
+    # with "dim": true, and a bracket index true, both parsed silently
+    doc = load_document(bundled_path("meson1.json").read_text())
+    doc["dim"] = True
+    with pytest.raises(DocumentError, match="wrong type"):
+        system_from_document(doc)
+    doc = load_document(bundled_path("meson2.json").read_text())
+    doc["bracket"] = [[0, True, 0, {"1": "1"}]]
+    with pytest.raises(DocumentError, match="entries must be"):
+        system_from_document(doc)
+    doc = {"schema": "lts-deformation/1", "system": "s.json",
+           "terms": [{"order": True, "entries": []}]}
+    with pytest.raises(DocumentError, match="wrong type"):
+        deformation_from_document(doc)
