@@ -10,6 +10,7 @@ extension, inequivalence, inconclusive rigidity), 2 parse or usage errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -40,13 +41,13 @@ def _read(path):
         raise DocumentError("cannot read %s: %s" % (path, exc))
 
 
-def _load_system(path, field_override=None):
+def _load_system(path, field_override, caps):
     doc = load_document(_read(path))
-    return system_from_document(doc, field_override)
+    return system_from_document(doc, field_override, caps)
 
 
-def _checked_system(path, field_override=None):
-    system = _load_system(path, field_override)
+def _checked_system(path, field_override, caps):
+    system = _load_system(path, field_override, caps)
     report = verify_lts(system.mu)
     if not report.passed:
         v = report.violations[0]
@@ -71,14 +72,14 @@ def _load_deformation(path, field_override, caps):
     system_ref, action_ref, raw_terms = deformation_from_document(doc)
     base = Path(path).parent
     system_path = str(base / system_ref)
-    system = _checked_system(system_path, field_override)
+    system = _checked_system(system_path, field_override, caps)
     if action_ref is None:
         action = trivial_action(system)
         action_path = None
     else:
         action_path = str(base / action_ref)
         action, _ = _load_action(action_path, system, caps)
-    terms = deformation_terms(raw_terms, system.dim, system.field)
+    terms = deformation_terms(raw_terms, system.dim, system.field, caps)
     defo = make_deformation(system, action, [system.mu] + terms)
     return defo, system_ref, action_ref
 
@@ -132,7 +133,7 @@ def _field_override(args):
 
 def cmd_verify(args):
     caps = _caps(args)
-    system = _load_system(args.system, _field_override(args))
+    system = _load_system(args.system, _field_override(args), caps)
     fld = system.field
     lts_report = verify_lts(system.mu, all_witnesses=args.all_witnesses)
     module_report = verify_module(self_module(system), all_witnesses=args.all_witnesses)
@@ -184,7 +185,7 @@ def cmd_cohomology(args):
     caps = _caps(args)
     if args.degree < 1 or args.degree % 2 == 0:
         raise UsageError("the cochain complex has odd degrees only; got %d" % args.degree)
-    system = _checked_system(args.system, _field_override(args))
+    system = _checked_system(args.system, _field_override(args), caps)
     module = self_module(system)
     action = None
     module_action = None
@@ -369,7 +370,7 @@ def cmd_deform_trivialize(args):
 
 def cmd_rigidity(args):
     caps = _caps(args)
-    system = _checked_system(args.system, _field_override(args))
+    system = _checked_system(args.system, _field_override(args), caps)
     if args.equivariant:
         action, _ = _load_action(args.equivariant, system, caps)
     else:
@@ -457,9 +458,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built once per process: in-process callers run main many times
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
     except UsageError as exc:

@@ -12,7 +12,10 @@ flattened row-major over (inputs..., value coordinate).
 
 The square condition is imposed in polarized form plus the diagonal, and
 invariant subspaces come from stacked nullspaces, so every computation is
-valid in any characteristic.
+valid in any characteristic.  An invariant subspace is the fixed space of
+a deterministic generating set of the group (groups.generators), which is
+exact: the group acts through a homomorphism, so whatever every generator
+fixes the whole group fixes.
 
 Coboundary matrices are assembled by pushing each nonzero entry of a basis
 column forward through the coboundary formula, at a cost proportional to
@@ -30,7 +33,7 @@ from functools import cached_property
 from itertools import product
 
 from .caps import DEFAULT_CAPS
-from .groups import apply_group_sparse, self_module_action
+from .groups import apply_group_sparse, generators, self_module_action
 from .linalg import LinAlgError, Matrix, RrefAccumulator, nullspace_from_rref, rref_rows, solve
 from .lts import _Recorder
 
@@ -321,7 +324,15 @@ class CochainBasis:
 def cochain_space_basis(module, degree, action=None, module_action=None,
                         caps=DEFAULT_CAPS):
     """Deterministic basis of C^degree(T; V), or of the invariant subspace
-    C_G^degree(T; V) when an action is supplied."""
+    C_G^degree(T; V) when an action is supplied.
+
+    The invariant subspace is the kernel of the stacked rows of (g.c - c)
+    over the basis columns c, for g in the generating set generators(action)
+    only: g -> rho(g) is a homomorphism, so a cochain fixed by every
+    generator is fixed by the whole group.  The rows span the same space as
+    those of all the elements, and the unique reduced echelon form of that
+    span gives the same columns and free positions.
+    """
     if degree < 1 or degree % 2 == 0:
         raise LinAlgError("cochain degree must be odd and >= 1")
     caps.check_degree(degree)
@@ -352,9 +363,7 @@ def cochain_space_basis(module, degree, action=None, module_action=None,
     if module_action is None:
         module_action = self_module_action(action, module)
     rows = {}
-    for g in range(action.size):
-        if g == action.identity_index:
-            continue
+    for g in generators(action):
         for c, col in enumerate(basis.columns):
             moved = apply_group_sparse(action, module_action, g, degree, col)
             for pos, v in col.items():

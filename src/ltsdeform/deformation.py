@@ -30,7 +30,7 @@ from .cohomology import (Cochain, apply_coboundary, coboundary_matrix,
                          cochain_space_basis, cochain_to_tensor,
                          cochain_violations, cohomology, is_coboundary,
                          tensor_to_cochain)
-from .groups import apply_group_dense, self_module_action
+from .groups import apply_group_dense, generators, self_module_action
 from .linalg import Matrix, solve
 from .lts import StructureTensor, self_module
 
@@ -150,7 +150,8 @@ def _check_term_is_cochain(tensor, index):
 
 def _check_term_equivariant(system, action, tensor, index):
     d = system.dim
-    for g, (lab, m) in enumerate(zip(action.labels, action.matrices)):
+    for g in generators(action):
+        lab, m = action.labels[g], action.matrices[g]
         gcols = [m.column(j) for j in range(d)]
         for a, b, c in product(range(d), repeat=3):
             lhs = tensor.evaluate(gcols[a], gcols[b], gcols[c])
@@ -272,7 +273,7 @@ def obstruction(defo, caps=DEFAULT_CAPS):
                            "this must not happen")
     module = self_module(system)
     module_action = self_module_action(defo.action, module)
-    for g in range(defo.action.size):
+    for g in generators(defo.action):
         moved = apply_group_dense(defo.action, module_action, g, 5, list(cochain.data))
         if tuple(moved) != cochain.data:
             raise RuntimeError("obstruction cochain is not invariant; "
@@ -319,10 +320,11 @@ def make_formal_isomorphism(action, matrices):
         if m.nrows != d or m.ncols != d:
             raise DeformationError("psi_%d has shape %dx%d, expected %dx%d"
                                    % (i, m.nrows, m.ncols, d, d))
-        for lab, g in zip(action.labels, action.matrices):
-            if m * g != g * m:
+        for g in generators(action):
+            gm = action.matrices[g]
+            if m * gm != gm * m:
                 raise DeformationError("psi_%d does not commute with element %r"
-                                       % (i, lab))
+                                       % (i, action.labels[g]))
     return FormalIsomorphism(mats)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 
+from .caps import DEFAULT_CAPS
 from .linalg import LinAlgError, Matrix, field_from_spec, field_spec
 from .lts import LieTripleSystem, StructureTensor
 
@@ -128,8 +129,12 @@ def system_to_document(system):
     }
 
 
-def system_from_document(doc, field_override=None):
-    """Parse a system document; axiom validation is the caller's concern."""
+def system_from_document(doc, field_override=None, caps=DEFAULT_CAPS):
+    """Parse a system document; axiom validation is the caller's concern.
+
+    The dim^4 bracket entries are checked against the ambient cap before
+    they are allocated.
+    """
     if _require(doc, "schema", str, "system document") != SYSTEM_SCHEMA:
         raise DocumentError("expected schema %r" % SYSTEM_SCHEMA)
     spec = _require(doc, "field", str, "system document")
@@ -143,6 +148,7 @@ def system_from_document(doc, field_override=None):
     basis = _require(doc, "basis", list, "system document")
     if len(basis) != dim or not all(isinstance(b, str) for b in basis):
         raise DocumentError("basis must list %d names" % dim)
+    caps.check_ambient(dim ** 4, what="bracket tensor")
     entries = _parse_quadruples(_require(doc, "bracket", list, "system document"),
                                 dim, dim, fld, "bracket")
     mu = StructureTensor.build(entries, (dim, dim, dim), dim, fld)
@@ -261,8 +267,10 @@ def deformation_from_document(doc):
     return system_ref, action_ref, out
 
 
-def deformation_terms(raw_terms, dim, fld):
-    """Materialize (order, raw_entries) pairs into dense order-indexed tensors."""
+def deformation_terms(raw_terms, dim, fld, caps=DEFAULT_CAPS):
+    """Materialize (order, raw_entries) pairs into dense order-indexed tensors,
+    whose dim^4 entries are checked against the ambient cap first."""
+    caps.check_ambient(dim ** 4, what="deformation term tensor")
     by_order = {}
     for order, raw in raw_terms:
         entries = _parse_quadruples(raw, dim, dim, fld, "term %d" % order)

@@ -2,11 +2,16 @@
 linear automorphisms.
 
 Groups are given by explicit element lists (label, matrix); closure,
-identity, invertibility and equivariance of the bracket are all validated
-by exhaustive exact comparison.  Invariant subspaces of cochain ambients
-are computed as stacked nullspaces, which is valid in every characteristic;
-the Reynolds averaging projector is provided as a cross-check when the
-characteristic permits.
+identity and invertibility are validated by exact comparison over the
+whole list.  Equivariance of the bracket, of a module action and of
+deformation terms, and invariance of cochains, are checked on a
+deterministic generating set (generators) only.  That is exact: the group
+acts through a homomorphism, so a property preserved under composition
+that holds for every generator holds for every element, and the fixed
+space of the generators is the fixed space of the group.  Invariant
+subspaces of cochain ambients are computed as stacked nullspaces, which is
+valid in every characteristic; the Reynolds averaging projector is
+provided as a cross-check when the characteristic permits.
 """
 
 from __future__ import annotations
@@ -49,12 +54,20 @@ class ModuleAction:
     verified: tuple  # which of the three module actions were checked equivariant
 
 
+def _matrix_key(m, fld):
+    """Hashable form of a matrix: equal matrices get equal keys, also when
+    some entries are plain ints standing for prime-field elements."""
+    return tuple(tuple(fld(v) for v in row) for row in m.rows)
+
+
 def make_group_action(system, elements, caps=DEFAULT_CAPS):
     """Validate (label, matrix) pairs as a group acting on the system.
 
     Checks, in order: shapes, duplicate elements, invertibility, closure
     (building the multiplication table), presence of the identity, and
-    equivariance of the bracket under every element.
+    equivariance of the bracket under the generating set of generators();
+    equivariance under s and t implies it under st, so that covers every
+    element.
     """
     labels = tuple(lab for lab, _ in elements)
     mats = tuple(m for _, m in elements)
@@ -62,18 +75,22 @@ def make_group_action(system, elements, caps=DEFAULT_CAPS):
     if n == 0:
         raise GroupActionError("empty element list")
     caps.check_group(n)
-    d = system.dim
+    d, fld = system.dim, system.field
     for lab, m in zip(labels, mats):
         if m.nrows != d or m.ncols != d:
             raise GroupActionError("element %r is %dx%d, expected %dx%d"
                                    % (lab, m.nrows, m.ncols, d, d))
     if len(set(labels)) != n:
         raise GroupActionError("duplicate labels in element list")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mats[i] == mats[j]:
-                raise GroupActionError("duplicate element matrices %r and %r"
-                                       % (labels[i], labels[j]))
+    where = {}
+    for k, m in enumerate(mats):
+        where.setdefault(_matrix_key(m, fld), []).append(k)
+    dups = [ks for ks in where.values() if len(ks) > 1]
+    if dups:
+        i, j = min(dups)[:2]
+        raise GroupActionError("duplicate element matrices %r and %r"
+                               % (labels[i], labels[j]))
+    index = {key: ks[0] for key, ks in where.items()}
     for lab, m in zip(labels, mats):
         if rank(m) != d:
             raise GroupActionError("element %r is not invertible" % (lab,))
@@ -82,22 +99,14 @@ def make_group_action(system, elements, caps=DEFAULT_CAPS):
     for i in range(n):
         row = []
         for j in range(n):
-            prod_m = mats[i] * mats[j]
-            for k in range(n):
-                if prod_m == mats[k]:
-                    row.append(k)
-                    break
-            else:
+            k = index.get(_matrix_key(mats[i] * mats[j], fld))
+            if k is None:
                 raise GroupActionError("not closed under product: %r * %r is not "
                                        "an element" % (labels[i], labels[j]))
+            row.append(k)
         table.append(tuple(row))
 
-    ident = Matrix.identity(d, system.field)
-    identity_index = None
-    for k in range(n):
-        if mats[k] == ident:
-            identity_index = k
-            break
+    identity_index = index.get(_matrix_key(Matrix.identity(d, fld), fld))
     if identity_index is None:
         raise GroupActionError("identity matrix missing from element list")
 
@@ -110,8 +119,11 @@ def make_group_action(system, elements, caps=DEFAULT_CAPS):
         else:
             raise GroupActionError("element %r has no inverse in the list" % (labels[i],))
 
+    action = GroupAction(system, labels, mats, identity_index,
+                         tuple(table), tuple(inverses))
     mu = system.mu
-    for g, (lab, m) in enumerate(zip(labels, mats)):
+    for g in generators(action):
+        lab, m = labels[g], mats[g]
         gcols = [m.column(j) for j in range(d)]
         for a, b, c in product(range(d), repeat=3):
             lhs = mu.evaluate(gcols[a], gcols[b], gcols[c])
@@ -120,9 +132,55 @@ def make_group_action(system, elements, caps=DEFAULT_CAPS):
                 raise GroupActionError(
                     "bracket is not equivariant under element %r at basis triple "
                     "(%d, %d, %d)" % (lab, a, b, c))
+    return action
 
-    return GroupAction(system, labels, mats, identity_index,
-                       tuple(table), tuple(inverses))
+
+def _subgroup(table, identity, gens):
+    """Element indices of the subgroup generated by gens."""
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for a in frontier:
+            row = table[a]
+            for s in gens:
+                c = row[s]
+                if c not in seen:
+                    seen.add(c)
+                    new.append(c)
+        frontier = new
+    return seen
+
+
+def generators(action):
+    """Deterministic generating set of the group, as a tuple of element
+    indices in the order they were chosen.
+
+    Greedy over the multiplication table: each step adds the element that,
+    with the generators so far, generates the largest subgroup (the lowest
+    index on a tie), until the whole group is reached.  The subgroup at
+    least doubles at every step (Lagrange), so there are at most
+    log2 |G| generators; the trivial group has none.  Cached on the action.
+    """
+    cached = action.__dict__.get("_generators")
+    if cached is not None:
+        return cached
+    table, ident, n = action.mult_table, action.identity_index, action.size
+    gens = []
+    sub = {ident}
+    while len(sub) < n:
+        best = None
+        for g in range(n):
+            if g in sub:
+                continue
+            cand = _subgroup(table, ident, gens + [g])
+            if best is None or len(cand) > len(best[1]):
+                best = (g, cand)
+        gens.append(best[0])
+        sub = best[1]
+    cached = tuple(gens)
+    object.__setattr__(action, "_generators", cached)
+    return cached
 
 
 def trivial_action(system):
@@ -160,7 +218,14 @@ def self_module_action(action, module):
 
 
 def make_module_action(action, module, matrices):
-    """Validate that the three module actions are equivariant for the group."""
+    """Validate the module matrices as a representation V of the group
+    (V(e) = I and V(s) V(g) = V(sg) for every generator s and element g,
+    which makes every V(g) invertible) under which the three module actions
+    are equivariant.
+
+    Equivariance is checked under the generators only: for a representation
+    it passes from s and t to st.
+    """
     m = module.dim
     mats = tuple(matrices)
     if len(mats) != action.size:
@@ -169,13 +234,24 @@ def make_module_action(action, module, matrices):
         if vm.nrows != m or vm.ncols != m:
             raise GroupActionError("module matrix for %r is %dx%d, expected %dx%d"
                                    % (lab, vm.nrows, vm.ncols, m, m))
-        if rank(vm) != m:
-            raise GroupActionError("module matrix for %r is not invertible" % (lab,))
+    e = action.identity_index
+    if mats[e] != Matrix.identity(m, action.system.field):
+        raise GroupActionError("module matrix for the identity %r is not the identity"
+                               % (action.labels[e],))
+    gens = generators(action)
+    for s in gens:
+        row = action.mult_table[s]
+        for g in range(action.size):
+            if mats[s] * mats[g] != mats[row[g]]:
+                raise GroupActionError(
+                    "module matrices are not a representation: V(%r) V(%r) != V(%r)"
+                    % (action.labels[s], action.labels[g], action.labels[row[g]]))
     d = module.system.dim
     checked = []
     for name, tensor in (("left", module.left), ("right", module.right),
                          ("middle", module.middle)):
-        for lab, gm, vm in zip(action.labels, action.matrices, mats):
+        for g in gens:
+            lab, gm, vm = action.labels[g], action.matrices[g], mats[g]
             gcols = [gm.column(j) for j in range(d)]
             vcols = [vm.column(w) for w in range(m)]
             for a, b, w in product(range(d), range(d), range(m)):

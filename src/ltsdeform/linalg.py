@@ -348,29 +348,30 @@ class RrefAccumulator:
         self.pivots = {}
 
     def reduce(self, row):
-        """Remainder of row after reduction by the current pivot rows."""
-        r = {c: v for c, v in row.items() if v}
-        out = {}
-        while r:
-            c = min(r)
-            prow = self.pivots.get(c)
-            if prow is None:
-                out[c] = r.pop(c)
+        """Remainder of row after reduction by the current pivot rows.
+
+        A pivot row carries no other pivot column, so subtracting it never
+        changes the row's entry at another pivot: one pass over the row's
+        pivot entries, each subtracting coef * (pivot row), reduces it fully.
+        """
+        pivots = self.pivots
+        out = {c: v for c, v in row.items() if v and c not in pivots}
+        for c, coef in row.items():
+            prow = pivots.get(c)
+            if prow is None or not coef:
                 continue
-            coef = r.pop(c)
             for cc, v in prow.items():
                 if cc == c:
                     continue
-                tgt = out if cc in out else r
-                cur = tgt.get(cc)
+                cur = out.get(cc)
                 if cur is None:
-                    r[cc] = -coef * v
+                    out[cc] = -coef * v
                 else:
                     cur = cur - coef * v
                     if cur:
-                        tgt[cc] = cur
+                        out[cc] = cur
                     else:
-                        del tgt[cc]
+                        del out[cc]
         return out
 
     def add(self, row):
@@ -424,14 +425,12 @@ def nullspace_from_rref(pivots, ncols, field):
     """
     one = field.one
     free = [c for c in range(ncols) if c not in pivots]
-    cols = []
-    for f in free:
-        col = {f: one}
-        for pc, prow in pivots.items():
-            v = prow.get(f)
-            if v is not None:
-                col[pc] = -v
-        cols.append(col)
+    cols = [{f: one} for f in free]
+    index = {f: j for j, f in enumerate(free)}
+    for pc, prow in pivots.items():
+        for c, v in prow.items():
+            if c != pc:
+                cols[index[c]][pc] = -v
     return cols, free
 
 

@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 from ltsdeform import bundled_path
-from ltsdeform.cli import main
+from ltsdeform.cli import build_parser, main
 from ltsdeform.documents import dump_document, load_document
 
 
@@ -171,3 +171,48 @@ def test_malformed_or_negative_caps_are_usage_errors(monkeypatch, capsys):
     monkeypatch.delenv("LTSDEFORM_MAX_AMBIENT")
     assert run_cli(*argv, "--max-ambient", "-5") == 2
     assert_one_line_error(capsys, "usage error:")
+
+
+def test_module_block_that_is_no_representation_exits_one(tmp_path, capsys):
+    # module matrices [-I, P] on the swap action send the identity to -I,
+    # which the invariant basis, built from the generators, would ignore
+    doc = load_document(bundled_path("meson2_swap.json").read_text())
+    doc["module"] = {"elements": [[["-1", "0"], ["0", "-1"]], [["0", "1"], ["1", "0"]]]}
+    bad = tmp_path / "swap_bad_module.json"
+    bad.write_text(dump_document(doc))
+    assert run_cli("cohomology", data("meson2.json"), "--degree", "3",
+                   "--equivariant", str(bad), "--json") == 1
+    assert_one_line_error(capsys, "error:")
+    assert run_cli("verify", data("meson2.json"), str(bad)) == 1
+    assert "FAILED" in capsys.readouterr().out
+
+
+def test_oversized_bracket_is_capped_before_allocation(tmp_path, capsys):
+    # dim 200 asks for 200^4 = 1.6e9 bracket entries
+    doc = {"schema": "lts-system/1", "field": "rational", "dim": 200,
+           "basis": ["x%d" % i for i in range(200)], "bracket": []}
+    big = tmp_path / "big.json"
+    big.write_text(dump_document(doc))
+    for argv in (("verify", str(big)), ("rigidity", str(big))):
+        assert run_cli(*argv) == 3
+        assert_one_line_error(capsys, "cap exceeded:")
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    import ltsdeform.cli as cli
+
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run_cli("cohomology", data("meson2.json"), "--degree", "1") == 0
+        assert run_cli("cohomology", data("meson2.json"), "--degree", "2") == 2
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1

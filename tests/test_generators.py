@@ -1,0 +1,177 @@
+"""Generating sets of group actions, and every check that rests on them:
+invariant bases against the all-elements oracle, bracket equivariance and
+module actions that must be representations."""
+
+import functools
+import math
+from fractions import Fraction
+
+import pytest
+from oracles import invariant_basis_all_elements
+
+from ltsdeform.cohomology import cochain_space_basis
+from ltsdeform.groups import (GroupActionError, _subgroup, generators,
+                              make_group_action, make_module_action,
+                              sign_action, transpose_action_on_rect)
+from ltsdeform.linalg import Matrix, PrimeField, QQ
+from ltsdeform.lts import make_system, meson, self_module, skew_lts, StructureTensor
+
+GF = PrimeField(10007)
+FIELDS = [QQ, GF]
+
+
+def signed_perm(perm, signs):
+    n = len(perm)
+    return tuple(tuple(signs[j] if perm[j] == i else 0 for j in range(n))
+                 for i in range(n))
+
+
+def closure(gens):
+    """All products of the generators, sorted."""
+    n = len(gens[0])
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    elems, frontier = {ident}, [ident]
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                c = tuple(tuple(sum(a[i][k] * g[k][j] for k in range(n))
+                                for j in range(n)) for i in range(n))
+                if c not in elems:
+                    elems.add(c)
+                    new.append(c)
+        frontier = new
+    return sorted(elems)
+
+
+# signed-permutation groups as generator lists (perm, signs)
+GROUPS = {
+    "B2": (2, [([1, 0], [1, 1]), ([0, 1], [-1, 1])]),
+    "C4": (2, [([1, 0], [1, -1])]),
+    "V4": (2, [([0, 1], [-1, 1]), ([0, 1], [1, -1])]),
+    "D4": (3, [([1, 0, 2], [1, 1, 1]), ([0, 1, 2], [-1, 1, 1])]),
+    "S3xC2": (3, [([1, 0, 2], [1, 1, 1]), ([1, 2, 0], [1, 1, 1]),
+                  ([0, 1, 2], [-1, -1, -1])]),
+    "B3": (3, [([1, 0, 2], [1, 1, 1]), ([1, 2, 0], [1, 1, 1]),
+               ([0, 1, 2], [-1, 1, 1])]),
+}
+ORDERS = {"B2": 8, "C4": 4, "V4": 4, "D4": 8, "S3xC2": 12, "B3": 48}
+
+
+@functools.lru_cache(maxsize=None)
+def meson_action(name, fld):
+    n, gens = GROUPS[name]
+    elements = closure([signed_perm(p, s) for p, s in gens])
+    system = meson(n, fld)
+    mats = [("g%d" % k, Matrix([[fld(v) for v in row] for row in m], fld))
+            for k, m in enumerate(elements)]
+    return system, make_group_action(system, mats)
+
+
+def assert_same_basis(got, want):
+    assert got.invariant and want.invariant
+    assert got.free_positions == want.free_positions
+    assert got.columns == want.columns
+
+
+CASES = ([(g, d) for g in ("B2", "C4", "V4") for d in (1, 3, 5)]
+         + [(g, d) for g in ("D4", "S3xC2", "B3") for d in (1, 3)])
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=repr)
+@pytest.mark.parametrize("group,degree", CASES)
+def test_invariant_basis_equals_all_elements_oracle(group, degree, fld):
+    system, action = meson_action(group, fld)
+    module = self_module(system)
+    assert_same_basis(cochain_space_basis(module, degree, action),
+                      invariant_basis_all_elements(module, degree, action))
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=repr)
+def test_sign_and_transpose_bases_equal_all_elements_oracle(fld):
+    system = skew_lts(3, fld)
+    cases = [(system, sign_action(system)), transpose_action_on_rect(2, fld)]
+    for system, action in cases:
+        module = self_module(system)
+        assert_same_basis(cochain_space_basis(module, 3, action),
+                          invariant_basis_all_elements(module, 3, action))
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_generators_generate_the_whole_group_and_are_few(group):
+    _, action = meson_action(group, QQ)
+    gens = generators(action)
+    assert action.size == ORDERS[group]
+    assert _subgroup(action.mult_table, action.identity_index, gens) == \
+        set(range(action.size))
+    assert len(gens) <= math.log2(action.size)
+    assert action.identity_index not in gens
+    # deterministic: cached on the action, and equal on a fresh build
+    assert generators(action) is gens
+    assert generators(meson_action.__wrapped__(group, QQ)[1]) == gens
+    assert generators(meson_action(group, GF)[1]) == gens
+
+
+def test_trivial_group_has_no_generators():
+    system = meson(2)
+    action = make_group_action(system, [("e", Matrix.identity(2))])
+    assert generators(action) == ()
+
+
+def test_greedy_choice_takes_the_largest_subgroup_then_the_lowest_index():
+    # C4 = <r>, listed so that the involution r^2 comes first: each of r and
+    # r^3 generates all four elements, r^2 only two, so the lowest index of
+    # those two (r at index 2) is the only generator
+    system = meson(2)
+    r = Matrix([[0, -1], [1, 0]])
+    action = make_group_action(system, [("e", Matrix.identity(2)), ("r2", r * r),
+                                        ("r", r), ("r3", r * r * r)])
+    assert generators(action) == (2,)
+
+
+def test_non_equivariant_element_that_is_no_generator_is_rejected():
+    # {I, -I, -W, W} with W an order-2 matrix that skews the meson bracket;
+    # -I and -W generate, so W itself is checked only through them
+    warp = Matrix([[0, 2], [QQ(Fraction(1, 2)), 0]])
+    one = Matrix.identity(2)
+    elements = [("e", one), ("-e", one.scale(-1)), ("-w", warp.scale(-1)), ("w", warp)]
+    # the same list on the abelian plane, where every matrix is an automorphism
+    flat = make_system(["x", "y"], StructureTensor.zero((2, 2, 2), 2))
+    assert 3 not in generators(make_group_action(flat, elements))
+    with pytest.raises(GroupActionError, match="not equivariant"):
+        make_group_action(meson(2), elements)
+
+
+def swap_action():
+    system = meson(2)
+    return system, make_group_action(system, [("0", Matrix.identity(2)),
+                                              ("1", Matrix([[0, 1], [1, 0]]))])
+
+
+def test_module_matrices_must_send_the_identity_to_the_identity():
+    system, action = swap_action()
+    minus = Matrix.identity(2).scale(-1)
+    with pytest.raises(GroupActionError, match="identity"):
+        make_module_action(action, self_module(system),
+                           [minus, Matrix([[0, 1], [1, 0]])])
+
+
+def test_module_matrices_must_be_a_representation():
+    # V(e) = I but V(s)^2 = -I while s^2 = e
+    system, action = swap_action()
+    with pytest.raises(GroupActionError, match="not a representation"):
+        make_module_action(action, self_module(system),
+                           [Matrix.identity(2), Matrix([[0, -1], [1, 0]])])
+
+
+def test_self_module_matrices_are_accepted():
+    system, action = meson_action("B3", QQ)
+    ma = make_module_action(action, self_module(system), list(action.matrices))
+    assert ma.verified == ("left", "right", "middle")
+
+
+def test_singular_module_matrix_is_rejected():
+    system, action = swap_action()
+    with pytest.raises(GroupActionError, match="not a representation"):
+        make_module_action(action, self_module(system),
+                           [Matrix.identity(2), Matrix([[1, 1], [1, 1]])])

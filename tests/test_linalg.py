@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltsdeform.linalg import (LinAlgError, Matrix, PrimeField, QQ,
-                              field_from_spec, nullspace, rank, solve)
+from oracles import rref_dense
+
+from ltsdeform.linalg import (LinAlgError, Matrix, PrimeField, QQ, field_from_spec,
+                              nullspace, nullspace_from_rref, rank, rref_rows, solve)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -98,6 +100,32 @@ def test_nullspace_is_deterministic_and_canonical(m):
         col = ns1.column(j)
         ones = [i for i, v in enumerate(col) if v == 1]
         assert ones, "free coordinate missing"
+
+
+def sparse_rows(max_rows=8, max_cols=8):
+    """Rows of small integers, mostly zero, as {column: value} dicts."""
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
+    return st.integers(1, max_cols).flatmap(
+        lambda c: st.lists(st.lists(entry, min_size=c, max_size=c),
+                           min_size=1, max_size=max_rows).map(
+            lambda rows: (c, [{j: v for j, v in enumerate(r) if v} for r in rows])))
+
+
+@settings(max_examples=50)
+@given(sparse_rows(), st.sampled_from([QQ, PrimeField(3)]), st.randoms())
+def test_rref_rows_matches_dense_gauss_jordan(shape, fld, rnd):
+    ncols, rows = shape
+    rows = [{j: fld(v) for j, v in r.items()} for r in rows]
+    want = rref_dense(rows, ncols, fld)
+    # the RREF of a span is unique: any insertion order gives the same one
+    rnd.shuffle(rows)
+    got = rref_rows(rows, fld)
+    assert got == want
+    cols, free = nullspace_from_rref(got, ncols, fld)
+    assert free == [c for c in range(ncols) if c not in want]
+    for col in cols:
+        for prow in want.values():
+            assert not sum((v * col.get(j, 0) for j, v in prow.items()), fld.zero)
 
 
 # ---------------------------------------------------------------------------
