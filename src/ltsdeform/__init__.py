@@ -15,17 +15,14 @@ from .deformation import (DeformationError, EquivalenceResult, FormalIsomorphism
                           make_deformation, make_formal_isomorphism, obstruction,
                           pad_deformation, rigidity_certificate, trivialize)
 from .groups import (GroupAction, GroupActionError, ModuleAction,
-                     action_on_cochain_ambient, invariant_subspace,
-                     make_group_action, make_module_action, reynolds_project,
-                     self_module_action, sign_action, transpose_action_on_rect,
-                     trivial_action)
+                     make_group_action, make_module_action, self_module_action,
+                     sign_action, transpose_action_on_rect, trivial_action)
 from .linalg import (GFElement, LinAlgError, Matrix, PrimeField, QQ,
                      RationalField, field_from_spec, nullspace, rank, solve)
 from .lts import (AxiomReport, BuildError, LieTripleSystem, LtsModule,
-                  StructureTensor, Violation, d_operator, from_lie_algebra,
-                  function_lts, make_system, matrix_lts, meson, rect_lts,
-                  self_module, skew_lts, sl2_brackets, sym_lts, theta,
-                  verify_lts, verify_module)
+                  StructureTensor, Violation, from_lie_algebra, function_lts,
+                  make_system, matrix_lts, meson, rect_lts, self_module,
+                  skew_lts, sl2_brackets, sym_lts, verify_lts, verify_module)
 
 __version__ = "0.1.0"
 

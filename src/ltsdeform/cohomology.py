@@ -101,9 +101,7 @@ class Cochain:
 
 def tensor_to_cochain(t):
     """Degree-3 cochain from a trilinear structure tensor."""
-    d = t.dim_in
-    data = [v for plane in t.entries for line in plane for w in line for v in w]
-    return Cochain.build(3, d, t.dim_out, data)
+    return Cochain.build(3, t.dim_in, t.dim_out, t.flat())
 
 
 def cochain_to_tensor(c, fld=None):
@@ -184,20 +182,6 @@ def three_slot_constraint_rows(d, m, field):
                         del row[key]
             if row:
                 rows.append(row)
-    return rows
-
-
-def constraint_rows(d, m, degree, field):
-    """Sparse constraint rows over the full degree ambient (for any prefix)."""
-    if degree == 1:
-        return []
-    block = d ** 3 * m
-    base_rows = three_slot_constraint_rows(d, m, field)
-    rows = []
-    for p in range(d ** (degree - 3)):
-        off = p * block
-        for r in base_rows:
-            rows.append({off + k: v for k, v in r.items()})
     return rows
 
 
@@ -366,18 +350,10 @@ def cochain_space_basis(module, degree, action=None, module_action=None,
     for g in generators(action):
         for c, col in enumerate(basis.columns):
             moved = apply_group_sparse(action, module_action, g, degree, col)
-            for pos, v in col.items():
-                cur = moved.get(pos)
-                if cur is None:
-                    moved[pos] = -v
-                else:
-                    cur = cur - v
-                    if cur:
-                        moved[pos] = cur
-                    else:
-                        del moved[pos]
-            for pos, v in moved.items():
-                rows.setdefault((g, pos), {})[c] = v
+            for pos in moved.keys() | col.keys():
+                v = moved.get(pos, 0) - col.get(pos, 0)
+                if v:
+                    rows.setdefault((g, pos), {})[c] = v
     pivots = rref_rows(rows.values(), field)
     ncols, nfree = nullspace_from_rref(pivots, len(basis.columns), field)
     inv_columns = []

@@ -30,9 +30,11 @@ from .cohomology import (Cochain, apply_coboundary, coboundary_matrix,
                          cochain_space_basis, cochain_to_tensor,
                          cochain_violations, cohomology, is_coboundary,
                          tensor_to_cochain)
-from .groups import apply_group_dense, generators, self_module_action
+from .groups import (apply_group_sparse, equivariance_witness, generators,
+                     self_module_action)
 from .linalg import Matrix, solve
 from .lts import StructureTensor, self_module
+from .tensorops import first_difference
 
 
 class DeformationError(ValueError):
@@ -148,18 +150,14 @@ def _check_term_is_cochain(tensor, index):
             % (index, v.axiom, v.witness))
 
 
-def _check_term_equivariant(system, action, tensor, index):
-    d = system.dim
+def _check_term_equivariant(action, tensor, index):
     for g in generators(action):
-        lab, m = action.labels[g], action.matrices[g]
-        gcols = [m.column(j) for j in range(d)]
-        for a, b, c in product(range(d), repeat=3):
-            lhs = tensor.evaluate(gcols[a], gcols[b], gcols[c])
-            rhs = m.apply(list(tensor.basis_value(a, b, c)))
-            if lhs != rhs:
-                raise DeformationError(
-                    "term %d is not equivariant under element %r at basis "
-                    "triple (%d, %d, %d)" % (index, lab, a, b, c))
+        m = action.matrices[g]
+        t = equivariance_witness(tensor, (m, m, m), action.inverse_matrix(g))
+        if t is not None:
+            raise DeformationError(
+                "term %d is not equivariant under element %r at basis "
+                "triple (%d, %d, %d)" % ((index, action.labels[g]) + t))
 
 
 def make_deformation(system, action, terms):
@@ -182,7 +180,7 @@ def make_deformation(system, action, terms):
                                    % (i, (t.dims, t.dim_out)))
         if i > 0:
             _check_term_is_cochain(t, i)
-        _check_term_equivariant(system, action, t, i)
+        _check_term_equivariant(action, t, i)
     return TruncatedDeformation(system, action, terms)
 
 
@@ -273,9 +271,10 @@ def obstruction(defo, caps=DEFAULT_CAPS):
                            "this must not happen")
     module = self_module(system)
     module_action = self_module_action(defo.action, module)
+    entries = {k: v for k, v in enumerate(cochain.data) if v}
     for g in generators(defo.action):
-        moved = apply_group_dense(defo.action, module_action, g, 5, list(cochain.data))
-        if tuple(moved) != cochain.data:
+        moved = apply_group_sparse(defo.action, module_action, g, 5, entries)
+        if first_difference(moved, entries) is not None:
             raise RuntimeError("obstruction cochain is not invariant; "
                                "this must not happen for equivariant terms")
 

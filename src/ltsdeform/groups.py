@@ -3,25 +3,25 @@ linear automorphisms.
 
 Groups are given by explicit element lists (label, matrix); closure,
 identity and invertibility are validated by exact comparison over the
-whole list.  Equivariance of the bracket, of a module action and of
-deformation terms, and invariance of cochains, are checked on a
+whole list.  A multilinear map (the bracket, a module action, a
+deformation term, a cochain) is equivariant exactly when it is a fixed
+point of the group action on maps, g.T = V(g) o T o (g^{-1} x ... x g^{-1})
+with V(g^{-1}) on a module slot, so one fixed-point test
+(equivariance_witness) on the one slot transform
+(tensorops.transform_sparse) checks them all.  It is run for a
 deterministic generating set (generators) only.  That is exact: the group
 acts through a homomorphism, so a property preserved under composition
 that holds for every generator holds for every element, and the fixed
-space of the generators is the fixed space of the group.  Invariant
-subspaces of cochain ambients are computed as stacked nullspaces, which is
-valid in every characteristic; the Reynolds averaging projector is
-provided as a cross-check when the characteristic permits.
+space of the generators is the fixed space of the group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .caps import DEFAULT_CAPS
-from .linalg import Matrix, rank, rref_rows, nullspace_from_rref
-from .tensorops import transform_dense, transform_sparse
+from .linalg import Matrix, rank
+from .tensorops import first_difference, slot_indices, transform_sparse
 
 
 class GroupActionError(ValueError):
@@ -121,18 +121,27 @@ def make_group_action(system, elements, caps=DEFAULT_CAPS):
 
     action = GroupAction(system, labels, mats, identity_index,
                          tuple(table), tuple(inverses))
-    mu = system.mu
     for g in generators(action):
-        lab, m = labels[g], mats[g]
-        gcols = [m.column(j) for j in range(d)]
-        for a, b, c in product(range(d), repeat=3):
-            lhs = mu.evaluate(gcols[a], gcols[b], gcols[c])
-            rhs = m.apply(list(mu.basis_value(a, b, c)))
-            if lhs != rhs:
-                raise GroupActionError(
-                    "bracket is not equivariant under element %r at basis triple "
-                    "(%d, %d, %d)" % (lab, a, b, c))
+        m = mats[g]
+        t = equivariance_witness(system.mu, (m, m, m), action.inverse_matrix(g))
+        if t is not None:
+            raise GroupActionError(
+                "bracket is not equivariant under element %r at basis triple "
+                "(%d, %d, %d)" % ((labels[g],) + t))
     return action
+
+
+def equivariance_witness(tensor, in_mats, out_inv):
+    """First basis tuple t, in lexicographic order, with
+    out_inv T(A_1 e_t1, A_2 e_t2, A_3 e_t3) != T(e_t1, e_t2, e_t3) for the
+    structure tensor T and A_s = in_mats[s], or None: the fixed-point form
+    of T(A_1 x, A_2 y, A_3 z) = B T(x, y, z) with out_inv = B^{-1}."""
+    flat = {k: v for k, v in enumerate(tensor.flat()) if v}
+    mats = [a.rows for a in in_mats] + [list(zip(*out_inv.rows))]
+    key = first_difference(transform_sparse(flat, mats), flat)
+    if key is None:
+        return None
+    return slot_indices(key // tensor.dim_out, tensor.dims)
 
 
 def _subgroup(table, identity, gens):
@@ -246,21 +255,16 @@ def make_module_action(action, module, matrices):
                 raise GroupActionError(
                     "module matrices are not a representation: V(%r) V(%r) != V(%r)"
                     % (action.labels[s], action.labels[g], action.labels[row[g]]))
-    d = module.system.dim
     checked = []
     for name, tensor in (("left", module.left), ("right", module.right),
                          ("middle", module.middle)):
         for g in gens:
-            lab, gm, vm = action.labels[g], action.matrices[g], mats[g]
-            gcols = [gm.column(j) for j in range(d)]
-            vcols = [vm.column(w) for w in range(m)]
-            for a, b, w in product(range(d), range(d), range(m)):
-                lhs = tensor.evaluate(gcols[a], gcols[b], vcols[w])
-                rhs = vm.apply(list(tensor.basis_value(a, b, w)))
-                if lhs != rhs:
-                    raise GroupActionError(
-                        "module action %s is not equivariant under %r at (%d, %d, %d)"
-                        % (name, lab, a, b, w))
+            gm = action.matrices[g]
+            t = equivariance_witness(tensor, (gm, gm, mats[g]), mats[action.inverses[g]])
+            if t is not None:
+                raise GroupActionError(
+                    "module action %s is not equivariant under %r at (%d, %d, %d)"
+                    % ((name, action.labels[g]) + t))
         checked.append(name)
     return ModuleAction(module, mats, tuple(checked))
 
@@ -269,104 +273,15 @@ def make_module_action(action, module, matrices):
 # induced action on cochain ambients
 
 
-def apply_group_dense(action, module_action, g, degree, data):
-    """Apply element g to a flat degree-cochain coefficient list."""
-    d = action.system.dim
-    m = module_action.module.dim
-    ginv = action.inverse_matrix(g).rows
-    gv = module_action.matrices[g].rows
-    return transform_dense(data, degree, d, m, ginv, gv)
-
-
 def apply_group_sparse(action, module_action, g, degree, entries):
-    d = action.system.dim
-    m = module_action.module.dim
+    """Apply element g to a sparse degree-cochain {flat index: value}:
+    (g.c)(x_1, ..., x_k) = V(g) c(g^{-1} x_1, ..., g^{-1} x_k)."""
     ginv = action.inverse_matrix(g).rows
-    gv = module_action.matrices[g].rows
-    return transform_sparse(entries, degree, d, m, ginv, gv)
+    gv = list(zip(*module_action.matrices[g].rows))
+    return transform_sparse(entries, [ginv] * degree + [gv])
 
 
-def action_on_cochain_ambient(action, module_action, degree, caps=DEFAULT_CAPS):
-    """Dense matrices of c -> g o c o (g^{-1})^(tensor degree) on the ambient
-    space of degree-cochains, one per group element.
-
-    A cochain is invariant exactly when it is fixed by every one of these.
-    """
-    if degree < 1 or degree % 2 == 0:
-        raise GroupActionError("cochain degree must be odd and >= 1")
-    caps.check_degree(degree)
-    d = action.system.dim
-    m = module_action.module.dim
-    ambient = d ** degree * m
-    caps.check_ambient(ambient * ambient, what="ambient action matrix")
-    out = []
-    fld = action.system.field
-    z = fld.zero
-    for g in range(action.size):
-        cols = []
-        for pos in range(ambient):
-            res = apply_group_sparse(action, module_action, g, degree, {pos: fld.one})
-            col = [z] * ambient
-            for key, v in res.items():
-                col[key] = v
-            cols.append(col)
-        out.append(Matrix.from_columns(cols, ambient, fld))
-    return out
-
-
-def invariant_subspace(ambient_actions, fld):
-    """Basis of the simultaneous fixed space of the given ambient matrices,
-    as the nullspace of the stacked (rho(g) - I) blocks."""
-    if not ambient_actions:
-        raise GroupActionError("need at least one ambient action matrix")
-    n = ambient_actions[0].ncols
-    rows = []
-    for mat in ambient_actions:
-        for i, row in enumerate(mat.rows):
-            r = {j: v for j, v in enumerate(row) if v}
-            cur = r.get(i, None)
-            if cur is None:
-                r[i] = -fld.one
-            else:
-                cur = cur - fld.one
-                if cur:
-                    r[i] = cur
-                else:
-                    del r[i]
-            if r:
-                rows.append(r)
-    pivots = rref_rows(rows, fld)
-    cols, _ = nullspace_from_rref(pivots, n, fld)
-    z = fld.zero
-    dense = []
-    for col in cols:
-        v = [z] * n
-        for i, val in col.items():
-            v[i] = val
-        dense.append(v)
-    return Matrix.from_columns(dense, n, fld)
-
-
-def reynolds_project(action, module_action, degree, data):
-    """Group-average a cochain: (1/|G|) sum_g rho(g) c.
-
-    Accepts a flat coefficient list or a cochain object and returns the same
-    kind.  Requires the field characteristic not to divide the group order.
-    """
-    fld = action.system.field
-    n = action.size
-    if fld.char and n % fld.char == 0:
-        raise GroupActionError("characteristic %d divides the group order %d"
-                               % (fld.char, n))
-    wrap = None
-    if hasattr(data, "data"):
-        wrap, data = data, list(data.data)
-    acc = [fld.zero] * len(data)
-    for g in range(n):
-        moved = apply_group_dense(action, module_action, g, degree, data)
-        acc = [a + b for a, b in zip(acc, moved)]
-    inv = fld.div(fld.one, fld(n))
-    out = [inv * a for a in acc]
-    if wrap is not None:
-        return type(wrap).build(wrap.degree, wrap.dim, wrap.mdim, out)
-    return out
+def apply_group_dense(action, module_action, g, degree, data):
+    """apply_group_sparse on a flat coefficient list, as a list."""
+    moved = apply_group_sparse(action, module_action, g, degree, dict(enumerate(data)))
+    return [moved.get(k, 0) for k in range(len(data))]

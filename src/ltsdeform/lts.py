@@ -8,8 +8,8 @@ axiom is checked in polarized form plus the diagonal so the verdict is
 valid in every characteristic.
 
 Also provides modules over a system (three bilinear actions of T x T on a
-coefficient space), the theta / D operators, and builders for the standard
-matrix examples.
+coefficient space) with the theta / D operators on basis pairs, and
+builders for the standard matrix examples.
 """
 
 from __future__ import annotations
@@ -80,6 +80,11 @@ class StructureTensor:
 
     def basis_value(self, i, j, k):
         return self.entries[i][j][k]
+
+    def flat(self):
+        """The coefficients c[i][j][k][l] as one list, row-major over
+        (i, j, k, l): the flat layout of cochains and of tensorops."""
+        return [v for p in self.entries for ln in p for w in ln for v in w]
 
     def evaluate(self, x, y, z):
         """Trilinear evaluation; arguments are basis indices or coefficient vectors."""
@@ -273,35 +278,6 @@ def self_module(system):
     middle = StructureTensor.from_map(
         lambda i, j, w: mu.basis_value(i, w, j), (d, d, d), d, system.field)
     return LtsModule(system, d, left, right, middle)
-
-
-def theta(module, a, b):
-    """Matrix of theta(a, b) for coefficient-vector arguments."""
-    d = module.system.dim
-    a = _as_vector(a, d)
-    b = _as_vector(b, d)
-    acc = Matrix.zero(module.dim, module.dim, module.system.field)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                acc = acc + module.theta_basis(i, j).scale(x * y)
-    return acc
-
-
-def d_operator(module, a, b):
-    return theta(module, b, a) - theta(module, a, b)
-
-
-def _as_vector(x, d):
-    if isinstance(x, int):
-        v = [0] * d
-        v[x] = 1
-        return v
-    if len(x) != d:
-        raise LinAlgError("vector of length %d, expected %d" % (len(x), d))
-    return list(x)
 
 
 def verify_module(module, all_witnesses=False):

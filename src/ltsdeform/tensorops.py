@@ -1,97 +1,53 @@
-"""Index bookkeeping and slot transforms for flat multilinear tensors.
+"""The slot transform of sparse flat multilinear tensors.
 
-A degree-k cochain with inputs of dimension d and values of dimension m is
-stored flat in row-major order over (i_1, ..., i_k, l): the input tuple is
-the high part of the index and the value coordinate l the low part.
+A tensor with input slots of dimensions n_1, ..., n_k and values of
+dimension m is a {flat index: value} dict, flattened row-major over
+(i_1, ..., i_k, l): the value coordinate l, the last slot, varies fastest.
+Cochains, structure tensors (d, d, d) -> d and module tensors
+(d, d, m) -> m share this layout, and the group action on cochains and
+every equivariance check go through transform_sparse.
 """
 
 from __future__ import annotations
 
-from itertools import product
+
+def slot_indices(flat, dims):
+    """The per-slot indices of a flat index over slots of the given
+    dimensions (the last slot varies fastest)."""
+    idx = []
+    for n in reversed(dims):
+        flat, i = divmod(flat, n)
+        idx.append(i)
+    return tuple(reversed(idx))
 
 
-def flat_index(idx, d, m, l):
-    base = 0
-    for i in idx:
-        base = base * d + i
-    return base * m + l
+def transform_sparse(entries, mats):
+    """Contract every slot with its own square row-list matrix (mats, the
+    value slot last) the same way: new[.., j, ..] = sum_i mat[i][j] old[.., i, ..].
 
-
-def tuple_of(base, degree, d):
-    """Inverse of the input-tuple part of flat_index."""
-    idx = [0] * degree
-    for s in range(degree - 1, -1, -1):
-        idx[s] = base % d
-        base //= d
-    return tuple(idx)
-
-
-def all_tuples(degree, d):
-    return product(range(d), repeat=degree)
-
-
-def transform_dense(data, degree, d, m, in_mat, out_mat):
-    """Apply in_mat to every input slot and out_mat to the value slot.
-
-    data is a flat list over (i_1..i_degree, l); matrices are row lists.
-    Result[j_1..j_degree, a] = sum out_mat[a][b] * in_mat[i_1][j_1] * ...
-    * in_mat[i_degree][j_degree] * data[i_1..i_degree, b].
+    An input slot given A reads its argument through A (new(x) = old(A x));
+    a map B on the values (new = B old) is passed as its transpose.  An int
+    matrix entry that is a multiple of p is zero in GF(p) but not falsy and
+    can leave a zero value: compare results with zero defaults
+    (first_difference), not by key presence.
     """
-    cur = list(data)
-    size = len(data)
-    stride = m
-    for _ in range(degree):
-        cur = _transform_axis(cur, size, stride, d, in_mat)
-        stride *= d
-    return _transform_axis(cur, size, 1, m, out_mat, contra=True)
+    stride = 1
+    for mat in reversed(mats):
+        entries = _contract(entries, stride, mat)
+        stride *= len(mat)
+    return entries
 
 
-def _transform_axis(data, size, stride, dim, mat, contra=False):
-    """Contract one axis (given by its stride) with mat.
-
-    contra=False: new[.., j, ..] = sum_i mat[i][j] data[.., i, ..]
-    contra=True:  new[.., a, ..] = sum_b mat[a][b] data[.., b, ..]
-    """
-    out = [0] * size
-    block = stride * dim
-    for start in range(0, size, block):
-        for off in range(stride):
-            base = start + off
-            vals = [data[base + i * stride] for i in range(dim)]
-            if not any(vals):
-                continue
-            for j in range(dim):
-                s = 0
-                for i in range(dim):
-                    v = vals[i]
-                    if not v:
-                        continue
-                    c = mat[j][i] if contra else mat[i][j]
-                    if c:
-                        s = s + c * v
-                out[base + j * stride] = s
-    return out
-
-
-def transform_sparse(entries, degree, d, m, in_mat, out_mat):
-    """Sparse version of transform_dense over {flat index: value} dicts."""
-    cur = dict(entries)
-    stride = m
-    for _ in range(degree):
-        cur = _transform_axis_sparse(cur, stride, d, in_mat, contra=False)
-        stride *= d
-    return _transform_axis_sparse(cur, 1, m, out_mat, contra=True)
-
-
-def _transform_axis_sparse(entries, stride, dim, mat, contra):
+def _contract(entries, stride, mat):
+    """Contract the slot of the given stride with mat (see transform_sparse)."""
+    dim = len(mat)
     out = {}
     for flat, v in entries.items():
         if not v:
             continue
         i = (flat // stride) % dim
         base = flat - i * stride
-        for j in range(dim):
-            c = mat[j][i] if contra else mat[i][j]
+        for j, c in enumerate(mat[i]):
             if not c:
                 continue
             key = base + j * stride
@@ -105,3 +61,10 @@ def _transform_axis_sparse(entries, stride, dim, mat, contra):
                 else:
                     del out[key]
     return out
+
+
+def first_difference(a, b):
+    """Smallest flat index at which the sparse tensors a and b differ, with
+    a missing entry read as zero; None when they are equal."""
+    bad = [k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)]
+    return min(bad) if bad else None

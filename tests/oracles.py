@@ -1,8 +1,224 @@
 """Slow reference implementations that the tests compare the library with."""
 
-from ltsdeform.cohomology import CochainBasis, cochain_space_basis
-from ltsdeform.groups import apply_group_sparse, self_module_action
-from ltsdeform.linalg import nullspace_from_rref, rref_rows
+from itertools import product
+
+from ltsdeform.caps import DEFAULT_CAPS
+from ltsdeform.cohomology import (CochainBasis, cochain_space_basis,
+                                  three_slot_constraint_rows)
+from ltsdeform.groups import GroupActionError, apply_group_sparse, self_module_action
+from ltsdeform.linalg import LinAlgError, Matrix, nullspace_from_rref, rref_rows
+
+
+# ---------------------------------------------------------------------------
+# dense slot transforms and equivariance
+
+
+def transform_dense(data, in_mats, out_mat):
+    """Dense reference for tensorops.transform_sparse.
+
+    data is a flat list over (i_1, ..., i_k, l) with k = len(in_mats); the
+    matrices are row lists.  Returns the flat list
+    new[j_1..j_k, a] = sum out_mat[a][b] * in_mats[0][i_1][j_1] * ...
+    * in_mats[k-1][i_k][j_k] * data[i_1..i_k, b],
+    i.e. new(x_1, ..., x_k) = out_mat . old(A_1 x_1, ..., A_k x_k), one
+    axis at a time.
+    """
+    cur = list(data)
+    size = len(data)
+    stride = len(out_mat)
+    for mat in reversed(in_mats):
+        cur = _transform_axis(cur, size, stride, mat)
+        stride *= len(mat)
+    return _transform_axis(cur, size, 1, out_mat, contra=True)
+
+
+def _transform_axis(data, size, stride, mat, contra=False):
+    """Contract one axis (given by its stride) with mat.
+
+    contra=False: new[.., j, ..] = sum_i mat[i][j] data[.., i, ..]
+    contra=True:  new[.., a, ..] = sum_b mat[a][b] data[.., b, ..]
+    """
+    dim = len(mat)
+    out = [0] * size
+    block = stride * dim
+    for start in range(0, size, block):
+        for off in range(stride):
+            base = start + off
+            vals = [data[base + i * stride] for i in range(dim)]
+            if not any(vals):
+                continue
+            for j in range(dim):
+                s = 0
+                for i in range(dim):
+                    v = vals[i]
+                    if not v:
+                        continue
+                    c = mat[j][i] if contra else mat[i][j]
+                    if c:
+                        s = s + c * v
+                out[base + j * stride] = s
+    return out
+
+
+def act_dense(action, module_action, g, degree, data):
+    """Reference for groups.apply_group_sparse on a dense flat list:
+    (g.c)(x_1, ..., x_k) = V(g) c(g^{-1} x_1, ..., g^{-1} x_k)."""
+    ginv = action.inverse_matrix(g).rows
+    return transform_dense(data, [ginv] * degree, module_action.matrices[g].rows)
+
+
+def equivariance_witness_loop(tensor, in_mats, out_mat):
+    """Reference for groups.equivariance_witness: the first basis tuple
+    (a, b, c) in lexicographic order with
+    T(A_1 e_a, A_2 e_b, A_3 e_c) != out_mat T(e_a, e_b, e_c), or None.
+
+    out_mat is the map on values itself, not its inverse.
+    """
+    cols = [[m.column(j) for j in range(m.ncols)] for m in in_mats]
+    for a, b, c in product(*(range(m.ncols) for m in in_mats)):
+        lhs = tensor.evaluate(cols[0][a], cols[1][b], cols[2][c])
+        rhs = out_mat.apply(list(tensor.basis_value(a, b, c)))
+        if lhs != rhs:
+            return (a, b, c)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# ambient actions, invariant subspaces and the Reynolds projector
+
+
+def action_on_cochain_ambient(action, module_action, degree, caps=DEFAULT_CAPS):
+    """Dense matrices of c -> g o c o (g^{-1})^(tensor degree) on the ambient
+    space of degree-cochains, one per group element.
+
+    A cochain is invariant exactly when it is fixed by every one of these.
+    """
+    if degree < 1 or degree % 2 == 0:
+        raise GroupActionError("cochain degree must be odd and >= 1")
+    caps.check_degree(degree)
+    d = action.system.dim
+    m = module_action.module.dim
+    ambient = d ** degree * m
+    caps.check_ambient(ambient * ambient, what="ambient action matrix")
+    fld = action.system.field
+    out = []
+    for g in range(action.size):
+        cols = []
+        for pos in range(ambient):
+            unit = [fld.zero] * ambient
+            unit[pos] = fld.one
+            cols.append([fld(v) for v in act_dense(action, module_action, g, degree, unit)])
+        out.append(Matrix.from_columns(cols, ambient, fld))
+    return out
+
+
+def invariant_subspace(ambient_actions, fld):
+    """Basis of the simultaneous fixed space of the given ambient matrices,
+    as the nullspace of the stacked (rho(g) - I) blocks."""
+    if not ambient_actions:
+        raise GroupActionError("need at least one ambient action matrix")
+    n = ambient_actions[0].ncols
+    rows = []
+    for mat in ambient_actions:
+        for i, row in enumerate(mat.rows):
+            r = {j: v for j, v in enumerate(row) if v}
+            cur = r.get(i, None)
+            if cur is None:
+                r[i] = -fld.one
+            else:
+                cur = cur - fld.one
+                if cur:
+                    r[i] = cur
+                else:
+                    del r[i]
+            if r:
+                rows.append(r)
+    pivots = rref_rows(rows, fld)
+    cols, _ = nullspace_from_rref(pivots, n, fld)
+    z = fld.zero
+    dense = []
+    for col in cols:
+        v = [z] * n
+        for i, val in col.items():
+            v[i] = val
+        dense.append(v)
+    return Matrix.from_columns(dense, n, fld)
+
+
+def reynolds_project(action, module_action, degree, data):
+    """Group-average a cochain: (1/|G|) sum_g rho(g) c.
+
+    Accepts a flat coefficient list or a cochain object and returns the same
+    kind.  Requires the field characteristic not to divide the group order.
+    """
+    fld = action.system.field
+    n = action.size
+    if fld.char and n % fld.char == 0:
+        raise GroupActionError("characteristic %d divides the group order %d"
+                               % (fld.char, n))
+    wrap = None
+    if hasattr(data, "data"):
+        wrap, data = data, list(data.data)
+    acc = [fld.zero] * len(data)
+    for g in range(n):
+        moved = act_dense(action, module_action, g, degree, data)
+        acc = [a + b for a, b in zip(acc, moved)]
+    inv = fld.div(fld.one, fld(n))
+    out = [inv * a for a in acc]
+    if wrap is not None:
+        return type(wrap).build(wrap.degree, wrap.dim, wrap.mdim, out)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# cochain constraints and module operators
+
+
+def constraint_rows(d, m, degree, field):
+    """Sparse constraint rows over the full degree ambient (for any prefix)."""
+    if degree == 1:
+        return []
+    block = d ** 3 * m
+    base_rows = three_slot_constraint_rows(d, m, field)
+    rows = []
+    for p in range(d ** (degree - 3)):
+        off = p * block
+        for r in base_rows:
+            rows.append({off + k: v for k, v in r.items()})
+    return rows
+
+
+def theta(module, a, b):
+    """Matrix of theta(a, b) for coefficient-vector arguments."""
+    d = module.system.dim
+    a = _as_vector(a, d)
+    b = _as_vector(b, d)
+    acc = Matrix.zero(module.dim, module.dim, module.system.field)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            if y:
+                acc = acc + module.theta_basis(i, j).scale(x * y)
+    return acc
+
+
+def d_operator(module, a, b):
+    return theta(module, b, a) - theta(module, a, b)
+
+
+def _as_vector(x, d):
+    if isinstance(x, int):
+        v = [0] * d
+        v[x] = 1
+        return v
+    if len(x) != d:
+        raise LinAlgError("vector of length %d, expected %d" % (len(x), d))
+    return list(x)
+
+
+# ---------------------------------------------------------------------------
+# invariant bases and echelon forms
 
 
 def invariant_basis_all_elements(module, degree, action, module_action=None):

@@ -3,15 +3,15 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import act_dense, constraint_rows
 
 from ltsdeform.caps import CapExceeded, Caps
 from ltsdeform.cohomology import (Cochain, SpanError, apply_coboundary,
                                   coboundary_matrix, cochain_space_basis,
                                   cochain_to_tensor, cochain_violations, cohomology,
-                                  constraint_rows, is_coboundary, is_cocycle,
-                                  tensor_to_cochain)
-from ltsdeform.groups import (apply_group_dense, make_group_action, self_module_action,
-                              sign_action, transpose_action_on_rect)
+                                  is_coboundary, is_cocycle, tensor_to_cochain)
+from ltsdeform.groups import (make_group_action, self_module_action, sign_action,
+                              transpose_action_on_rect)
 from ltsdeform.linalg import Matrix, PrimeField, QQ, nullspace_from_rref, rref_rows
 from ltsdeform.lts import (StructureTensor, from_lie_algebra, make_system, meson,
                            self_module, skew_lts, sl2_brackets)
@@ -91,7 +91,7 @@ def test_hand_parameterized_invariant_degree3_oracle(m2, swap_action):
         c = Cochain.build(3, 2, 2, data)
         assert cochain_violations(c).passed
         ma = self_module_action(swap_action, m2)
-        moved = apply_group_dense(swap_action, ma, 1, 3, list(c.data))
+        moved = act_dense(swap_action, ma, 1, 3, list(c.data))
         assert tuple(moved) == c.data
         basis.express(c.data)
 
@@ -265,8 +265,7 @@ def test_equivariant_closure_of_the_coboundary(m2, swap_action):
         for j in range(len(basis)):
             img = apply_coboundary(m2, basis.column_cochain(j))
             for g in range(swap_action.size):
-                moved = apply_group_dense(swap_action, ma, g, degree + 2,
-                                          list(img.data))
+                moved = act_dense(swap_action, ma, g, degree + 2, list(img.data))
                 assert tuple(moved) == img.data
 
 
@@ -349,4 +348,4 @@ def test_invariant_members_are_fixed_points(coords):
     c = basis.combine(coords)
     ma = self_module_action(action, m2_local)
     for g in range(action.size):
-        assert tuple(apply_group_dense(action, ma, g, 3, list(c.data))) == c.data
+        assert tuple(act_dense(action, ma, g, 3, list(c.data))) == c.data

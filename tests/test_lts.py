@@ -1,10 +1,10 @@
 import pytest
+from oracles import d_operator, theta
 
 from ltsdeform.linalg import PrimeField
-from ltsdeform.lts import (BuildError, StructureTensor, d_operator, from_lie_algebra,
-                           function_lts, make_system, matrix_lts, meson, rect_lts,
-                           self_module, skew_lts, sl2_brackets, sym_lts, theta,
-                           verify_lts, verify_module)
+from ltsdeform.lts import (BuildError, StructureTensor, from_lie_algebra, function_lts,
+                           make_system, matrix_lts, meson, rect_lts, self_module,
+                           skew_lts, sl2_brackets, sym_lts, verify_lts, verify_module)
 
 ALL_BUILDERS = [
     lambda: meson(1), lambda: meson(2), lambda: meson(3), lambda: meson(4),
