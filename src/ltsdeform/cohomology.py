@@ -34,8 +34,10 @@ from itertools import product
 
 from .caps import DEFAULT_CAPS
 from .groups import apply_group_sparse, generators, self_module_action
-from .linalg import LinAlgError, Matrix, RrefAccumulator, nullspace_from_rref, rref_rows, solve
-from .lts import _Recorder
+from .linalg import (QQ, LinAlgError, Matrix, RrefAccumulator, nullspace_from_rref, rref_rows,
+                     solve)
+from .lts import StructureTensor, _Recorder
+from .tensorops import slot_indices
 
 
 class SpanError(ValueError):
@@ -105,15 +107,11 @@ def tensor_to_cochain(t):
 
 
 def cochain_to_tensor(c, fld=None):
-    from .linalg import QQ
-    from .lts import StructureTensor
-
     if c.degree != 3:
         raise LinAlgError("only degree-3 cochains convert to structure tensors")
-    d, m = c.dim, c.mdim
-    entries = [[[list(c.value((i, j, k))) for k in range(d)]
-                for j in range(d)] for i in range(d)]
-    return StructureTensor.build(entries, (d, d, d), m, fld or QQ)
+    d = c.dim
+    return StructureTensor.from_entries(dict(enumerate(c.data)), (d, d, d), c.mdim,
+                                        fld or QQ)
 
 
 def cochain_violations(c, all_witnesses=False):
@@ -480,22 +478,24 @@ def _coboundary_images(module, basis_from, caps):
     caps.check_ambient(d ** (deg_in + 2) * m)
 
     # theta[w] and dop[w]: (a, c, l, coef) with theta(e_a, e_c) resp.
-    # D(e_a, e_c) sending v_w to coef * v_l + ...
-    th = [[module.theta_basis(a, c).rows for c in range(d)] for a in range(d)]
+    # D(e_a, e_c) = theta(e_c, e_a) - theta(e_a, e_c) sending v_w to
+    # coef * v_l + ..., read off right(a, c, w)_l, the l-th coefficient of
+    # theta(e_a, e_c) v_w
+    right = module.right.entries
+    r = lambda a, c, w, l: right.get(((a * d + c) * m + w) * m + l, 0)
+    support = {slot_indices(key, (d, d, m, m)) for key in right}
     theta = [[] for _ in range(m)]
     dop = [[] for _ in range(m)]
-    for a, c, l, w in product(range(d), range(d), range(m), range(m)):
-        if th[a][c][l][w]:
-            theta[w].append((a, c, l, th[a][c][l][w]))
-        dv = th[c][a][l][w] - th[a][c][l][w]
-        if dv:
+    for a, c, w, l in sorted(support | {(c, a, w, l) for a, c, w, l in support}):
+        if t := r(a, c, w, l):
+            theta[w].append((a, c, l, t))
+        if dv := r(c, a, w, l) - r(a, c, w, l):
             dop[w].append((a, c, l, dv))
     inverse_bracket = [[] for _ in range(d)]
-    mu = module.system.mu
-    for a, c, e in product(range(d), repeat=3):
-        for l, coef in enumerate(mu.basis_value(a, c, e)):
-            if coef:
-                inverse_bracket[l].append((a, c, e, coef))
+    mu = module.system.mu.entries
+    for key in sorted(mu):
+        a, c, e, l = slot_indices(key, (d, d, d, d))
+        inverse_bracket[l].append((a, c, e, mu[key]))
 
     place = [d ** (deg_in - 1 - s) for s in range(deg_in)]
     for col in basis_from.columns:

@@ -23,7 +23,6 @@ zero), so results are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .caps import DEFAULT_CAPS, CapExceeded
 from .cohomology import (Cochain, apply_coboundary, coboundary_matrix,
@@ -33,8 +32,8 @@ from .cohomology import (Cochain, apply_coboundary, coboundary_matrix,
 from .groups import (apply_group_sparse, equivariance_witness, generators,
                      self_module_action)
 from .linalg import Matrix, solve
-from .lts import StructureTensor, self_module
-from .tensorops import first_difference
+from .lts import StructureTensor, fundamental_terms, self_module
+from .tensorops import first_difference, nested_sum, transform_sparse, value_vectors
 
 
 class DeformationError(ValueError):
@@ -194,48 +193,27 @@ def pad_deformation(defo, order):
 
 def _convolution_residual(defo, r, lowest):
     """sum_{i+j=r, i,j>=lowest} of mu_i(a,b,mu_j(c,d,e)) minus the three
-    right-hand terms, as a degree-5 cochain (terms above the stated order
-    count as zero)."""
+    right-hand terms, as a sparse degree-5 tensor {flat index: value}
+    (terms above the stated order count as zero)."""
     d = defo.system.dim
-    pairs = []
+    terms = []
     for i in range(lowest, r - lowest + 1):
         mi, mj = defo.term(i), defo.term(r - i)
         if not (mi.is_zero() or mj.is_zero()):
-            pairs.append((mi, mj))
-    data = []
-    for a, b, c, dd, e in product(range(d), repeat=5):
-        acc = [0] * d
-        for mi, mj in pairs:
-            t1 = mi.evaluate(a, b, mj.basis_value(c, dd, e))
-            t2 = mi.evaluate(mj.basis_value(a, b, c), dd, e)
-            t3 = mi.evaluate(c, mj.basis_value(a, b, dd), e)
-            t4 = mi.evaluate(c, dd, mj.basis_value(a, b, e))
-            for l in range(d):
-                acc[l] = acc[l] + t1[l] - t2[l] - t3[l] - t4[l]
-        data.extend(acc)
-    return Cochain.build(5, d, d, data)
+            terms.extend(fundamental_terms(mi, mj))
+    return nested_sum(terms, (d,) * 6)
 
 
 def check_deformation_equations(defo):
     """Residuals of the order-r equations for every 0 <= r <= order."""
     d = defo.system.dim
     checks = []
-    ok = True
     for r in range(defo.order + 1):
         res = _convolution_residual(defo, r, lowest=0)
-        witness = None
-        residual = None
-        if not res.is_zero():
-            for idx in product(range(d), repeat=5):
-                w = res.value(idx)
-                if any(w):
-                    witness = idx
-                    residual = tuple(w)
-                    break
-        passed = witness is None
-        ok = ok and passed
-        checks.append(OrderCheck(r, passed, witness, residual))
-    return DeformationReport(ok, tuple(checks))
+        witness, residual = next(value_vectors(res, (d,) * 6, defo.system.field.zero),
+                                 (None, None))
+        checks.append(OrderCheck(r, witness is None, witness, residual))
+    return DeformationReport(all(c.passed for c in checks), tuple(checks))
 
 
 def infinitesimal(defo):
@@ -263,7 +241,12 @@ def obstruction(defo, caps=DEFAULT_CAPS):
     coboundary(x) = F when one exists.
     """
     system = defo.system
-    cochain = _convolution_residual(defo, defo.order + 1, lowest=1)
+    d = system.dim
+    entries = _convolution_residual(defo, defo.order + 1, lowest=1)
+    data = [system.field.zero] * d ** 6
+    for k, v in entries.items():
+        data[k] = v
+    cochain = Cochain.build(5, d, d, data)
 
     report = cochain_violations(cochain)
     if not report.passed:
@@ -271,7 +254,6 @@ def obstruction(defo, caps=DEFAULT_CAPS):
                            "this must not happen")
     module = self_module(system)
     module_action = self_module_action(defo.action, module)
-    entries = {k: v for k, v in enumerate(cochain.data) if v}
     for g in generators(defo.action):
         moved = apply_group_sparse(defo.action, module_action, g, 5, entries)
         if first_difference(moved, entries) is not None:
@@ -327,17 +309,6 @@ def make_formal_isomorphism(action, matrices):
     return FormalIsomorphism(mats)
 
 
-def _compose_tensor(tensor, out_mat, in1, in2, in3):
-    """out_mat . tensor(in1 x, in2 y, in3 z) as a structure tensor."""
-    d = tensor.dim_in
-    c1 = [in1.column(j) for j in range(d)]
-    c2 = [in2.column(j) for j in range(d)]
-    c3 = [in3.column(j) for j in range(d)]
-    entries = [[[out_mat.apply(tensor.evaluate(c1[i], c2[j], c3[k]))
-                 for k in range(d)] for j in range(d)] for i in range(d)]
-    return StructureTensor.build(entries, (d, d, d), d, out_mat.field)
-
-
 def apply_isomorphism(defo, iso, cap_order):
     """Gauge transform: Psi o mu_t o (Psi^{-1})^(x3), truncated at cap_order.
 
@@ -359,6 +330,7 @@ def apply_isomorphism(defo, iso, cap_order):
             psi = iso.term(p)
             if psi.is_zero():
                 continue
+            psi_t = list(zip(*psi.rows))
             for i in range(r - p + 1):
                 mu_i = defo.term(i)
                 if mu_i.is_zero():
@@ -375,7 +347,9 @@ def apply_isomorphism(defo, iso, cap_order):
                         fc = phis[rem - a - b]
                         if fc.is_zero():
                             continue
-                        acc = acc + _compose_tensor(mu_i, psi, fa, fb, fc)
+                        acc = acc + StructureTensor.from_entries(transform_sparse(
+                            mu_i.entries, [fa.rows, fb.rows, fc.rows, psi_t]),
+                            mu_i.dims, d, system.field)
         new_terms.append(acc)
     return make_deformation(system, defo.action, new_terms)
 
@@ -419,7 +393,8 @@ def check_equivalence(defo_a, defo_b, cap_order, caps=DEFAULT_CAPS):
             mu_j = defo_a.term(k - i)
             if mu_j.is_zero():
                 continue
-            lhs = lhs + _compose_tensor(mu_j, psi, ident, ident, ident)
+            lhs = lhs + StructureTensor.from_entries(transform_sparse(
+                mu_j.entries, [ident.rows] * 3 + [list(zip(*psi.rows))]), mu_j.dims, d, field)
         rhs = zero_t
         for j in range(k + 1):
             mu_j = defo_b.term(j)
@@ -437,7 +412,9 @@ def check_equivalence(defo_a, defo_b, cap_order, caps=DEFAULT_CAPS):
                     fq, fs = psis[q], psis[s]
                     if fq.is_zero() or fs.is_zero():
                         continue
-                    rhs = rhs + _compose_tensor(mu_j, ident, fp, fq, fs)
+                    rhs = rhs + StructureTensor.from_entries(transform_sparse(
+                        mu_j.entries, [fp.rows, fq.rows, fs.rows, ident.rows]),
+                        mu_j.dims, d, field)
         g_k = tensor_to_cochain(lhs - rhs)
         coords = basis3g.express(g_k)
         x = solve(mat, coords)

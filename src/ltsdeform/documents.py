@@ -15,6 +15,7 @@ import re
 from .caps import DEFAULT_CAPS
 from .linalg import LinAlgError, Matrix, field_from_spec, field_spec
 from .lts import LieTripleSystem, StructureTensor
+from .tensorops import slot_indices
 
 _COEFF_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
 
@@ -66,7 +67,7 @@ def _require(doc, key, types, what):
 def _parse_coeff_map(raw, fld, dim_out, where):
     if not isinstance(raw, dict):
         raise DocumentError("%s: coefficient map must be an object" % where)
-    vec = [fld.zero] * dim_out
+    vec = {}
     for key, sval in raw.items():
         try:
             l = int(key)
@@ -81,10 +82,10 @@ def _parse_coeff_map(raw, fld, dim_out, where):
 
 
 def _parse_quadruples(raw, dim, dim_out, fld, what):
+    """The quadruples as a StructureTensor (dim, dim, dim) -> dim_out."""
     if not isinstance(raw, list):
         raise DocumentError("%s must be an array of quadruples" % what)
-    entries = [[[[fld.zero] * dim_out for _ in range(dim)] for _ in range(dim)]
-               for _ in range(dim)]
+    entries = {}
     seen = set()
     for item in raw:
         if (not isinstance(item, list) or len(item) != 4
@@ -97,22 +98,19 @@ def _parse_quadruples(raw, dim, dim_out, fld, what):
         if (i, j, k) in seen:
             raise DocumentError("%s: duplicate entry at (%d, %d, %d)" % (what, i, j, k))
         seen.add((i, j, k))
-        entries[i][j][k] = _parse_coeff_map(cmap, fld, dim_out,
-                                            "%s (%d, %d, %d)" % (what, i, j, k))
-    return entries
+        base = ((i * dim + j) * dim + k) * dim_out
+        vec = _parse_coeff_map(cmap, fld, dim_out, "%s (%d, %d, %d)" % (what, i, j, k))
+        entries.update((base + l, v) for l, v in vec.items() if v)
+    return StructureTensor((dim, dim, dim), dim_out, entries, fld)
 
 
 def _quadruples(tensor, fld):
-    out = []
-    d1, d2, d3 = tensor.dims
-    for i in range(d1):
-        for j in range(d2):
-            for k in range(d3):
-                vec = tensor.basis_value(i, j, k)
-                cmap = {str(l): fld.format(v) for l, v in enumerate(vec) if v}
-                if cmap:
-                    out.append([i, j, k, cmap])
-    return out
+    by_tuple = {}
+    for key in sorted(tensor.entries):
+        base, l = divmod(key, tensor.dim_out)
+        by_tuple.setdefault(base, {})[str(l)] = fld.format(tensor.entries[key])
+    return [list(slot_indices(base, tensor.dims)) + [cmap]
+            for base, cmap in by_tuple.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +130,8 @@ def system_to_document(system):
 def system_from_document(doc, field_override=None, caps=DEFAULT_CAPS):
     """Parse a system document; axiom validation is the caller's concern.
 
-    The dim^4 bracket entries are checked against the ambient cap before
-    they are allocated.
+    The dim^4 entries of the bracket's dense form are checked against the
+    ambient cap before any quadruple is parsed.
     """
     if _require(doc, "schema", str, "system document") != SYSTEM_SCHEMA:
         raise DocumentError("expected schema %r" % SYSTEM_SCHEMA)
@@ -149,9 +147,8 @@ def system_from_document(doc, field_override=None, caps=DEFAULT_CAPS):
     if len(basis) != dim or not all(isinstance(b, str) for b in basis):
         raise DocumentError("basis must list %d names" % dim)
     caps.check_ambient(dim ** 4, what="bracket tensor")
-    entries = _parse_quadruples(_require(doc, "bracket", list, "system document"),
-                                dim, dim, fld, "bracket")
-    mu = StructureTensor.build(entries, (dim, dim, dim), dim, fld)
+    mu = _parse_quadruples(_require(doc, "bracket", list, "system document"),
+                           dim, dim, fld, "bracket")
     return LieTripleSystem(dim, tuple(basis), mu, fld)
 
 
@@ -268,13 +265,13 @@ def deformation_from_document(doc):
 
 
 def deformation_terms(raw_terms, dim, fld, caps=DEFAULT_CAPS):
-    """Materialize (order, raw_entries) pairs into dense order-indexed tensors,
-    whose dim^4 entries are checked against the ambient cap first."""
+    """Materialize (order, raw_entries) pairs into order-indexed tensors; the
+    dim^4 entries of the dense form are checked against the ambient cap
+    first."""
     caps.check_ambient(dim ** 4, what="deformation term tensor")
     by_order = {}
     for order, raw in raw_terms:
-        entries = _parse_quadruples(raw, dim, dim, fld, "term %d" % order)
-        by_order[order] = StructureTensor.build(entries, (dim, dim, dim), dim, fld)
+        by_order[order] = _parse_quadruples(raw, dim, dim, fld, "term %d" % order)
     top = max(by_order) if by_order else 0
     zero = StructureTensor.zero((dim, dim, dim), dim, fld)
     return [by_order.get(i, zero) for i in range(1, top + 1)]

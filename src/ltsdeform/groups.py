@@ -136,9 +136,8 @@ def equivariance_witness(tensor, in_mats, out_inv):
     out_inv T(A_1 e_t1, A_2 e_t2, A_3 e_t3) != T(e_t1, e_t2, e_t3) for the
     structure tensor T and A_s = in_mats[s], or None: the fixed-point form
     of T(A_1 x, A_2 y, A_3 z) = B T(x, y, z) with out_inv = B^{-1}."""
-    flat = {k: v for k, v in enumerate(tensor.flat()) if v}
     mats = [a.rows for a in in_mats] + [list(zip(*out_inv.rows))]
-    key = first_difference(transform_sparse(flat, mats), flat)
+    key = first_difference(transform_sparse(tensor.entries, mats), tensor.entries)
     if key is None:
         return None
     return slot_indices(key // tensor.dim_out, tensor.dims)

@@ -435,7 +435,9 @@ def nullspace_from_rref(pivots, ncols, field):
 
 
 def _matrix_rows_sparse(m):
-    return [{j: v for j, v in enumerate(row) if v} for row in m.rows]
+    """Sparse rows of m; entries pass through the field first, so a plain
+    int multiple of p is a zero of GF(p), not a pivot."""
+    return [{j: v for j, v in enumerate(map(m.field, row)) if v} for row in m.rows]
 
 
 def rank(m):
@@ -466,12 +468,10 @@ def solve(a, b):
         raise LinAlgError("dimension mismatch: %d rows vs rhs of length %d"
                           % (a.nrows, len(b)))
     aug = a.ncols
-    rows = []
-    for row, rhs in zip(a.rows, b):
-        r = {j: v for j, v in enumerate(row) if v}
-        if rhs:
+    rows = _matrix_rows_sparse(a)
+    for r, rhs in zip(rows, b):
+        if rhs := a.field(rhs):
             r[aug] = rhs
-        rows.append(r)
     pivots = rref_rows(rows, a.field)
     if aug in pivots:
         return None

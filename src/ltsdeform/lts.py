@@ -7,17 +7,27 @@ tuples only; multilinearity extends them to the whole space.  The skew
 axiom is checked in polarized form plus the diagonal so the verdict is
 valid in every characteristic.
 
+Brackets, module actions and deformation terms are StructureTensors that
+store only their nonzero coefficients, as a {flat index: value} dict in
+the tensorops layout.  The fundamental identity is written once, as the
+term table FUNDAMENTAL of the sparse kernel tensorops.nested_sum, and
+checked on the bracket, with the module variable at each of its five
+positions, and summed over pairs of deformation terms; witnesses are the
+sorted nonzero keys, since flat order is lexicographic.
+
 Also provides modules over a system (three bilinear actions of T x T on a
-coefficient space) with the theta / D operators on basis pairs, and
-builders for the standard matrix examples.
+coefficient space) with the theta operators on basis pairs, and builders
+for the standard matrix examples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import product
+from math import prod
 
 from .linalg import QQ, LinAlgError, Matrix, solve
+from .tensorops import nested_sum, slot_indices, value_vectors
 
 
 class BuildError(ValueError):
@@ -28,49 +38,48 @@ class BuildError(ValueError):
 # structure tensors
 
 
-def _freeze3(entries, dims, dim_out, fld):
-    out = []
-    for i in range(dims[0]):
-        plane = []
-        for j in range(dims[1]):
-            line = []
-            for k in range(dims[2]):
-                vec = tuple(fld(v) for v in entries[i][j][k])
-                if len(vec) != dim_out:
-                    raise LinAlgError("output vector of length %d, expected %d"
-                                      % (len(vec), dim_out))
-                line.append(vec)
-            plane.append(tuple(line))
-        out.append(tuple(plane))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class StructureTensor:
-    """Coefficients of a trilinear map f(e_i, e_j, e_k) = sum_l c[i][j][k][l] v_l."""
+    """Coefficients of a trilinear map f(e_i, e_j, e_k) = sum_l c[i][j][k][l] v_l.
+
+    Only the nonzero coefficients are stored: entries maps the flat index
+    ((i * n_2 + j) * n_3 + k) * dim_out + l, the tensorops layout, to
+    c[i][j][k][l].  The field supplies zeros and takes no part in
+    comparisons.
+    """
 
     dims: tuple
     dim_out: int
-    entries: tuple
+    entries: dict
+    field: object = dc_field(default=QQ, compare=False)
+
+    @classmethod
+    def from_entries(cls, entries, dims, dim_out, fld=QQ):
+        """From {flat index: value}; values pass through the field and zeros
+        are dropped."""
+        out = {k: w for k, v in entries.items() if (w := fld(v))}
+        return cls(tuple(dims), dim_out, out, fld)
 
     @classmethod
     def build(cls, entries, dims, dim_out, fld=QQ):
-        return cls(tuple(dims), dim_out, _freeze3(entries, dims, dim_out, fld))
+        """From nested lists entries[i][j][k] of dim_out coefficients."""
+        return cls.from_map(lambda i, j, k: entries[i][j][k], dims, dim_out, fld)
 
     @classmethod
     def zero(cls, dims, dim_out, fld=QQ):
-        z = fld.zero
-        vec = (z,) * dim_out
-        line = (vec,) * dims[2]
-        plane = (line,) * dims[1]
-        return cls(tuple(dims), dim_out, (plane,) * dims[0])
+        return cls(tuple(dims), dim_out, {}, fld)
 
     @classmethod
     def from_map(cls, fn, dims, dim_out, fld=QQ):
         """fn(i, j, k) -> iterable of dim_out coefficients."""
-        entries = [[[list(fn(i, j, k)) for k in range(dims[2])]
-                    for j in range(dims[1])] for i in range(dims[0])]
-        return cls.build(entries, dims, dim_out, fld)
+        entries = {}
+        for n, idx in enumerate(product(*map(range, dims))):
+            vec = [fld(v) for v in fn(*idx)]
+            if len(vec) != dim_out:
+                raise LinAlgError("output vector of length %d, expected %d"
+                                  % (len(vec), dim_out))
+            entries.update((n * dim_out + l, v) for l, v in enumerate(vec) if v)
+        return cls(tuple(dims), dim_out, entries, fld)
 
     @property
     def dim_in(self):
@@ -79,57 +88,44 @@ class StructureTensor:
         raise LinAlgError("tensor is not cubic: dims %r" % (self.dims,))
 
     def basis_value(self, i, j, k):
-        return self.entries[i][j][k]
+        base = ((i * self.dims[1] + j) * self.dims[2] + k) * self.dim_out
+        get, z = self.entries.get, self.field.zero
+        return tuple(get(base + l, z) for l in range(self.dim_out))
 
     def flat(self):
-        """The coefficients c[i][j][k][l] as one list, row-major over
-        (i, j, k, l): the flat layout of cochains and of tensorops."""
-        return [v for p in self.entries for ln in p for w in ln for v in w]
+        """All coefficients c[i][j][k][l] as one dense list, row-major over
+        (i, j, k, l): the flat layout of cochains."""
+        z = self.field.zero
+        return [self.entries.get(k, z) for k in range(prod(self.dims) * self.dim_out)]
 
     def evaluate(self, x, y, z):
         """Trilinear evaluation; arguments are basis indices or coefficient vectors."""
-        e = self.entries
-        xs = ((x, 1),) if isinstance(x, int) else tuple(p for p in enumerate(x) if p[1])
-        ys = ((y, 1),) if isinstance(y, int) else tuple(p for p in enumerate(y) if p[1])
-        zs = ((z, 1),) if isinstance(z, int) else tuple(p for p in enumerate(z) if p[1])
+        args = [{a: 1} if isinstance(a, int) else {i: c for i, c in enumerate(a) if c}
+                for a in (x, y, z)]
         out = [0] * self.dim_out
-        for i, a in xs:
-            ei = e[i]
-            for j, b in ys:
-                ab = a * b
-                eij = ei[j]
-                for k, c in zs:
-                    w = eij[k]
-                    if not any(w):
-                        continue
-                    abc = ab * c
-                    for l, v in enumerate(w):
-                        if v:
-                            out[l] = out[l] + abc * v
+        for key, v in self.entries.items():
+            i, j, k, l = slot_indices(key, self.dims + (self.dim_out,))
+            a, b, c = args[0].get(i), args[1].get(j), args[2].get(k)
+            if a and b and c:
+                out[l] = out[l] + a * b * c * v
         return out
 
     def is_zero(self):
-        return all(not v for p in self.entries for ln in p for w in ln for v in w)
-
-    def _zip(self, other, op):
-        if self.dims != other.dims or self.dim_out != other.dim_out:
-            raise LinAlgError("tensor shape mismatch")
-        return StructureTensor(self.dims, self.dim_out, tuple(
-            tuple(tuple(tuple(op(a, b) for a, b in zip(w1, w2))
-                        for w1, w2 in zip(l1, l2))
-                  for l1, l2 in zip(p1, p2))
-            for p1, p2 in zip(self.entries, other.entries)))
+        return not self.entries
 
     def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
+        if (self.dims, self.dim_out) != (other.dims, other.dim_out):
+            raise LinAlgError("tensor shape mismatch")
+        a, b = self.entries, other.entries
+        out = {k: w for k in a.keys() | b.keys() if (w := a.get(k, 0) + b.get(k, 0))}
+        return StructureTensor(self.dims, self.dim_out, out, self.field)
 
     def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
+        return self + other.scale(-1)
 
     def scale(self, c):
-        return StructureTensor(self.dims, self.dim_out, tuple(
-            tuple(tuple(tuple(c * v for v in w) for w in ln) for ln in p)
-            for p in self.entries))
+        out = {k: w for k, v in self.entries.items() if (w := c * v)}
+        return StructureTensor(self.dims, self.dim_out, out, self.field)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +189,20 @@ class LieTripleSystem:
         return self.mu.basis_value(i, j, k)
 
 
+# The fundamental identity [x0 x1 [x2 x3 x4]] = [[x0 x1 x2] x3 x4]
+# + [x2 [x0 x1 x3] x4] + [x2 x3 [x0 x1 x4]] as (sign, outer slot, inner
+# positions): the inner bracket reads the variables at those positions and
+# fills that slot of the outer one, which reads the others in order.
+FUNDAMENTAL = ((1, 2, (2, 3, 4)), (-1, 0, (0, 1, 2)), (-1, 1, (0, 1, 3)),
+               (-1, 2, (0, 1, 4)))
+
+
+def fundamental_terms(outer, inner):
+    """tensorops.nested_sum terms of the fundamental identity with the
+    outer bracket outer and the inner bracket inner."""
+    return [(sign, outer, slot, inner, pos) for sign, slot, pos in FUNDAMENTAL]
+
+
 def verify_lts(mu, all_witnesses=False):
     """Check the three defining identities of a Lie triple system.
 
@@ -218,14 +228,9 @@ def verify_lts(mu, all_witnesses=False):
                                           mu.basis_value(k, i, j))]
         if any(w):
             rec.hit("cyclic", (i, j, k), w)
-    for a, b, c, dd, e in product(range(d), repeat=5):
-        lhs = mu.evaluate(a, b, mu.basis_value(c, dd, e))
-        r1 = mu.evaluate(mu.basis_value(a, b, c), dd, e)
-        r2 = mu.evaluate(c, mu.basis_value(a, b, dd), e)
-        r3 = mu.evaluate(c, dd, mu.basis_value(a, b, e))
-        w = [x - (p + q + r) for x, p, q, r in zip(lhs, r1, r2, r3)]
-        if any(w):
-            rec.hit("fundamental", (a, b, c, dd, e), w)
+    res = nested_sum(fundamental_terms(mu, mu), (d,) * 6)
+    for witness, residual in value_vectors(res, (d,) * 6, mu.field.zero):
+        rec.hit("fundamental", witness, residual)
     return rec.report()
 
 
@@ -265,19 +270,42 @@ class LtsModule:
         return Matrix([[cols[w][l] for w in range(m)] for l in range(m)],
                       self.system.field, copy=False)
 
-    def d_basis(self, i, j):
-        return self.theta_basis(j, i) - self.theta_basis(i, j)
-
 
 def self_module(system):
+    """The system as a module over itself: right(i, j, w) = [w i j] and
+    middle(i, j, w) = [i w j] permute the bracket's entries."""
     mu = system.mu
     d = system.dim
-    left = mu
-    right = StructureTensor.from_map(
-        lambda i, j, w: mu.basis_value(w, i, j), (d, d, d), d, system.field)
-    middle = StructureTensor.from_map(
-        lambda i, j, w: mu.basis_value(i, w, j), (d, d, d), d, system.field)
-    return LtsModule(system, d, left, right, middle)
+    right, middle = {}, {}
+    for key, v in mu.entries.items():
+        i, j, k, l = slot_indices(key, (d, d, d, d))
+        right[((j * d + k) * d + i) * d + l] = v
+        middle[((i * d + k) * d + j) * d + l] = v
+    return LtsModule(system, d, mu, StructureTensor((d, d, d), d, right, system.field),
+                     StructureTensor((d, d, d), d, middle, system.field))
+
+
+def _module_fundamental_terms(module, p):
+    """nested_sum terms of the fundamental identity with its variable at
+    position p in V, renamed x4 (the others keep their order, as x0..x3).
+
+    A bracket whose V-valued argument sits in slot t is module.right,
+    middle or left for t = 0, 1, 2, each taking that argument last.
+    """
+    acting = (module.right, module.middle, module.left)
+    name = [q - (q > p) for q in range(5)]
+    name[p] = 4
+    terms = []
+    for sign, slot, pos in FUNDAMENTAL:
+        inner = acting[pos.index(p)] if p in pos else module.system.mu
+        args = [name[q] for q in range(5) if q not in pos]
+        args.insert(slot, None)  # the inner bracket's value
+        vslot = slot if p in pos else args.index(4)
+        args.append(args.pop(vslot))
+        # x4 sorts last, where the acting tensors take it
+        terms.append((sign, acting[vslot], args.index(None), inner,
+                      tuple(sorted(name[q] for q in pos))))
+    return terms
 
 
 def verify_module(module, all_witnesses=False):
@@ -311,73 +339,33 @@ def verify_module(module, all_witnesses=False):
         if any(r):
             rec.hit("module-cyclic", (i, j, w), r)
 
-    def residual(lhs, terms):
-        for t in terms:
-            lhs = [x - y for x, y in zip(lhs, t)]
-        return lhs
-
-    for a, b, c, dd, w in product(range(d), range(d), range(d), range(d), range(m)):
-        # module slot in the last position of the fundamental identity
-        r = residual(m1.evaluate(a, b, m1.basis_value(c, dd, w)),
-                     [m1.evaluate(mu.basis_value(a, b, c), dd, w),
-                      m1.evaluate(c, mu.basis_value(a, b, dd), w),
-                      m1.evaluate(c, dd, m1.basis_value(a, b, w))])
-        if any(r):
-            rec.hit("module-fundamental-last", (a, b, c, dd, w), r)
-        # module slot in position 4: [ab[cve]] with e renamed dd
-        r = residual(m1.evaluate(a, b, m3.basis_value(c, dd, w)),
-                     [m3.evaluate(mu.basis_value(a, b, c), dd, w),
-                      m3.evaluate(c, dd, m1.basis_value(a, b, w)),
-                      m3.evaluate(c, mu.basis_value(a, b, dd), w)])
-        if any(r):
-            rec.hit("module-fundamental-4", (a, b, c, dd, w), r)
-        # module slot in position 3: [ab[vde]]
-        r = residual(m1.evaluate(a, b, m2.basis_value(c, dd, w)),
-                     [m2.evaluate(c, dd, m1.basis_value(a, b, w)),
-                      m2.evaluate(mu.basis_value(a, b, c), dd, w),
-                      m2.evaluate(c, mu.basis_value(a, b, dd), w)])
-        if any(r):
-            rec.hit("module-fundamental-3", (a, b, c, dd, w), r)
-        # module slot in position 2: [av[cde]]
-        r = residual(m3.evaluate(a, mu.basis_value(b, c, dd), w),
-                     [m2.evaluate(c, dd, m3.basis_value(a, b, w)),
-                      m3.evaluate(b, dd, m3.basis_value(a, c, w)),
-                      m1.evaluate(b, c, m3.basis_value(a, dd, w))])
-        if any(r):
-            rec.hit("module-fundamental-2", (a, b, c, dd, w), r)
-        # module slot in position 1: [vb[cde]]
-        r = residual(m2.evaluate(a, mu.basis_value(b, c, dd), w),
-                     [m2.evaluate(c, dd, m2.basis_value(a, b, w)),
-                      m3.evaluate(b, dd, m2.basis_value(a, c, w)),
-                      m1.evaluate(b, c, m2.basis_value(a, dd, w))])
-        if any(r):
-            rec.hit("module-fundamental-1", (a, b, c, dd, w), r)
+    # the module slot in position last, 4, 3, 2, 1 of the identity; within
+    # one witness tuple the placements are reported in that order
+    dims = (d, d, d, d, m, m)
+    res = {p: nested_sum(_module_fundamental_terms(module, p), dims) for p in range(5)}
+    for p in sorted((p for p in res if res[p]), key=lambda p: (min(res[p]) // m, -p)):
+        for witness, residual in value_vectors(res[p], dims, T.field.zero):
+            rec.hit("module-fundamental-%s" % ("last" if p == 4 else p + 1), witness, residual)
 
     th = [[module.theta_basis(i, j) for j in range(d)] for i in range(d)]
     dop = [[th[j][i] - th[i][j] for j in range(d)] for i in range(d)]
 
-    def theta_vec(a, w):
+    def theta_vec(w, a=None, b=None):
+        """theta(e_a, w) or theta(w, e_b) for a coefficient vector w."""
         acc = Matrix.zero(m, m, T.field)
         for l, coef in enumerate(w):
             if coef:
-                acc = acc + th[a][l].scale(coef)
-        return acc
-
-    def theta_vec_left(w, b):
-        acc = Matrix.zero(m, m, T.field)
-        for l, coef in enumerate(w):
-            if coef:
-                acc = acc + th[l][b].scale(coef)
+                acc = acc + (th[l][b] if a is None else th[a][l]).scale(coef)
         return acc
 
     for a, b, c, dd in product(range(d), repeat=4):
         r = (th[c][dd] * th[a][b] - th[b][dd] * th[a][c]
-             - theta_vec(a, mu.basis_value(b, c, dd)) + dop[b][c] * th[a][dd])
+             - theta_vec(mu.basis_value(b, c, dd), a=a) + dop[b][c] * th[a][dd])
         if not r.is_zero():
             rec.hit("theta-square", (a, b, c, dd), tuple(v for row in r.rows for v in row))
         r = (th[c][dd] * dop[a][b] - dop[a][b] * th[c][dd]
-             + theta_vec_left(mu.basis_value(a, b, c), dd)
-             + theta_vec(c, mu.basis_value(a, b, dd)))
+             + theta_vec(mu.basis_value(a, b, c), b=dd)
+             + theta_vec(mu.basis_value(a, b, dd), a=c))
         if not r.is_zero():
             rec.hit("theta-d", (a, b, c, dd), tuple(v for row in r.rows for v in row))
     return rec.report()
@@ -418,21 +406,15 @@ def _system_from_matrices(names, mats, triple, fld):
     d = len(mats)
     nentries = mats[0].nrows * mats[0].ncols
     basis = Matrix.from_columns([_flatten(mh) for mh in mats], nentries, fld)
-    entries = []
-    for i in range(d):
-        plane = []
-        for j in range(d):
-            line = []
-            for k in range(d):
-                w = triple(mats[i], mats[j], mats[k])
-                x = solve(basis, _flatten(w))
-                if x is None:
-                    raise BuildError("bracket value at (%d,%d,%d) is outside the span "
-                                     "of the basis (not closed)" % (i, j, k))
-                line.append(x)
-            plane.append(line)
-        entries.append(plane)
-    mu = StructureTensor.build(entries, (d, d, d), d, fld)
+
+    def coeffs(i, j, k):
+        x = solve(basis, _flatten(triple(mats[i], mats[j], mats[k])))
+        if x is None:
+            raise BuildError("bracket value at (%d,%d,%d) is outside the span "
+                             "of the basis (not closed)" % (i, j, k))
+        return x
+
+    mu = StructureTensor.from_map(coeffs, (d, d, d), d, fld)
     return make_system(names, mu, fld)
 
 
@@ -581,15 +563,11 @@ def function_lts(system, s):
     fld = system.field
     n = d * s
 
-    def coeffs(i, j, k):
-        ci, cj, ck = i // d, j // d, k // d
-        vec = [fld.zero] * n
-        if ci == cj == ck:
-            w = system.mu.basis_value(i % d, j % d, k % d)
-            for l, v in enumerate(w):
-                vec[ci * d + l] = v
-        return vec
-
-    mu = StructureTensor.from_map(coeffs, (n, n, n), n, fld)
+    entries = {}
+    for key, v in system.mu.entries.items():
+        i, j, k, l = slot_indices(key, (d, d, d, d))
+        for o in range(0, n, d):  # the first basis index of each copy
+            entries[(((o + i) * n + o + j) * n + o + k) * n + o + l] = v
+    mu = StructureTensor((n, n, n), n, entries, fld)
     names = ["%s@%d" % (nm, c) for c in range(s) for nm in system.basis_names]
     return make_system(names, mu, fld)

@@ -1,14 +1,18 @@
-"""The slot transform of sparse flat multilinear tensors.
+"""Sparse flat multilinear tensors: the slot transform and the nested sum.
 
 A tensor with input slots of dimensions n_1, ..., n_k and values of
 dimension m is a {flat index: value} dict, flattened row-major over
 (i_1, ..., i_k, l): the value coordinate l, the last slot, varies fastest.
-Cochains, structure tensors (d, d, d) -> d and module tensors
-(d, d, m) -> m share this layout, and the group action on cochains and
-every equivariance check go through transform_sparse.
+Structure tensors (d, d, d) -> d, module tensors (d, d, m) -> m and
+cochain basis columns share this layout.  The group action on cochains,
+every equivariance check and gauge composition go through
+transform_sparse; the fundamental identity, its module placements and the
+order-r deformation equations go through nested_sum.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 
 def slot_indices(flat, dims):
@@ -61,6 +65,45 @@ def _contract(entries, stride, mat):
                 else:
                     del out[key]
     return out
+
+
+def nested_sum(terms, dims):
+    """The sum of sign * outer(.., inner(x_p, x_q, x_r), ..) over the terms,
+    as a sparse tensor over variables of dimensions dims[:-1] with values of
+    dimension dims[-1].
+
+    Each term is (sign, outer, slot, inner, positions) with trilinear
+    tensors outer and inner (entries, dims, dim_out): inner reads the
+    variables at positions and fills the given slot of outer, whose other
+    two arguments are the remaining variables in increasing order.  The
+    cost is the number of (inner entry, outer entry) pairs that meet.
+    """
+    strides = [prod(dims[s + 1:]) for s in range(len(dims))]
+    out = {}
+    for sign, outer, slot, inner, positions in terms:
+        rest = [strides[s] for s in range(len(dims) - 1) if s not in positions]
+        # outer entries by their index in the inner's slot: (rest of the key, value)
+        by_slot = {}
+        for key, u in outer.entries.items():
+            idx = slot_indices(key, outer.dims + (outer.dim_out,))
+            args = idx[:slot] + idx[slot + 1:-1]
+            part = idx[-1] + args[0] * rest[0] + args[1] * rest[1]
+            by_slot.setdefault(idx[slot], []).append((part, u if sign > 0 else -u))
+        for key, v in inner.entries.items():
+            idx = slot_indices(key, inner.dims + (inner.dim_out,))
+            base = sum(i * strides[s] for i, s in zip(idx, positions))
+            for part, u in by_slot.get(idx[-1], ()):
+                out[base + part] = out.get(base + part, 0) + u * v
+    return {k: v for k, v in out.items() if v}
+
+
+def value_vectors(entries, dims, zero):
+    """(index tuple, value vector) of every input tuple at which the sparse
+    tensor over dims (value slot last) is nonzero, in flat order."""
+    m = dims[-1]
+    for base in sorted({k // m for k in entries}):
+        yield (slot_indices(base, dims[:-1]),
+               tuple(entries.get(base * m + l, zero) for l in range(m)))
 
 
 def first_difference(a, b):

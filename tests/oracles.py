@@ -7,6 +7,116 @@ from ltsdeform.cohomology import (CochainBasis, cochain_space_basis,
                                   three_slot_constraint_rows)
 from ltsdeform.groups import GroupActionError, apply_group_sparse, self_module_action
 from ltsdeform.linalg import LinAlgError, Matrix, nullspace_from_rref, rref_rows
+from ltsdeform.lts import StructureTensor
+
+
+# ---------------------------------------------------------------------------
+# dense trilinear evaluation, the fundamental identity and gauge composition
+
+
+def evaluate_dense(tensor, x, y, z):
+    """Reference for StructureTensor.evaluate: the nested loop over
+    basis_value; arguments are basis indices or coefficient vectors."""
+    xs = ((x, 1),) if isinstance(x, int) else tuple(p for p in enumerate(x) if p[1])
+    ys = ((y, 1),) if isinstance(y, int) else tuple(p for p in enumerate(y) if p[1])
+    zs = ((z, 1),) if isinstance(z, int) else tuple(p for p in enumerate(z) if p[1])
+    out = [0] * tensor.dim_out
+    for i, a in xs:
+        for j, b in ys:
+            ab = a * b
+            for k, c in zs:
+                w = tensor.basis_value(i, j, k)
+                if not any(w):
+                    continue
+                abc = ab * c
+                for l, v in enumerate(w):
+                    if v:
+                        out[l] = out[l] + abc * v
+    return out
+
+
+def _sparse(data):
+    return {k: v for k, v in enumerate(data) if v}
+
+
+def fundamental_residual_loop(pairs, d):
+    """Reference for the nested_sum of lts.fundamental_terms(mi, mj) over
+    the (mi, mj) pairs: the sum of mi(a,b,mj(c,d,e)) - mi(mj(a,b,c),d,e)
+    - mi(c,mj(a,b,d),e) - mi(c,d,mj(a,b,e)) at every basis tuple, as a
+    sparse {flat index: value} dict over (d,) * 6."""
+    data = []
+    for a, b, c, dd, e in product(range(d), repeat=5):
+        acc = [0] * d
+        for mi, mj in pairs:
+            t1 = evaluate_dense(mi, a, b, mj.basis_value(c, dd, e))
+            t2 = evaluate_dense(mi, mj.basis_value(a, b, c), dd, e)
+            t3 = evaluate_dense(mi, c, mj.basis_value(a, b, dd), e)
+            t4 = evaluate_dense(mi, c, dd, mj.basis_value(a, b, e))
+            for l in range(d):
+                acc[l] = acc[l] + t1[l] - t2[l] - t3[l] - t4[l]
+        data.extend(acc)
+    return _sparse(data)
+
+
+def module_fundamental_loop(module):
+    """Reference for the module-fundamental-* residuals of verify_module:
+    {axiom: sparse {flat index: value} over (d, d, d, d, m, m)}, written out
+    placement by placement over the variables (a, b, c, dd, w), w in V."""
+    mu = module.system.mu
+    d, m = module.system.dim, module.dim
+    m1, m2, m3 = module.left, module.right, module.middle
+    ev = evaluate_dense
+
+    def residual(lhs, terms):
+        for t in terms:
+            lhs = [x - y for x, y in zip(lhs, t)]
+        return lhs
+
+    data = {"module-fundamental-%s" % n: [] for n in ("last", 4, 3, 2, 1)}
+    for a, b, c, dd, w in product(range(d), range(d), range(d), range(d), range(m)):
+        # module slot in the last position of the fundamental identity
+        data["module-fundamental-last"] += residual(
+            ev(m1, a, b, m1.basis_value(c, dd, w)),
+            [ev(m1, mu.basis_value(a, b, c), dd, w),
+             ev(m1, c, mu.basis_value(a, b, dd), w),
+             ev(m1, c, dd, m1.basis_value(a, b, w))])
+        # module slot in position 4: [ab[cve]] with e renamed dd
+        data["module-fundamental-4"] += residual(
+            ev(m1, a, b, m3.basis_value(c, dd, w)),
+            [ev(m3, mu.basis_value(a, b, c), dd, w),
+             ev(m3, c, dd, m1.basis_value(a, b, w)),
+             ev(m3, c, mu.basis_value(a, b, dd), w)])
+        # module slot in position 3: [ab[vde]]
+        data["module-fundamental-3"] += residual(
+            ev(m1, a, b, m2.basis_value(c, dd, w)),
+            [ev(m2, c, dd, m1.basis_value(a, b, w)),
+             ev(m2, mu.basis_value(a, b, c), dd, w),
+             ev(m2, c, mu.basis_value(a, b, dd), w)])
+        # module slot in position 2: [av[cde]]
+        data["module-fundamental-2"] += residual(
+            ev(m3, a, mu.basis_value(b, c, dd), w),
+            [ev(m2, c, dd, m3.basis_value(a, b, w)),
+             ev(m3, b, dd, m3.basis_value(a, c, w)),
+             ev(m1, b, c, m3.basis_value(a, dd, w))])
+        # module slot in position 1: [vb[cde]]
+        data["module-fundamental-1"] += residual(
+            ev(m2, a, mu.basis_value(b, c, dd), w),
+            [ev(m2, c, dd, m2.basis_value(a, b, w)),
+             ev(m3, b, dd, m2.basis_value(a, c, w)),
+             ev(m1, b, c, m2.basis_value(a, dd, w))])
+    return {axiom: _sparse(vals) for axiom, vals in data.items()}
+
+
+def compose_tensor_dense(tensor, out_mat, in1, in2, in3):
+    """Reference for gauge composition through transform_sparse:
+    out_mat . tensor(in1 x, in2 y, in3 z) as a structure tensor."""
+    d = tensor.dim_in
+    c1 = [in1.column(j) for j in range(d)]
+    c2 = [in2.column(j) for j in range(d)]
+    c3 = [in3.column(j) for j in range(d)]
+    entries = [[[out_mat.apply(evaluate_dense(tensor, c1[i], c2[j], c3[k]))
+                 for k in range(d)] for j in range(d)] for i in range(d)]
+    return StructureTensor.build(entries, (d, d, d), d, out_mat.field)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +186,7 @@ def equivariance_witness_loop(tensor, in_mats, out_mat):
     """
     cols = [[m.column(j) for j in range(m.ncols)] for m in in_mats]
     for a, b, c in product(*(range(m.ncols) for m in in_mats)):
-        lhs = tensor.evaluate(cols[0][a], cols[1][b], cols[2][c])
+        lhs = evaluate_dense(tensor, cols[0][a], cols[1][b], cols[2][c])
         rhs = out_mat.apply(list(tensor.basis_value(a, b, c)))
         if lhs != rhs:
             return (a, b, c)

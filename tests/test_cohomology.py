@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import act_dense, constraint_rows
+from oracles import act_dense, constraint_rows, evaluate_dense
 
 from ltsdeform.caps import CapExceeded, Caps
 from ltsdeform.cohomology import (Cochain, SpanError, apply_coboundary,
@@ -154,14 +154,14 @@ def delta3_eight_terms(system, f):
     for a, b, c, dd, e in product(range(d), repeat=5):
         val = [0] * d
         terms = [
-            (1, system.bracket(list(t.basis_value(a, b, c)), dd, e)),
-            (1, system.bracket(c, list(t.basis_value(a, b, dd)), e)),
-            (1, system.bracket(c, dd, list(t.basis_value(a, b, e)))),
-            (-1, system.bracket(a, b, list(t.basis_value(c, dd, e)))),
-            (1, t.evaluate(system.bracket_basis(a, b, c), dd, e)),
-            (1, t.evaluate(c, system.bracket_basis(a, b, dd), e)),
-            (1, t.evaluate(c, dd, system.bracket_basis(a, b, e))),
-            (-1, t.evaluate(a, b, system.bracket_basis(c, dd, e))),
+            (1, evaluate_dense(system.mu, list(t.basis_value(a, b, c)), dd, e)),
+            (1, evaluate_dense(system.mu, c, list(t.basis_value(a, b, dd)), e)),
+            (1, evaluate_dense(system.mu, c, dd, list(t.basis_value(a, b, e)))),
+            (-1, evaluate_dense(system.mu, a, b, list(t.basis_value(c, dd, e)))),
+            (1, evaluate_dense(t, system.bracket_basis(a, b, c), dd, e)),
+            (1, evaluate_dense(t, c, system.bracket_basis(a, b, dd), e)),
+            (1, evaluate_dense(t, c, dd, system.bracket_basis(a, b, e))),
+            (-1, evaluate_dense(t, a, b, system.bracket_basis(c, dd, e))),
         ]
         for sign, w in terms:
             for l in range(d):
@@ -199,7 +199,7 @@ def changed_basis(system, p, pinv):
     """The same system written in the basis given by the columns of p."""
     cols = [p.column(j) for j in range(system.dim)]
     mu = StructureTensor.from_map(
-        lambda i, j, k: pinv.apply(system.mu.evaluate(cols[i], cols[j], cols[k])),
+        lambda i, j, k: pinv.apply(evaluate_dense(system.mu, cols[i], cols[j], cols[k])),
         (system.dim,) * 3, system.dim, system.field)
     return make_system(system.basis_names, mu, system.field)
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import evaluate_dense
 
 from ltsdeform.cohomology import (Cochain, apply_coboundary, coboundary_matrix,
                                   cochain_space_basis, cochain_to_tensor,
@@ -177,10 +178,10 @@ def test_order1_obstruction_formula(t2, swap_action, m2):
     ob = obstruction(defo)
     data = []
     for a, b, c, dd, e in product(range(2), repeat=5):
-        t1 = zt.evaluate(a, b, zt.basis_value(c, dd, e))
-        t2_ = zt.evaluate(zt.basis_value(a, b, c), dd, e)
-        t3 = zt.evaluate(c, zt.basis_value(a, b, dd), e)
-        t4 = zt.evaluate(c, dd, zt.basis_value(a, b, e))
+        t1 = evaluate_dense(zt, a, b, zt.basis_value(c, dd, e))
+        t2_ = evaluate_dense(zt, zt.basis_value(a, b, c), dd, e)
+        t3 = evaluate_dense(zt, c, zt.basis_value(a, b, dd), e)
+        t4 = evaluate_dense(zt, c, dd, zt.basis_value(a, b, e))
         data.extend(x - y - u - v for x, y, u, v in zip(t1, t2_, t3, t4))
     assert ob.cochain == Cochain.build(5, 2, 2, data)
 

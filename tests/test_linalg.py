@@ -156,6 +156,14 @@ def test_gf_parse_rational_string():
         gf.parse("1/7")
 
 
+def test_plain_int_multiple_of_p_is_no_pivot():
+    # 7 is an int entry of a GF(7) matrix: zero in the field, though truthy
+    gf7 = PrimeField(7)
+    assert rank(Matrix([[7, 1], [0, 1]], gf7)) == 1
+    assert nullspace(Matrix([[7, 1], [0, 1]], gf7)).ncols == 1
+    assert solve(Matrix([[7, 1], [0, 1]], gf7), [1, 8]) == [gf7(0), gf7(1)]
+
+
 def test_gf_linear_algebra():
     gf = PrimeField(5)
     m = Matrix([[gf(1), gf(2)], [gf(2), gf(4)]], gf)

@@ -1,0 +1,184 @@
+"""The sparse structure tensor and the nested-sum kernel against the dense
+loops in tests/oracles.py: the fundamental identity, its five module
+placements and the order-r deformation equations, gauge composition
+through the slot transform, and trilinear evaluation, on generated sparse
+and fully dense tensors over QQ and GF(p), most failing the identities."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+from oracles import (compose_tensor_dense, evaluate_dense, fundamental_residual_loop,
+                     module_fundamental_loop)
+
+from ltsdeform.deformation import TruncatedDeformation, _convolution_residual
+from ltsdeform.linalg import Matrix, PrimeField, QQ
+from ltsdeform.lts import (LieTripleSystem, LtsModule, StructureTensor,
+                           _module_fundamental_terms, fundamental_terms, meson,
+                           self_module, skew_lts, verify_lts, verify_module)
+from ltsdeform.tensorops import nested_sum, transform_sparse
+
+FIELDS = [QQ, PrimeField(7), PrimeField(10007)]
+PLACEMENTS = [(4, "last"), (3, 4), (2, 3), (1, 2), (0, 1)]
+
+
+def _scalar(draw, fld):
+    if fld is QQ and draw(st.booleans()):
+        return Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return draw(st.integers(-3, 3))
+
+
+@st.composite
+def tensors(draw, fld, d, m):
+    """A (d, d, m) -> m tensor, fully dense or with a few nonzero entries."""
+    size = d * d * m * m
+    if draw(st.booleans()):
+        values = [draw(st.sampled_from([1, 2, -1, -3, 5])) for _ in range(size)]
+    else:
+        values = [0] * size
+        for _ in range(draw(st.integers(0, 6))):
+            values[draw(st.integers(0, size - 1))] = _scalar(draw, fld)
+    return StructureTensor.from_entries(dict(enumerate(values)), (d, d, m), m, fld)
+
+
+@st.composite
+def brackets(draw, fld, d):
+    """A (d, d, d) -> d bracket: random, or a standard system, perturbed or not."""
+    if d == 3 and draw(st.booleans()):
+        mu = (meson(3, fld) if draw(st.booleans()) else skew_lts(3, fld)).mu
+    elif draw(st.booleans()):
+        mu = meson(d, fld).mu
+    else:
+        return draw(tensors(fld, d, d))
+    if draw(st.booleans()):
+        mu = mu + draw(tensors(fld, d, d))
+    return mu
+
+
+def _dims(draw):
+    """d <= 3, and d = 4 now and then."""
+    return 4 if draw(st.integers(0, 9)) == 0 else draw(st.integers(1, 3))
+
+
+def _system(mu):
+    d = mu.dims[0]
+    return LieTripleSystem(d, tuple("x%d" % i for i in range(d)), mu, mu.field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fundamental_identity_matches_the_loop(data):
+    fld = data.draw(st.sampled_from(FIELDS))
+    d = _dims(data.draw)
+    mu = data.draw(brackets(fld, d))
+    res = nested_sum(fundamental_terms(mu, mu), (d,) * 6)
+    expected = fundamental_residual_loop([(mu, mu)], d)
+    assert res == expected
+    # every witness in flat order, with its whole residual vector
+    found = [(v.witness, v.residual) for v in
+             verify_lts(mu, all_witnesses=True).violations if v.axiom == "fundamental"]
+    bases = sorted({k // d for k in expected})
+    assert [w for w, _ in found] == [_unflatten(b, (d,) * 5) for b in bases]
+    assert [r for _, r in found] == [tuple(expected.get(b * d + l, 0) for l in range(d))
+                                     for b in bases]
+
+
+def _unflatten(base, dims):
+    idx = []
+    for n in reversed(dims):
+        base, i = divmod(base, n)
+        idx.append(i)
+    return tuple(reversed(idx))
+
+
+@st.composite
+def modules(draw):
+    fld = draw(st.sampled_from(FIELDS))
+    d = 4 if draw(st.integers(0, 14)) == 0 else draw(st.integers(1, 3))
+    mu = draw(brackets(fld, d))
+    if draw(st.booleans()):
+        module = self_module(_system(mu))
+        if draw(st.booleans()):
+            module = LtsModule(module.system, d, module.left + draw(tensors(fld, d, d)),
+                               module.right, module.middle)
+        return module
+    m = draw(st.integers(1, 3))
+    return LtsModule(_system(mu), m, draw(tensors(fld, d, m)), draw(tensors(fld, d, m)),
+                     draw(tensors(fld, d, m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(modules())
+def test_module_placements_match_the_loop(module):
+    d, m = module.system.dim, module.dim
+    expected = module_fundamental_loop(module)
+    for p, name in PLACEMENTS:
+        axiom = "module-fundamental-%s" % name
+        assert nested_sum(_module_fundamental_terms(module, p),
+                          (d, d, d, d, m, m)) == expected[axiom], axiom
+    # first-hit order of the old loop: witness tuples in flat order and,
+    # within one tuple, the placements last, 4, 3, 2, 1
+    hits = sorted((k // m, n) for n, (_, name) in enumerate(PLACEMENTS)
+                  for k in expected["module-fundamental-%s" % name])
+    order = []
+    for _, n in hits:
+        if n not in order:
+            order.append(n)
+    want = []
+    for n in order:
+        axiom = "module-fundamental-%s" % PLACEMENTS[n][1]
+        res = expected[axiom]
+        for base in sorted({k // m for k in res}):
+            want.append((axiom, _unflatten(base, (d, d, d, d, m)),
+                         tuple(res.get(base * m + l, 0) for l in range(m))))
+    got = [(v.axiom, v.witness, v.residual)
+           for v in verify_module(module, all_witnesses=True).violations
+           if v.axiom.startswith("module-fundamental")]
+    assert got == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_order_equations_match_the_loop(data):
+    fld = data.draw(st.sampled_from(FIELDS))
+    d = 4 if data.draw(st.integers(0, 14)) == 0 else data.draw(st.integers(1, 3))
+    terms = [data.draw(brackets(fld, d))]
+    terms += [data.draw(tensors(fld, d, d)) for _ in range(data.draw(st.integers(1, 2)))]
+    defo = TruncatedDeformation(_system(terms[0]), None, tuple(terms))
+    for r in range(len(terms) + 1):
+        for lowest in (0, 1):
+            pairs = [(defo.term(i), defo.term(r - i)) for i in range(lowest, r - lowest + 1)]
+            assert _convolution_residual(defo, r, lowest) == fundamental_residual_loop(pairs, d)
+
+
+@st.composite
+def square_matrices(draw, fld, d):
+    """An arbitrary d x d matrix, not a permutation, sometimes singular."""
+    return Matrix([[_scalar(draw, fld) for _ in range(d)] for _ in range(d)], fld)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_gauge_composition_matches_the_dense_loop(data):
+    fld = data.draw(st.sampled_from(FIELDS))
+    d = _dims(data.draw)
+    tensor = data.draw(tensors(fld, d, d))
+    out, a1, a2, a3 = [data.draw(square_matrices(fld, d)) for _ in range(4)]
+    got = StructureTensor.from_entries(
+        transform_sparse(tensor.entries, [a1.rows, a2.rows, a3.rows, list(zip(*out.rows))]),
+        (d, d, d), d, fld)
+    assert got == compose_tensor_dense(tensor, out, a1, a2, a3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_evaluate_matches_the_dense_loop(data):
+    fld = data.draw(st.sampled_from(FIELDS))
+    d, m = _dims(data.draw), data.draw(st.integers(1, 3))
+    tensor = data.draw(tensors(fld, d, m))
+    args = []
+    for n in (d, d, m):
+        if data.draw(st.booleans()):
+            args.append(data.draw(st.integers(0, n - 1)))
+        else:
+            args.append([fld(_scalar(data.draw, fld)) for _ in range(n)])
+    assert tensor.evaluate(*args) == evaluate_dense(tensor, *args)
