@@ -7,7 +7,7 @@ equations, infinitesimal, obstruction, extension, equivalence against the
 trivial deformation, and gauge reduction.
 """
 
-from ltsdeform.cohomology import apply_coboundary, tensor_to_cochain
+from ltsdeform.cohomology import apply_coboundary
 from ltsdeform.deformation import (check_deformation_equations, check_equivalence,
                                    extend, infinitesimal, make_deformation,
                                    obstruction, pad_deformation, trivialize)
@@ -58,7 +58,8 @@ def main():
     print("equivalent to the trivial deformation:", res.equivalent)
     if res.equivalent:
         for i, m in enumerate(res.isomorphism.terms):
-            print("  psi_%d = %s" % (i, m.rows))
+            print("  psi_%d = %s" % (i, [[t2.field.format(v) for v in row]
+                                         for row in m.rows]))
 
     reduced, log = trivialize(defo, 4)
     for step in log:

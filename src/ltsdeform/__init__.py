@@ -4,10 +4,9 @@ and truncated formal deformations."""
 from importlib import resources
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .cohomology import (Cochain, CochainBasis, CohomologyReport, SpanError,
+from .cohomology import (CochainBasis, CochainComplex, CohomologyReport, SpanError,
                          apply_coboundary, coboundary_matrix, cochain_space_basis,
-                         cochain_to_tensor, cochain_violations, cohomology,
-                         is_coboundary, is_cocycle, tensor_to_cochain)
+                         cochain_violations, cohomology, is_coboundary, is_cocycle)
 from .deformation import (DeformationError, EquivalenceResult, FormalIsomorphism,
                           ObstructionResult, RigidityReport, TruncatedDeformation,
                           apply_isomorphism, check_deformation_equations,

@@ -28,6 +28,7 @@ from .documents import (DocumentError, action_elements_from_document,
 from .groups import GroupActionError, make_group_action, make_module_action, trivial_action
 from .linalg import LinAlgError, field_from_spec
 from .lts import BuildError, self_module, verify_lts, verify_module
+from .tensorops import value_vectors
 
 
 class UsageError(ValueError):
@@ -91,11 +92,8 @@ def _violations_json(report, fld):
 
 
 def _cochain_entries(c, fld):
-    from itertools import product
-
     out = []
-    for idx in product(range(c.dim), repeat=c.degree):
-        vec = c.value(idx)
+    for idx, vec in value_vectors(c.entries, c.dims + (c.dim_out,), fld.zero):
         cmap = {str(l): fld.format(v) for l, v in enumerate(vec) if v}
         if cmap:
             out.append([list(idx), cmap])

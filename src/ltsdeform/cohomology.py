@@ -1,14 +1,18 @@
 """Odd-degree cochain spaces of a Lie triple system, the coboundary, and
 (equivariant) cohomology.
 
-A degree-(2n+1) cochain f with values in a module V is constrained, for
-n >= 1, by f(x_1,...,x_{2n-2},x,x,y) = 0 and the cyclic sum over the last
-three arguments; degree 1 is the full Hom(T, V).  Both constraints touch
-only the last three slots with a common prefix, so the constraint matrix
-is block diagonal over prefixes with one repeated block; its unique
-reduced-echelon nullspace is assembled from the kernel of that single
-block.  Cochain coordinates are raw ambient tensor entries throughout,
-flattened row-major over (inputs..., value coordinate).
+A degree-k cochain with values in a module V is a StructureTensor over
+(d,) * k with values in V, the sparse type of brackets and deformation
+terms: only its nonzero coefficients, flattened row-major over (inputs...,
+value coordinate).  A degree-(2n+1) cochain is constrained, for n >= 1, by
+f(x_1,...,x_{2n-2},x,x,y) = 0 and the cyclic sum over the last three
+arguments; degree 1 is the full Hom(T, V).  Both constraints are written
+once, as the labelled conditions of three_slot_conditions, which give the
+constraint rows of the basis and the witnesses of cochain_violations.
+They touch only the last three slots with a common prefix, so the
+constraint matrix is block diagonal over prefixes with one repeated block;
+its unique reduced-echelon nullspace is assembled from the kernel of that
+single block.
 
 The square condition is imposed in polarized form plus the diagonal, and
 invariant subspaces come from stacked nullspaces, so every computation is
@@ -17,13 +21,16 @@ a deterministic generating set of the group (groups.generators), which is
 exact: the group acts through a homomorphism, so whatever every generator
 fixes the whole group fixes.
 
-Coboundary matrices are assembled by pushing each nonzero entry of a basis
-column forward through the coboundary formula, at a cost proportional to
-nnz * d^2 per column rather than the d^(k+2) output tuples of a degree-k
-cochain; the images are read off as sparse coordinates and fed straight
-into the echelon form.  apply_coboundary evaluates the same formula
-pointwise on a dense cochain and is the reference the tests compare
-against.
+CochainComplex holds the plain or invariant complex of one module: it
+validates the self-module action once and builds each degree's basis and
+coboundary columns on first use.  cohomology, is_coboundary and the solves
+of the deformation layer all go through one complex.  The coboundary is
+applied by pushing each nonzero entry of a cochain forward through its
+formula, at a cost proportional to nnz * d^2 rather than the d^(k+2)
+output tuples of a degree-k cochain; the images of basis columns are read
+off as sparse coordinates and fed straight into the echelon form.  A solve
+reduces the right-hand side as the augmented column of the coboundary's
+sparse rows, with free variables zero.
 """
 
 from __future__ import annotations
@@ -34,8 +41,7 @@ from itertools import product
 
 from .caps import DEFAULT_CAPS
 from .groups import apply_group_sparse, generators, self_module_action
-from .linalg import (QQ, LinAlgError, Matrix, RrefAccumulator, nullspace_from_rref, rref_rows,
-                     solve)
+from .linalg import LinAlgError, Matrix, RrefAccumulator, nullspace_from_rref, rref_rows
 from .lts import StructureTensor, _Recorder
 from .tensorops import slot_indices
 
@@ -44,143 +50,98 @@ class SpanError(ValueError):
     """A vector falls outside the span of the basis it is expressed in."""
 
 
-@dataclass(frozen=True)
-class Cochain:
-    """Flat coefficient tensor of a multilinear map T^(x degree) -> V."""
-
-    degree: int
-    dim: int
-    mdim: int
-    data: tuple
-
-    @classmethod
-    def build(cls, degree, dim, mdim, data):
-        data = tuple(data)
-        if degree < 1 or degree % 2 == 0:
-            raise LinAlgError("cochain degree must be odd and >= 1")
-        if len(data) != dim ** degree * mdim:
-            raise LinAlgError("cochain data of length %d, expected %d"
-                              % (len(data), dim ** degree * mdim))
-        return cls(degree, dim, mdim, data)
-
-    @classmethod
-    def zero(cls, degree, dim, mdim):
-        return cls.build(degree, dim, mdim, [0] * (dim ** degree * mdim))
-
-    @property
-    def ambient_dim(self):
-        return len(self.data)
-
-    def value(self, idx):
-        """The V-coefficient vector at a basis input tuple."""
-        base = 0
-        for i in idx:
-            base = base * self.dim + i
-        base *= self.mdim
-        return self.data[base:base + self.mdim]
-
-    def is_zero(self):
-        return not any(self.data)
-
-    def __add__(self, other):
-        self._compat(other)
-        return Cochain(self.degree, self.dim, self.mdim,
-                       tuple(a + b for a, b in zip(self.data, other.data)))
-
-    def __sub__(self, other):
-        self._compat(other)
-        return Cochain(self.degree, self.dim, self.mdim,
-                       tuple(a - b for a, b in zip(self.data, other.data)))
-
-    def scale(self, c):
-        return Cochain(self.degree, self.dim, self.mdim,
-                       tuple(c * a for a in self.data))
-
-    def _compat(self, other):
-        if (self.degree, self.dim, self.mdim) != (other.degree, other.dim, other.mdim):
-            raise LinAlgError("cochain shape mismatch")
+def _span_sum(columns, coords):
+    """sum of coef * columns[j] over the sparse coordinates {j: coef}, field
+    elements, as a sparse dict without zeros."""
+    out = {}
+    for j, coef in coords.items():
+        if not coef:
+            continue
+        for pos, v in columns[j].items():
+            cur = out.get(pos)
+            if cur is None:
+                out[pos] = coef * v
+            else:
+                cur = cur + coef * v
+                if cur:
+                    out[pos] = cur
+                else:
+                    del out[pos]
+    return out
 
 
-def tensor_to_cochain(t):
-    """Degree-3 cochain from a trilinear structure tensor."""
-    return Cochain.build(3, t.dim_in, t.dim_out, t.flat())
+def _transpose(vectors):
+    """Sparse rows {i: {j: scalar}} of the sparse columns given as (j, {i:
+    scalar}) pairs, or the other way round."""
+    out = {}
+    for j, vec in vectors:
+        for i, v in vec.items():
+            out.setdefault(i, {})[j] = v
+    return out
 
 
-def cochain_to_tensor(c, fld=None):
-    if c.degree != 3:
-        raise LinAlgError("only degree-3 cochains convert to structure tensors")
-    d = c.dim
-    return StructureTensor.from_entries(dict(enumerate(c.data)), (d, d, d), c.mdim,
-                                        fld or QQ)
+# ---------------------------------------------------------------------------
+# the cochain conditions
+
+
+def three_slot_conditions(d):
+    """The conditions on the last three slots that define C^k, in witness
+    order: (axiom, witness, triples), each saying that the values at the
+    triples sum to zero.  The square condition is polarized plus the
+    diagonal."""
+    for i in range(d):
+        for j in range(i, d):
+            for y in range(d):
+                if i == j:
+                    yield "square", (i, i, y), ((i, i, y),)
+                else:
+                    yield "square", (i, j, y), ((i, j, y), (j, i, y))
+    for x, y, z in product(range(d), repeat=3):
+        yield "cyclic", (x, y, z), ((x, y, z), (y, z, x), (z, x, y))
+
+
+def three_slot_constraint_rows(d, m, field):
+    """Constraint rows on a trilinear block, one per condition and value
+    coordinate."""
+    rows = []
+    for _, _, triples in three_slot_conditions(d):
+        for a in range(m):
+            row = {}
+            for i, j, k in triples:
+                key = ((i * d + j) * d + k) * m + a
+                row[key] = row.get(key, field.zero) + field.one
+            row = {key: v for key, v in row.items() if v}
+            if row:
+                rows.append(row)
+    return rows
 
 
 def cochain_violations(c, all_witnesses=False):
-    """Pointwise check of the degree's square and cyclic constraints."""
+    """Check of the degree's square and cyclic conditions on a cochain,
+    over the prefixes that carry nonzero entries."""
     rec = _Recorder(all_witnesses)
-    if c.degree == 1:
+    degree = len(c.dims)
+    if degree < 3:
         return rec.report()
-    d = c.dim
-    npre = c.degree - 3
-    for pre in product(range(d), repeat=npre):
-        for i in range(d):
-            for j in range(i, d):
-                for y in range(d):
-                    if i == j:
-                        w = c.value(pre + (i, i, y))
-                        if any(w):
-                            rec.hit("square", pre + (i, i, y), w)
-                    else:
-                        w = [a + b for a, b in zip(c.value(pre + (i, j, y)),
-                                                   c.value(pre + (j, i, y)))]
-                        if any(w):
-                            rec.hit("square", pre + (i, j, y), w)
-        for x, y, z in product(range(d), repeat=3):
-            w = [a + b + e for a, b, e in zip(c.value(pre + (x, y, z)),
-                                              c.value(pre + (y, z, x)),
-                                              c.value(pre + (z, x, y)))]
+    d, m = c.dims[0], c.dim_out
+    block = d ** 3 * m
+    get, zero = c.entries.get, c.field.zero
+    conditions = list(three_slot_conditions(d))
+    for p in sorted({key // block for key in c.entries}):
+        pre = slot_indices(p, c.dims[:-3])
+        for axiom, witness, triples in conditions:
+            w = [zero] * m
+            for i, j, k in triples:
+                base = p * block + ((i * d + j) * d + k) * m
+                for l in range(m):
+                    w[l] = w[l] + get(base + l, zero)
             if any(w):
-                rec.hit("cyclic", pre + (x, y, z), w)
+                rec.hit(axiom, pre + witness, w)
     return rec.report()
 
 
 # ---------------------------------------------------------------------------
 # cochain space bases
-
-
-def _flat3(i, j, k, a, d, m):
-    return ((i * d + j) * d + k) * m + a
-
-
-def three_slot_constraint_rows(d, m, field):
-    """Constraint rows on a trilinear block: polarized square plus cyclic."""
-    one = field.one
-    rows = []
-    for i in range(d):
-        for j in range(i, d):
-            for y in range(d):
-                for a in range(m):
-                    if i == j:
-                        rows.append({_flat3(i, i, y, a, d, m): one})
-                    else:
-                        rows.append({_flat3(i, j, y, a, d, m): one,
-                                     _flat3(j, i, y, a, d, m): one})
-    for x, y, z in product(range(d), repeat=3):
-        for a in range(m):
-            row = {}
-            for key in (_flat3(x, y, z, a, d, m), _flat3(y, z, x, a, d, m),
-                        _flat3(z, x, y, a, d, m)):
-                cur = row.get(key)
-                if cur is None:
-                    row[key] = one
-                else:
-                    cur = cur + one
-                    if cur:
-                        row[key] = cur
-                    else:
-                        del row[key]
-            if row:
-                rows.append(row)
-    return rows
 
 
 _three_slot_cache = {}
@@ -217,46 +178,18 @@ class CochainBasis:
     def __len__(self):
         return len(self.columns)
 
-    @property
-    def ambient_dim(self):
-        return self.dim ** self.degree * self.mdim
-
-    def column_cochain(self, j):
-        data = [self.field.zero] * self.ambient_dim
-        for pos, v in self.columns[j].items():
-            data[pos] = v
-        return Cochain.build(self.degree, self.dim, self.mdim, data)
-
-    def matrix(self):
-        z = self.field.zero
-        dense = []
-        for col in self.columns:
-            v = [z] * self.ambient_dim
-            for pos, val in col.items():
-                v[pos] = val
-            dense.append(v)
-        return Matrix.from_columns(dense, self.ambient_dim, self.field)
-
     @cached_property
     def _free_index(self):
         return {pos: j for j, pos in enumerate(self.free_positions)}
 
-    def express(self, data):
-        """Coordinates of an ambient vector in this basis; SpanError if outside.
-
-        The vector is a sparse {ambient position: scalar} dict, a dense
-        sequence of ambient length, or a Cochain.
-        """
-        if isinstance(data, Cochain):
-            data = data.data
-        if isinstance(data, dict):
-            support = {pos: v for pos, v in data.items() if v}
-        else:
-            if len(data) != self.ambient_dim:
-                raise LinAlgError("ambient vector of length %d, expected %d"
-                                  % (len(data), self.ambient_dim))
-            support = {pos: v for pos, v in enumerate(data) if v}
-        coords = self._coordinates(support)
+    def express(self, c):
+        """Coordinates of a cochain, or of a sparse {ambient position:
+        scalar} dict, in this basis; SpanError if outside."""
+        if isinstance(c, StructureTensor):
+            if c.dims != (self.dim,) * self.degree or c.dim_out != self.mdim:
+                raise LinAlgError("cochain does not match the basis shape")
+            c = c.entries
+        coords = self._coordinates({pos: v for pos, v in c.items() if v})
         z = self.field.zero
         return [coords.get(j, z) for j in range(len(self.columns))]
 
@@ -270,18 +203,7 @@ class CochainBasis:
             j = index.get(pos)
             if j is not None:
                 coords[j] = v
-        recon = {}
-        for j, coef in coords.items():
-            for pos, v in self.columns[j].items():
-                cur = recon.get(pos)
-                if cur is None:
-                    recon[pos] = coef * v
-                else:
-                    cur = cur + coef * v
-                    if cur:
-                        recon[pos] = cur
-                    else:
-                        del recon[pos]
+        recon = _span_sum(self.columns, coords)
         for pos, v in support.items():
             if recon.pop(pos, None) != v:
                 raise SpanError("vector is not in the span of the basis")
@@ -290,17 +212,16 @@ class CochainBasis:
         return coords
 
     def combine(self, coords):
-        """The cochain with the given coordinates."""
-        if len(coords) != len(self.columns):
-            raise LinAlgError("coordinate vector of length %d, expected %d"
-                              % (len(coords), len(self.columns)))
-        data = [self.field.zero] * self.ambient_dim
-        for coef, col in zip(coords, self.columns):
-            if not coef:
-                continue
-            for pos, v in col.items():
-                data[pos] = data[pos] + coef * v
-        return Cochain.build(self.degree, self.dim, self.mdim, data)
+        """The cochain with the given coordinates: a sequence over the
+        columns or a sparse {column: scalar} dict."""
+        if not isinstance(coords, dict):
+            if len(coords) != len(self.columns):
+                raise LinAlgError("coordinate vector of length %d, expected %d"
+                                  % (len(coords), len(self.columns)))
+            coords = dict(enumerate(coords))
+        coords = {j: self.field(coef) for j, coef in coords.items()}
+        return StructureTensor((self.dim,) * self.degree, self.mdim,
+                               _span_sum(self.columns, coords), self.field)
 
 
 def cochain_space_basis(module, degree, action=None, module_action=None,
@@ -354,21 +275,7 @@ def cochain_space_basis(module, degree, action=None, module_action=None,
                     rows.setdefault((g, pos), {})[c] = v
     pivots = rref_rows(rows.values(), field)
     ncols, nfree = nullspace_from_rref(pivots, len(basis.columns), field)
-    inv_columns = []
-    for ncol in ncols:
-        out = {}
-        for j, coef in ncol.items():
-            for pos, v in basis.columns[j].items():
-                cur = out.get(pos)
-                if cur is None:
-                    out[pos] = coef * v
-                else:
-                    cur = cur + coef * v
-                    if cur:
-                        out[pos] = cur
-                    else:
-                        del out[pos]
-        inv_columns.append(out)
+    inv_columns = [_span_sum(basis.columns, ncol) for ncol in ncols]
     inv_free = [basis.free_positions[j] for j in nfree]
     return CochainBasis(degree, d, m, field, inv_columns, inv_free, invariant=True)
 
@@ -377,105 +284,31 @@ def cochain_space_basis(module, degree, action=None, module_action=None,
 # the coboundary
 
 
-def apply_coboundary(module, f, caps=DEFAULT_CAPS):
-    """Degree-raising coboundary of a degree-(2n-1) cochain.
+def _coboundary_images(module, degree, cochains, caps):
+    """Sparse coboundary image {ambient position: scalar} of each sparse
+    degree-(2n-1) cochain {ambient position: scalar}, yielded one at a time.
 
-    Evaluates, at every basis tuple (x_1, ..., x_{2n+1}):
+    The image is, at every basis tuple (x_1, ..., x_{2n+1}):
 
         theta(x_{2n}, x_{2n+1}) f(x_1, ..., x_{2n-1})
       - theta(x_{2n-1}, x_{2n+1}) f(x_1, ..., x_{2n-2}, x_{2n})
       + sum_k (-1)^(k+n) D(x_{2k-1}, x_{2k}) f(..omit pair k..)
       + sum_k sum_{j>2k} (-1)^(n+k+1) f(..omit pair k.., [x_{2k-1} x_{2k} x_j], ..)
 
-    with hat-omission and substitution taken literally on argument positions.
+    with hat-omission and substitution taken literally on argument
+    positions.  Every nonzero entry f(y)_w is pushed forward instead of
+    evaluating all d^(k+2) output tuples: the theta and D terms insert a
+    pair (a, c) into y, and the substitution terms replace an argument
+    y_s = l by each e with [e_a e_c e_e] having an l-component, found
+    through the inverse bracket index l -> [(a, c, e, coef)].
     """
+    if degree < 1 or degree % 2 == 0:
+        raise LinAlgError("cochain degree must be odd and >= 1")
     d = module.system.dim
     m = module.dim
-    if f.dim != d or f.mdim != m:
-        raise LinAlgError("cochain does not match the module shape")
-    deg_in = f.degree
-    n = (deg_in + 1) // 2
-    deg_out = deg_in + 2
-    caps.check_degree(deg_out)
-    caps.check_ambient(d ** deg_out * m)
-
-    th = [[module.theta_basis(i, j).rows for j in range(d)] for i in range(d)]
-    dop = [[[[a - b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(th[j][i], th[i][j])] for j in range(d)]
-           for i in range(d)]
-    mu = module.system.mu
-    brk = [[[tuple((l, v) for l, v in enumerate(mu.basis_value(i, j, k)) if v)
-             for k in range(d)] for j in range(d)] for i in range(d)]
-    data = f.data
-
-    def fvec(idx):
-        base = 0
-        for i in idx:
-            base = base * d + i
-        base *= m
-        return data[base:base + m]
-
-    def matvec_acc(acc, mat, vec, sign):
-        for l in range(m):
-            row = mat[l]
-            s = acc[l]
-            for w, v in zip(row, vec):
-                if w and v:
-                    s = s + w * v if sign > 0 else s - w * v
-            acc[l] = s
-
-    out = []
-    for x in product(range(d), repeat=deg_out):
-        acc = [0] * m
-        v = fvec(x[:deg_out - 2])
-        if any(v):
-            matvec_acc(acc, th[x[deg_out - 2]][x[deg_out - 1]], v, +1)
-        v = fvec(x[:deg_out - 3] + (x[deg_out - 2],))
-        if any(v):
-            matvec_acc(acc, th[x[deg_out - 3]][x[deg_out - 1]], v, -1)
-        for k in range(1, n + 1):
-            sign = 1 if (k + n) % 2 == 0 else -1
-            omitted = x[:2 * k - 2] + x[2 * k:]
-            v = fvec(omitted)
-            if any(v):
-                matvec_acc(acc, dop[x[2 * k - 2]][x[2 * k - 1]], v, sign)
-            bk = brk[x[2 * k - 2]][x[2 * k - 1]]
-            for j0 in range(2 * k, deg_out):
-                entries = bk[x[j0]]
-                if not entries:
-                    continue
-                sub = j0 - 2
-                for l, coef in entries:
-                    v = fvec(omitted[:sub] + (l,) + omitted[sub + 1:])
-                    if any(v):
-                        for t in range(m):
-                            if v[t]:
-                                # substitution terms carry the opposite sign
-                                acc[t] = acc[t] - coef * v[t] if sign > 0 \
-                                    else acc[t] + coef * v[t]
-        out.extend(acc)
-    return Cochain.build(deg_out, d, m, out)
-
-
-def _coboundary_images(module, basis_from, caps):
-    """Sparse coboundary image {ambient position: scalar} of each column of
-    basis_from, yielded one column at a time.
-
-    Same formula as apply_coboundary, but every nonzero entry f(y)_w of a
-    column is pushed forward instead of evaluating all d^(k+2) output
-    tuples: the theta and D terms insert a pair (a, c) into y, and the
-    substitution terms replace an argument y_s = l by each e with
-    [e_a e_c e_e] having an l-component, found through the inverse bracket
-    index l -> [(a, c, e, coef)].
-    """
-    d = module.system.dim
-    m = module.dim
-    if basis_from.dim != d or basis_from.mdim != m:
-        raise LinAlgError("cochain does not match the module shape")
-    deg_in = basis_from.degree
-    n = (deg_in + 1) // 2
-    caps.check_degree(deg_in + 2)
-    caps.check_ambient(d ** (deg_in + 2) * m)
+    n = (degree + 1) // 2
+    caps.check_degree(degree + 2)
+    caps.check_ambient(d ** (degree + 2) * m)
 
     # theta[w] and dop[w]: (a, c, l, coef) with theta(e_a, e_c) resp.
     # D(e_a, e_c) = theta(e_c, e_a) - theta(e_a, e_c) sending v_w to
@@ -497,8 +330,8 @@ def _coboundary_images(module, basis_from, caps):
         a, c, e, l = slot_indices(key, (d, d, d, d))
         inverse_bracket[l].append((a, c, e, mu[key]))
 
-    place = [d ** (deg_in - 1 - s) for s in range(deg_in)]
-    for col in basis_from.columns:
+    place = [d ** (degree - 1 - s) for s in range(degree)]
+    for col in cochains:
         out = {}
         for pos, v in col.items():
             ybase, w = divmod(pos, m)
@@ -514,14 +347,14 @@ def _coboundary_images(module, basis_from, caps):
             for k in range(1, n + 1):
                 sv = v if (k + n) % 2 == 0 else -v
                 gap = 2 * k - 2
-                tail = d ** (deg_in - gap)
+                tail = d ** (degree - gap)
                 hi, lo = divmod(ybase, tail)
                 # D(x_{2k-1}, x_{2k}) f(..omit pair k..)
                 for a, c, l, t in dop[w]:
                     key = (((hi * d + a) * d + c) * tail + lo) * m + l
                     out[key] = out.get(key, 0) + t * sv
                 # -f(..omit pair k.., [x_{2k-1} x_{2k} x_j], ..) for j > 2k
-                for s in range(gap, deg_in):
+                for s in range(gap, degree):
                     for a, c, e, coef in inverse_bracket[y[s]]:
                         key = ((((hi * d + a) * d + c) * tail + lo
                                 + (e - y[s]) * place[s]) * m + w)
@@ -529,13 +362,30 @@ def _coboundary_images(module, basis_from, caps):
         yield {key: val for key, val in out.items() if val}
 
 
+def apply_coboundary(module, f, caps=DEFAULT_CAPS):
+    """Degree-raising coboundary of a degree-(2n-1) cochain, the formula of
+    _coboundary_images applied to its nonzero entries."""
+    d = module.system.dim
+    degree = len(f.dims)
+    if f.dims != (d,) * degree or f.dim_out != module.dim:
+        raise LinAlgError("cochain does not match the module shape")
+    image, = _coboundary_images(module, degree, [f.entries], caps)
+    return StructureTensor((d,) * (degree + 2), module.dim, image, module.system.field)
+
+
+def is_cocycle(module, c, caps=DEFAULT_CAPS):
+    return apply_coboundary(module, c, caps).is_zero()
+
+
 def _coboundary_columns(module, basis_from, basis_to, caps):
     """Sparse coordinate columns {row: scalar} of the coboundary matrix."""
+    if basis_from.dim != module.system.dim or basis_from.mdim != module.dim:
+        raise LinAlgError("cochain does not match the module shape")
     if basis_to.degree != basis_from.degree + 2:
         raise LinAlgError("bases must sit in consecutive odd degrees")
     if basis_from.invariant != basis_to.invariant:
         raise LinAlgError("bases must be both plain or both invariant")
-    for image in _coboundary_images(module, basis_from, caps):
+    for image in _coboundary_images(module, basis_from.degree, basis_from.columns, caps):
         try:
             yield basis_to._coordinates(image)
         except SpanError as exc:
@@ -560,7 +410,7 @@ def coboundary_matrix(module, basis_from, basis_to, caps=DEFAULT_CAPS):
 
 
 # ---------------------------------------------------------------------------
-# cohomology
+# the complex and its cohomology
 
 
 @dataclass
@@ -574,60 +424,96 @@ class CohomologyReport:
     representatives: tuple
 
 
+class CochainComplex:
+    """The plain complex of a module, or its invariant subcomplex when an
+    action is given.  Each degree's basis and coboundary columns are built
+    on first use and kept; the self-module action is validated once, here,
+    when none is passed."""
+
+    def __init__(self, module, action=None, module_action=None, caps=DEFAULT_CAPS):
+        if action is not None and module_action is None:
+            module_action = self_module_action(action, module)
+        self.module = module
+        self.action = action
+        self.module_action = module_action
+        self.caps = caps
+        self.field = module.system.field
+        self._bases = {}
+        self._rows = {}
+
+    def basis(self, degree):
+        if degree not in self._bases:
+            self._bases[degree] = cochain_space_basis(
+                self.module, degree, self.action, self.module_action, self.caps)
+        return self._bases[degree]
+
+    def rows(self, degree):
+        """The coboundary from degree to degree + 2 in the bases of the two
+        degrees, as sparse rows {row: {column: scalar}}, assembled column by
+        column."""
+        if degree not in self._rows:
+            self._rows[degree] = _transpose(enumerate(_coboundary_columns(
+                self.module, self.basis(degree), self.basis(degree + 2), self.caps)))
+        return self._rows[degree]
+
+    def cohomology(self, degree, want_representatives=True):
+        """Dimensions (and representatives) of the degree-th cohomology."""
+        if degree < 1 or degree % 2 == 0:
+            raise LinAlgError("cohomology degree must be odd and >= 1")
+        field = self.field
+        basis = self.basis(degree)
+        rows = self.rows(degree)
+        pivots = rref_rows((rows[i] for i in sorted(rows)), field)
+        zcols, _ = nullspace_from_rref(pivots, len(basis), field)
+        dim_z = len(zcols)
+
+        acc = RrefAccumulator(field)
+        if degree > 1:
+            columns = _transpose(self.rows(degree - 2).items())
+            for j in sorted(columns):
+                acc.add(columns[j])
+        dim_b = acc.rank
+
+        # representatives: extend the coboundary span through the cocycle
+        # basis, first fit in the canonical cocycle order
+        representatives = []
+        if want_representatives:
+            for z in zcols:
+                if acc.add(z):
+                    representatives.append(basis.combine(z))
+        return CohomologyReport(degree, self.action is not None, len(basis),
+                                dim_z, dim_b, dim_z - dim_b, tuple(representatives))
+
+    def preimage(self, c):
+        """The canonical preimage of the cochain c under the coboundary
+        (free variables zero), or None when c is not a coboundary.
+
+        The right-hand side is the augmented column of the coboundary's
+        sparse rows; SpanError when c lies outside the complex.
+        """
+        degree = len(c.dims)
+        if degree < 3:
+            raise LinAlgError("degree-1 cochains have no incoming coboundary")
+        rows = self.rows(degree - 2)
+        aug = len(self.basis(degree - 2))
+        rhs = {i: v for i, v in enumerate(self.basis(degree).express(c)) if v}
+        pivots = rref_rows(({**rows.get(i, {}), aug: rhs[i]} if i in rhs else rows[i]
+                            for i in sorted(rows.keys() | rhs.keys())), self.field)
+        if aug in pivots:
+            return None
+        return self.basis(degree - 2).combine(
+            {pc: prow[aug] for pc, prow in pivots.items() if aug in prow})
+
+
 def cohomology(module, degree, action=None, module_action=None,
                caps=DEFAULT_CAPS, want_representatives=True):
     """Dimensions (and representatives) of the degree-th cohomology of the
     plain or invariant cochain complex."""
-    if degree < 1 or degree % 2 == 0:
-        raise LinAlgError("cohomology degree must be odd and >= 1")
-    if action is not None and module_action is None:
-        module_action = self_module_action(action, module)
-    field = module.system.field
-    basis_k = cochain_space_basis(module, degree, action, module_action, caps)
-    basis_up = cochain_space_basis(module, degree + 2, action, module_action, caps)
-    out_rows = {}
-    for j, col in enumerate(_coboundary_columns(module, basis_k, basis_up, caps)):
-        for i, v in col.items():
-            out_rows.setdefault(i, {})[j] = v
-    pivots = rref_rows((out_rows[i] for i in sorted(out_rows)), field)
-    zcols, _ = nullspace_from_rref(pivots, len(basis_k), field)
-    dim_z = len(zcols)
-
-    acc = RrefAccumulator(field)
-    if degree > 1:
-        basis_down = cochain_space_basis(module, degree - 2, action, module_action, caps)
-        for col in _coboundary_columns(module, basis_down, basis_k, caps):
-            acc.add(col)
-    dim_b = acc.rank
-
-    # representatives: extend the coboundary span through the cocycle basis,
-    # first fit in the canonical cocycle order
-    representatives = []
-    if want_representatives:
-        for z in zcols:
-            if acc.add(z):
-                representatives.append(basis_k.combine(
-                    [z.get(j, field.zero) for j in range(len(basis_k))]))
-    return CohomologyReport(degree, action is not None, len(basis_k),
-                            dim_z, dim_b, dim_z - dim_b, tuple(representatives))
-
-
-def is_cocycle(module, c, caps=DEFAULT_CAPS):
-    return apply_coboundary(module, c, caps).is_zero()
+    return CochainComplex(module, action, module_action, caps).cohomology(
+        degree, want_representatives)
 
 
 def is_coboundary(module, c, action=None, module_action=None, caps=DEFAULT_CAPS):
     """A preimage under the coboundary in the (invariant, when an action is
     given) complex, or None when the class is nonzero."""
-    if c.degree < 3:
-        raise LinAlgError("degree-1 cochains have no incoming coboundary")
-    if action is not None and module_action is None:
-        module_action = self_module_action(action, module)
-    basis_down = cochain_space_basis(module, c.degree - 2, action, module_action, caps)
-    basis_k = cochain_space_basis(module, c.degree, action, module_action, caps)
-    mat = coboundary_matrix(module, basis_down, basis_k, caps)
-    coords = basis_k.express(c)
-    x = solve(mat, coords)
-    if x is None:
-        return None
-    return basis_down.combine(x)
+    return CochainComplex(module, action, module_action, caps).preimage(c)

@@ -15,9 +15,12 @@ infinitesimals, the degree-5 obstruction cochain, order-by-order
 extension, gauge transformations by truncated formal isomorphisms,
 equivalence testing, trivialization, and the rigidity certificate.
 
-All linear solves for gauge terms and extensions are restricted to the
-invariant subcomplex, with the canonical echelon solution (free variables
-zero), so results are deterministic.
+Terms and cochains are sparse StructureTensors.  All linear solves for
+gauge terms and extensions are restricted to the invariant subcomplex,
+with the canonical echelon solution (free variables zero), so results are
+deterministic.  Each call solves on one cohomology.CochainComplex, which
+builds its bases and coboundary once; check_equivalence builds the plain
+complex for its diagnostic only when a step is obstructed.
 """
 
 from __future__ import annotations
@@ -25,13 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, CapExceeded
-from .cohomology import (Cochain, apply_coboundary, coboundary_matrix,
-                         cochain_space_basis, cochain_to_tensor,
-                         cochain_violations, cohomology, is_coboundary,
-                         tensor_to_cochain)
-from .groups import (apply_group_sparse, equivariance_witness, generators,
-                     self_module_action)
-from .linalg import Matrix, solve
+from .cohomology import CochainComplex, apply_coboundary, cochain_violations, cohomology
+from .groups import apply_group_sparse, equivariance_witness, generators
+from .linalg import Matrix
 from .lts import StructureTensor, fundamental_terms, self_module
 from .tensorops import first_difference, nested_sum, transform_sparse, value_vectors
 
@@ -105,16 +104,16 @@ class DeformationReport:
 
 @dataclass(frozen=True)
 class ObstructionResult:
-    cochain: Cochain
+    cochain: StructureTensor
     is_cocycle: bool  # None when the degree-7 check exceeded the caps
-    preimage: Cochain
+    preimage: StructureTensor
 
 
 @dataclass(frozen=True)
 class EquivalenceResult:
     isomorphism: FormalIsomorphism
     obstructed_order: int = None
-    witness: Cochain = None
+    witness: StructureTensor = None
     plain_solvable: bool = None  # diagnostic: would the step solve without equivariance?
 
     @property
@@ -141,7 +140,7 @@ class RigidityReport:
 
 
 def _check_term_is_cochain(tensor, index):
-    report = cochain_violations(tensor_to_cochain(tensor))
+    report = cochain_violations(tensor)
     if not report.passed:
         v = report.violations[0]
         raise DeformationError(
@@ -217,10 +216,10 @@ def check_deformation_equations(defo):
 
 
 def infinitesimal(defo):
-    """First index n >= 1 with mu_n nonzero, as (n, degree-3 cochain)."""
+    """First index n >= 1 with mu_n nonzero, as (n, mu_n)."""
     for i in range(1, defo.order + 1):
         if not defo.terms[i].is_zero():
-            return i, tensor_to_cochain(defo.terms[i])
+            return i, defo.terms[i]
     return None
 
 
@@ -243,31 +242,25 @@ def obstruction(defo, caps=DEFAULT_CAPS):
     system = defo.system
     d = system.dim
     entries = _convolution_residual(defo, defo.order + 1, lowest=1)
-    data = [system.field.zero] * d ** 6
-    for k, v in entries.items():
-        data[k] = v
-    cochain = Cochain.build(5, d, d, data)
+    cochain = StructureTensor((d,) * 5, d, entries, system.field)
 
     report = cochain_violations(cochain)
     if not report.passed:
         raise RuntimeError("obstruction cochain violates the degree-5 constraints; "
                            "this must not happen")
-    module = self_module(system)
-    module_action = self_module_action(defo.action, module)
+    cochains = CochainComplex(self_module(system), defo.action, caps=caps)
     for g in generators(defo.action):
-        moved = apply_group_sparse(defo.action, module_action, g, 5, entries)
+        moved = apply_group_sparse(defo.action, cochains.module_action, g, 5, entries)
         if first_difference(moved, entries) is not None:
             raise RuntimeError("obstruction cochain is not invariant; "
                                "this must not happen for equivariant terms")
 
-    cocycle_flag = None
     try:
-        cocycle_flag = apply_coboundary(module, cochain, caps).is_zero()
+        cocycle_flag = apply_coboundary(cochains.module, cochain, caps).is_zero()
     except CapExceeded:
         cocycle_flag = None
 
-    preimage = is_coboundary(module, cochain, defo.action, module_action, caps)
-    return ObstructionResult(cochain, cocycle_flag, preimage)
+    return ObstructionResult(cochain, cocycle_flag, cochains.preimage(cochain))
 
 
 def extend(defo, caps=DEFAULT_CAPS):
@@ -275,8 +268,7 @@ def extend(defo, caps=DEFAULT_CAPS):
     ob = obstruction(defo, caps)
     if ob.preimage is None:
         return None
-    new_term = cochain_to_tensor(ob.preimage, defo.system.field)
-    extended = make_deformation(defo.system, defo.action, defo.terms + (new_term,))
+    extended = make_deformation(defo.system, defo.action, defo.terms + (ob.preimage,))
     report = check_deformation_equations(extended)
     if not report.passed:
         raise RuntimeError("extension by the obstruction preimage failed the "
@@ -372,14 +364,7 @@ def check_equivalence(defo_a, defo_b, cap_order, caps=DEFAULT_CAPS):
     action = defo_a.action
     d = system.dim
     field = system.field
-    module = self_module(system)
-    module_action = self_module_action(action, module)
-    basis1g = cochain_space_basis(module, 1, action, module_action, caps)
-    basis3g = cochain_space_basis(module, 3, action, module_action, caps)
-    mat = coboundary_matrix(module, basis1g, basis3g, caps)
-    basis1p = cochain_space_basis(module, 1, caps=caps)
-    basis3p = cochain_space_basis(module, 3, caps=caps)
-    mat_plain = coboundary_matrix(module, basis1p, basis3p, caps)
+    cochains = CochainComplex(self_module(system), action, caps=caps)
 
     ident = Matrix.identity(d, field)
     psis = [ident]
@@ -415,15 +400,13 @@ def check_equivalence(defo_a, defo_b, cap_order, caps=DEFAULT_CAPS):
                     rhs = rhs + StructureTensor.from_entries(transform_sparse(
                         mu_j.entries, [fp.rows, fq.rows, fs.rows, ident.rows]),
                         mu_j.dims, d, field)
-        g_k = tensor_to_cochain(lhs - rhs)
-        coords = basis3g.express(g_k)
-        x = solve(mat, coords)
+        g_k = lhs - rhs
+        x = cochains.preimage(g_k)
         if x is None:
-            plain = solve(mat_plain, basis3p.express(g_k)) is not None
+            plain = CochainComplex(cochains.module, caps=caps).preimage(g_k) is not None
             return EquivalenceResult(None, obstructed_order=k, witness=g_k,
                                      plain_solvable=plain)
-        psi_k = _cochain1_to_matrix(basis1g.combine(x), field)
-        psis.append(psi_k)
+        psis.append(_cochain1_to_matrix(x, field))
     iso = make_formal_isomorphism(action, psis)
     gauged = apply_isomorphism(defo_a, iso, cap_order)
     for r in range(cap_order + 1):
@@ -434,8 +417,8 @@ def check_equivalence(defo_a, defo_b, cap_order, caps=DEFAULT_CAPS):
 
 
 def _cochain1_to_matrix(c, field):
-    d, m = c.dim, c.mdim
-    rows = [[c.data[i * m + l] for i in range(d)] for l in range(m)]
+    (d,), m = c.dims, c.dim_out
+    rows = [[c.entries.get(i * m + l, field.zero) for i in range(d)] for l in range(m)]
     return Matrix(rows, field, copy=False)
 
 
@@ -449,11 +432,7 @@ def trivialize(defo, cap_order, caps=DEFAULT_CAPS):
     system = defo.system
     action = defo.action
     field = system.field
-    module = self_module(system)
-    module_action = self_module_action(action, module)
-    basis1g = cochain_space_basis(module, 1, action, module_action, caps)
-    basis3g = cochain_space_basis(module, 3, action, module_action, caps)
-    mat = coboundary_matrix(module, basis1g, basis3g, caps)
+    cochains = CochainComplex(self_module(system), action, caps=caps)
 
     cur = pad_deformation(defo, cap_order) if defo.order < cap_order else defo
     log = []
@@ -463,16 +442,15 @@ def trivialize(defo, cap_order, caps=DEFAULT_CAPS):
             log.append({"status": "trivial",
                         "detail": "all terms through order %d vanish" % cur.order})
             return cur, log
-        n, cochain = inf
-        coords = basis3g.express(cochain)
-        x = solve(mat, coords)
+        n, term = inf
+        x = cochains.preimage(term)
         if x is None:
             log.append({"status": "reduced",
                         "detail": "order-%d infinitesimal has nonzero equivariant "
                                   "cohomology class" % n,
                         "order": n})
             return cur, log
-        psi = _cochain1_to_matrix(basis1g.combine(x), field)
+        psi = _cochain1_to_matrix(x, field)
         mats = [Matrix.identity(system.dim, field)]
         mats.extend(Matrix.zero(system.dim, system.dim, field) for _ in range(n - 1))
         mats.append(psi)

@@ -103,7 +103,7 @@ class RationalField:
     def __call__(self, v):
         if isinstance(v, int):
             return v
-        q = Fraction(v)
+        q = v if isinstance(v, Fraction) else Fraction(v)
         return q.numerator if q.denominator == 1 else q
 
     @property
@@ -350,16 +350,23 @@ class RrefAccumulator:
     def reduce(self, row):
         """Remainder of row after reduction by the current pivot rows.
 
-        A pivot row carries no other pivot column, so subtracting it never
-        changes the row's entry at another pivot: one pass over the row's
-        pivot entries, each subtracting coef * (pivot row), reduces it fully.
+        The row's entries pass through the field first, so a plain int
+        multiple of p is a zero of GF(p), not a pivot.  A pivot row carries
+        no other pivot column, so subtracting it never changes the row's
+        entry at another pivot: one pass over the row's pivot entries, each
+        subtracting coef * (pivot row), reduces it fully.
         """
         pivots = self.pivots
-        out = {c: v for c, v in row.items() if v and c not in pivots}
-        for c, coef in row.items():
-            prow = pivots.get(c)
-            if prow is None or not coef:
-                continue
+        field = self.field
+        out, hits = {}, []
+        for c, v in row.items():
+            if v := field(v):
+                prow = pivots.get(c)
+                if prow is None:
+                    out[c] = v
+                else:
+                    hits.append((c, v, prow))
+        for c, coef, prow in hits:
             for cc, v in prow.items():
                 if cc == c:
                     continue
@@ -435,9 +442,8 @@ def nullspace_from_rref(pivots, ncols, field):
 
 
 def _matrix_rows_sparse(m):
-    """Sparse rows of m; entries pass through the field first, so a plain
-    int multiple of p is a zero of GF(p), not a pivot."""
-    return [{j: v for j, v in enumerate(map(m.field, row)) if v} for row in m.rows]
+    """Sparse rows of m (RrefAccumulator.reduce normalises the entries)."""
+    return [{j: v for j, v in enumerate(row) if v} for row in m.rows]
 
 
 def rank(m):
@@ -470,7 +476,7 @@ def solve(a, b):
     aug = a.ncols
     rows = _matrix_rows_sparse(a)
     for r, rhs in zip(rows, b):
-        if rhs := a.field(rhs):
+        if rhs:
             r[aug] = rhs
     pivots = rref_rows(rows, a.field)
     if aug in pivots:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import product
-from math import prod
 
 from .linalg import QQ, LinAlgError, Matrix, solve
 from .tensorops import nested_sum, slot_indices, value_vectors
@@ -45,7 +44,8 @@ class StructureTensor:
     Only the nonzero coefficients are stored: entries maps the flat index
     ((i * n_2 + j) * n_3 + k) * dim_out + l, the tensorops layout, to
     c[i][j][k][l].  The field supplies zeros and takes no part in
-    comparisons.
+    comparisons.  A degree-k cochain is the same type with k input slots;
+    dim_in, basis_value and evaluate are for three.
     """
 
     dims: tuple
@@ -91,12 +91,6 @@ class StructureTensor:
         base = ((i * self.dims[1] + j) * self.dims[2] + k) * self.dim_out
         get, z = self.entries.get, self.field.zero
         return tuple(get(base + l, z) for l in range(self.dim_out))
-
-    def flat(self):
-        """All coefficients c[i][j][k][l] as one dense list, row-major over
-        (i, j, k, l): the flat layout of cochains."""
-        z = self.field.zero
-        return [self.entries.get(k, z) for k in range(prod(self.dims) * self.dim_out)]
 
     def evaluate(self, x, y, z):
         """Trilinear evaluation; arguments are basis indices or coefficient vectors."""

@@ -4,7 +4,7 @@ A tensor with input slots of dimensions n_1, ..., n_k and values of
 dimension m is a {flat index: value} dict, flattened row-major over
 (i_1, ..., i_k, l): the value coordinate l, the last slot, varies fastest.
 Structure tensors (d, d, d) -> d, module tensors (d, d, m) -> m and
-cochain basis columns share this layout.  The group action on cochains,
+cochains of every degree share this layout.  The group action on cochains,
 every equivariance check and gauge composition go through
 transform_sparse; the fundamental identity, its module placements and the
 order-r deformation equations go through nested_sum.

@@ -1,12 +1,13 @@
 """Slow reference implementations that the tests compare the library with."""
 
 from itertools import product
+from math import prod
 
 from ltsdeform.caps import DEFAULT_CAPS
 from ltsdeform.cohomology import (CochainBasis, cochain_space_basis,
                                   three_slot_constraint_rows)
 from ltsdeform.groups import GroupActionError, apply_group_sparse, self_module_action
-from ltsdeform.linalg import LinAlgError, Matrix, nullspace_from_rref, rref_rows
+from ltsdeform.linalg import QQ, LinAlgError, Matrix, nullspace_from_rref, rref_rows
 from ltsdeform.lts import StructureTensor
 
 
@@ -256,28 +257,21 @@ def invariant_subspace(ambient_actions, fld):
 
 
 def reynolds_project(action, module_action, degree, data):
-    """Group-average a cochain: (1/|G|) sum_g rho(g) c.
+    """Group-average a flat coefficient list: (1/|G|) sum_g rho(g) c.
 
-    Accepts a flat coefficient list or a cochain object and returns the same
-    kind.  Requires the field characteristic not to divide the group order.
+    Requires the field characteristic not to divide the group order.
     """
     fld = action.system.field
     n = action.size
     if fld.char and n % fld.char == 0:
         raise GroupActionError("characteristic %d divides the group order %d"
                                % (fld.char, n))
-    wrap = None
-    if hasattr(data, "data"):
-        wrap, data = data, list(data.data)
     acc = [fld.zero] * len(data)
     for g in range(n):
         moved = act_dense(action, module_action, g, degree, data)
         acc = [a + b for a, b in zip(acc, moved)]
     inv = fld.div(fld.one, fld(n))
-    out = [inv * a for a in acc]
-    if wrap is not None:
-        return type(wrap).build(wrap.degree, wrap.dim, wrap.mdim, out)
-    return out
+    return [inv * a for a in acc]
 
 
 # ---------------------------------------------------------------------------
@@ -391,3 +385,99 @@ def rref_dense(rows, ncols, field):
         pivots.append(c)
         r += 1
     return {c: {j: v for j, v in enumerate(mat[i]) if v} for i, c in enumerate(pivots)}
+
+
+# ---------------------------------------------------------------------------
+# dense cochains and the pointwise coboundary
+
+
+def cochain(data, degree, d, m, fld=QQ):
+    """The degree-cochain over d basis vectors with values in an
+    m-dimensional module whose coefficients are the flat list data."""
+    if len(data) != d ** degree * m:
+        raise LinAlgError("cochain data of length %d, expected %d"
+                          % (len(data), d ** degree * m))
+    return StructureTensor.from_entries(dict(enumerate(data)), (d,) * degree, m, fld)
+
+
+def dense(c):
+    """All coefficients of a sparse tensor as one flat list."""
+    z = c.field.zero
+    return [c.entries.get(k, z) for k in range(prod(c.dims) * c.dim_out)]
+
+
+def coboundary_pointwise(module, f):
+    """Reference for cohomology.apply_coboundary: the coboundary formula
+    evaluated at every basis tuple (x_1, ..., x_{2n+1}),
+
+        theta(x_{2n}, x_{2n+1}) f(x_1, ..., x_{2n-1})
+      - theta(x_{2n-1}, x_{2n+1}) f(x_1, ..., x_{2n-2}, x_{2n})
+      + sum_k (-1)^(k+n) D(x_{2k-1}, x_{2k}) f(..omit pair k..)
+      + sum_k sum_{j>2k} (-1)^(n+k+1) f(..omit pair k.., [x_{2k-1} x_{2k} x_j], ..)
+
+    with hat-omission and substitution taken literally on argument positions.
+    """
+    d = module.system.dim
+    m = module.dim
+    deg_in = len(f.dims)
+    if f.dims != (d,) * deg_in or f.dim_out != m:
+        raise LinAlgError("cochain does not match the module shape")
+    n = (deg_in + 1) // 2
+    deg_out = deg_in + 2
+
+    th = [[module.theta_basis(i, j).rows for j in range(d)] for i in range(d)]
+    dop = [[[[a - b for a, b in zip(r1, r2)]
+             for r1, r2 in zip(th[j][i], th[i][j])] for j in range(d)]
+           for i in range(d)]
+    mu = module.system.mu
+    brk = [[[tuple((l, v) for l, v in enumerate(mu.basis_value(i, j, k)) if v)
+             for k in range(d)] for j in range(d)] for i in range(d)]
+    data = dense(f)
+
+    def fvec(idx):
+        base = 0
+        for i in idx:
+            base = base * d + i
+        base *= m
+        return data[base:base + m]
+
+    def matvec_acc(acc, mat, vec, sign):
+        for l in range(m):
+            row = mat[l]
+            s = acc[l]
+            for w, v in zip(row, vec):
+                if w and v:
+                    s = s + w * v if sign > 0 else s - w * v
+            acc[l] = s
+
+    out = []
+    for x in product(range(d), repeat=deg_out):
+        acc = [0] * m
+        v = fvec(x[:deg_out - 2])
+        if any(v):
+            matvec_acc(acc, th[x[deg_out - 2]][x[deg_out - 1]], v, +1)
+        v = fvec(x[:deg_out - 3] + (x[deg_out - 2],))
+        if any(v):
+            matvec_acc(acc, th[x[deg_out - 3]][x[deg_out - 1]], v, -1)
+        for k in range(1, n + 1):
+            sign = 1 if (k + n) % 2 == 0 else -1
+            omitted = x[:2 * k - 2] + x[2 * k:]
+            v = fvec(omitted)
+            if any(v):
+                matvec_acc(acc, dop[x[2 * k - 2]][x[2 * k - 1]], v, sign)
+            bk = brk[x[2 * k - 2]][x[2 * k - 1]]
+            for j0 in range(2 * k, deg_out):
+                entries = bk[x[j0]]
+                if not entries:
+                    continue
+                sub = j0 - 2
+                for l, coef in entries:
+                    v = fvec(omitted[:sub] + (l,) + omitted[sub + 1:])
+                    if any(v):
+                        for t in range(m):
+                            if v[t]:
+                                # substitution terms carry the opposite sign
+                                acc[t] = acc[t] - coef * v[t] if sign > 0 \
+                                    else acc[t] + coef * v[t]
+        out.extend(acc)
+    return cochain(out, deg_out, d, m, module.system.field)

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import rref_dense
 
-from ltsdeform.linalg import (LinAlgError, Matrix, PrimeField, QQ, field_from_spec,
-                              nullspace, nullspace_from_rref, rank, rref_rows, solve)
+from ltsdeform.linalg import (LinAlgError, Matrix, PrimeField, QQ, RrefAccumulator,
+                              field_from_spec, nullspace, nullspace_from_rref, rank,
+                              rref_rows, solve)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -162,6 +163,19 @@ def test_plain_int_multiple_of_p_is_no_pivot():
     assert rank(Matrix([[7, 1], [0, 1]], gf7)) == 1
     assert nullspace(Matrix([[7, 1], [0, 1]], gf7)).ncols == 1
     assert solve(Matrix([[7, 1], [0, 1]], gf7), [1, 8]) == [gf7(0), gf7(1)]
+
+
+def test_sparse_rows_with_a_plain_int_multiple_of_p():
+    # the echelon form reads row entries through the field once, on entry
+    gf7 = PrimeField(7)
+    acc = RrefAccumulator(gf7)
+    assert acc.add({0: 7, 1: 1})
+    assert acc.pivots == {1: {1: gf7.one}}
+    assert not acc.add({0: 14, 1: 8})
+    assert acc.add({0: 1, 1: 7})
+    assert acc.pivots == {0: {0: gf7.one}, 1: {1: gf7.one}}
+    assert rref_rows([{0: 7, 1: 1}, {0: 21, 2: 3}], gf7) == {1: {1: gf7.one},
+                                                           2: {2: gf7.one}}
 
 
 def test_gf_linear_algebra():
