@@ -23,14 +23,14 @@ fixes the whole group fixes.
 
 CochainComplex holds the plain or invariant complex of one module: it
 validates the self-module action once and builds each degree's basis and
-coboundary columns on first use.  cohomology, is_coboundary and the solves
+sparse coboundary on first use.  cohomology, is_coboundary and the solves
 of the deformation layer all go through one complex.  The coboundary is
 applied by pushing each nonzero entry of a cochain forward through its
 formula, at a cost proportional to nnz * d^2 rather than the d^(k+2)
 output tuples of a degree-k cochain; the images of basis columns are read
-off as sparse coordinates and fed straight into the echelon form.  A solve
-reduces the right-hand side as the augmented column of the coboundary's
-sparse rows, with free variables zero.
+off as sparse coordinates and kept as the sparse rows that the echelon
+form reads.  A solve reduces the right-hand side as the augmented column
+of those rows, with free variables zero.
 """
 
 from __future__ import annotations
@@ -426,9 +426,9 @@ class CohomologyReport:
 
 class CochainComplex:
     """The plain complex of a module, or its invariant subcomplex when an
-    action is given.  Each degree's basis and coboundary columns are built
-    on first use and kept; the self-module action is validated once, here,
-    when none is passed."""
+    action is given.  Each degree's basis and coboundary (as sparse rows)
+    are built on first use and kept; the self-module action is validated
+    once, here, when none is passed."""
 
     def __init__(self, module, action=None, module_action=None, caps=DEFAULT_CAPS):
         if action is not None and module_action is None:
