@@ -17,9 +17,9 @@ from pathlib import Path
 
 from .caps import Caps, CapExceeded
 from .cohomology import cohomology
-from .deformation import (DeformationError, check_deformation_equations,
-                          check_equivalence, extend, make_deformation,
-                          obstruction, pad_deformation,
+from .deformation import (DeformationError, TruncatedDeformation,
+                          check_deformation_equations, check_equivalence, extend,
+                          make_deformation, obstruction, pad_deformation,
                           rigidity_certificate, trivialize)
 from .documents import (DocumentError, action_elements_from_document,
                         deformation_from_document, deformation_terms,
@@ -251,6 +251,16 @@ def _require_valid(defo):
                                % (bad.order, bad.witness))
 
 
+def _check_cap(args):
+    if args.cap is not None and args.cap < 0:
+        raise UsageError("--cap must be a non-negative order; got %d" % args.cap)
+
+
+def _truncated(defo, cap):
+    """The deformation read modulo t^(cap+1): its terms through order cap."""
+    return TruncatedDeformation(defo.system, defo.action, defo.terms[:cap + 1])
+
+
 def cmd_deform_obstruct(args):
     caps = _caps(args)
     defo, _, _ = _load_deformation(args.deformation, _field_override(args), caps)
@@ -301,6 +311,7 @@ def cmd_deform_extend(args):
 
 def cmd_deform_equiv(args):
     caps = _caps(args)
+    _check_cap(args)
     fo = _field_override(args)
     defo_a, _, _ = _load_deformation(args.deformation_a, fo, caps)
     defo_b, _, _ = _load_deformation(args.deformation_b, fo, caps)
@@ -313,7 +324,7 @@ def cmd_deform_equiv(args):
     cap = args.cap if args.cap is not None else max(defo_a.order, defo_b.order)
     _require_valid(pad_deformation(defo_a, cap) if defo_a.order < cap else defo_a)
     _require_valid(pad_deformation(defo_b, cap) if defo_b.order < cap else defo_b)
-    res = check_equivalence(defo_a, defo_b, cap, caps)
+    res = check_equivalence(_truncated(defo_a, cap), _truncated(defo_b, cap), cap, caps)
     fld = defo_a.system.field
     if res.equivalent:
         report = {
@@ -345,11 +356,12 @@ def cmd_deform_equiv(args):
 
 def cmd_deform_trivialize(args):
     caps = _caps(args)
+    _check_cap(args)
     defo, system_ref, action_ref = _load_deformation(args.deformation,
                                                      _field_override(args), caps)
     _require_valid(defo)
     cap = args.cap if args.cap is not None else defo.order
-    reduced, log = trivialize(defo, cap, caps)
+    reduced, log = trivialize(_truncated(defo, cap), cap, caps)
     fld = defo.system.field
     doc = deformation_to_document(system_ref, action_ref,
                                   [(i, reduced.terms[i]) for i in range(1, reduced.order + 1)],

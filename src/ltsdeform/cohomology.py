@@ -6,13 +6,13 @@ A degree-k cochain with values in a module V is a StructureTensor over
 terms: only its nonzero coefficients, flattened row-major over (inputs...,
 value coordinate).  A degree-(2n+1) cochain is constrained, for n >= 1, by
 f(x_1,...,x_{2n-2},x,x,y) = 0 and the cyclic sum over the last three
-arguments; degree 1 is the full Hom(T, V).  Both constraints are written
-once, as the labelled conditions of three_slot_conditions, which give the
-constraint rows of the basis and the witnesses of cochain_violations.
-They touch only the last three slots with a common prefix, so the
-constraint matrix is block diagonal over prefixes with one repeated block;
-its unique reduced-echelon nullspace is assembled from the kernel of that
-single block.
+arguments; degree 1 is the full Hom(T, V).  Both constraints come from
+the permutation tables lts.SKEW and lts.CYCLIC, which give the witnesses
+of cochain_violations and, applied to unit tensors, the constraint rows
+of the basis.  They touch only the last three slots with a common prefix,
+so the constraint matrix is block diagonal over prefixes with one
+repeated block; its unique reduced-echelon nullspace is assembled from
+the kernel of that single block.
 
 The square condition is imposed in polarized form plus the diagonal, and
 invariant subspaces come from stacked nullspaces, so every computation is
@@ -37,12 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .caps import DEFAULT_CAPS
 from .groups import apply_group_sparse, generators, self_module_action
 from .linalg import LinAlgError, Matrix, RrefAccumulator, nullspace_from_rref, rref_rows
-from .lts import StructureTensor, _Recorder
+from .lts import (CYCLIC, AxiomReport, StructureTensor, permutation_hits, skew_hits,
+                  theta_module)
 from .tensorops import slot_indices
 
 
@@ -84,60 +84,34 @@ def _transpose(vectors):
 # the cochain conditions
 
 
-def three_slot_conditions(d):
-    """The conditions on the last three slots that define C^k, in witness
-    order: (axiom, witness, triples), each saying that the values at the
-    triples sum to zero.  The square condition is polarized plus the
-    diagonal."""
-    for i in range(d):
-        for j in range(i, d):
-            for y in range(d):
-                if i == j:
-                    yield "square", (i, i, y), ((i, i, y),)
-                else:
-                    yield "square", (i, j, y), ((i, j, y), (j, i, y))
-    for x, y, z in product(range(d), repeat=3):
-        yield "cyclic", (x, y, z), ((x, y, z), (y, z, x), (z, x, y))
+def _conditions(c):
+    """The square and cyclic conditions of a cochain in its last three
+    slots, as (axiom, hits) families from the tables lts.SKEW and
+    lts.CYCLIC."""
+    return [("square", skew_hits(c, polarized_diagonal=False)),
+            ("cyclic", permutation_hits([(c, p) for p in CYCLIC]))]
 
 
 def three_slot_constraint_rows(d, m, field):
-    """Constraint rows on a trilinear block, one per condition and value
-    coordinate."""
-    rows = []
-    for _, _, triples in three_slot_conditions(d):
-        for a in range(m):
-            row = {}
-            for i, j, k in triples:
-                key = ((i * d + j) * d + k) * m + a
-                row[key] = row.get(key, field.zero) + field.one
-            row = {key: v for key, v in row.items() if v}
-            if row:
-                rows.append(row)
-    return rows
+    """Constraint rows on a trilinear block, one per condition, witness and
+    value coordinate, in that order: the conditions applied to each unit
+    tensor of one value coordinate, repeated for every coordinate."""
+    rows = {}
+    for t in range(d ** 3):
+        unit = StructureTensor((d, d, d), 1, {t: field.one}, field)
+        for n, (_, hits) in enumerate(_conditions(unit)):
+            for witness, (v,) in hits:
+                rows.setdefault((n, witness), {})[t] = v
+    return [{t * m + a: v for t, v in rows[key].items()} for key in sorted(rows)
+            for a in range(m)]
 
 
 def cochain_violations(c, all_witnesses=False):
-    """Check of the degree's square and cyclic conditions on a cochain,
-    over the prefixes that carry nonzero entries."""
-    rec = _Recorder(all_witnesses)
-    degree = len(c.dims)
-    if degree < 3:
-        return rec.report()
-    d, m = c.dims[0], c.dim_out
-    block = d ** 3 * m
-    get, zero = c.entries.get, c.field.zero
-    conditions = list(three_slot_conditions(d))
-    for p in sorted({key // block for key in c.entries}):
-        pre = slot_indices(p, c.dims[:-3])
-        for axiom, witness, triples in conditions:
-            w = [zero] * m
-            for i, j, k in triples:
-                base = p * block + ((i * d + j) * d + k) * m
-                for l in range(m):
-                    w[l] = w[l] + get(base + l, zero)
-            if any(w):
-                rec.hit(axiom, pre + witness, w)
-    return rec.report()
+    """Check of the degree's square and cyclic conditions on a cochain.
+    The conditions are reported prefix by prefix, square before cyclic:
+    the families in the order of the prefix of their first witness."""
+    return AxiomReport.from_hits([_conditions(c)] if len(c.dims) >= 3 else [],
+                                 all_witnesses, order=lambda witness: witness[:-3])
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +285,13 @@ def _coboundary_images(module, degree, cochains, caps):
     caps.check_ambient(d ** (degree + 2) * m)
 
     # theta[w] and dop[w]: (a, c, l, coef) with theta(e_a, e_c) resp.
-    # D(e_a, e_c) = theta(e_c, e_a) - theta(e_a, e_c) sending v_w to
-    # coef * v_l + ..., read off right(a, c, w)_l, the l-th coefficient of
-    # theta(e_a, e_c) v_w
-    right = module.right.entries
-    r = lambda a, c, w, l: right.get(((a * d + c) * m + w) * m + l, 0)
-    support = {slot_indices(key, (d, d, m, m)) for key in right}
-    theta = [[] for _ in range(m)]
-    dop = [[] for _ in range(m)]
-    for a, c, w, l in sorted(support | {(c, a, w, l) for a, c, w, l in support}):
-        if t := r(a, c, w, l):
-            theta[w].append((a, c, l, t))
-        if dv := r(c, a, w, l) - r(a, c, w, l):
-            dop[w].append((a, c, l, dv))
+    # D(e_a, e_c) sending v_w to coef * v_l + ..., read off the right and the
+    # left action of lts.theta_module
+    theta, dop = [[] for _ in range(m)], [[] for _ in range(m)]
+    for lists, tensor in ((theta, module.right), (dop, theta_module(module).left)):
+        for key in sorted(tensor.entries):
+            a, c, w, l = slot_indices(key, (d, d, m, m))
+            lists[w].append((a, c, l, tensor.entries[key]))
     inverse_bracket = [[] for _ in range(d)]
     mu = module.system.mu.entries
     for key in sorted(mu):

@@ -9,15 +9,17 @@ valid in every characteristic.
 
 Brackets, module actions and deformation terms are StructureTensors that
 store only their nonzero coefficients, as a {flat index: value} dict in
-the tensorops layout.  The fundamental identity is written once, as the
-term table FUNDAMENTAL of the sparse kernel tensorops.nested_sum, and
-checked on the bracket, with the module variable at each of its five
-positions, and summed over pairs of deformation terms; witnesses are the
-sorted nonzero keys, since flat order is lexicographic.
+the tensorops layout.  Each identity is written once, as a table: SKEW and
+CYCLIC are argument permutations whose sum (permuted_sum) vanishes, on
+the bracket, the module actions, the cochains of the cohomology layer and
+their constraint rows; FUNDAMENTAL is the term table of the sparse kernel
+tensorops.nested_sum, checked on the bracket, with the module variable at
+each of its five positions, on the theta operators of a module (Yamaguti's
+relations), and summed over pairs of deformation terms.  Witnesses come
+in flat order, which is lexicographic.
 
 Also provides modules over a system (three bilinear actions of T x T on a
-coefficient space) with the theta operators on basis pairs, and builders
-for the standard matrix examples.
+coefficient space) and builders for the standard matrix examples.
 """
 
 from __future__ import annotations
@@ -143,30 +145,22 @@ class AxiomReport:
         violations = tuple(violations)
         return cls(not violations, violations)
 
+    @classmethod
+    def from_hits(cls, groups, all_witnesses=False, order=lambda witness: witness):
+        """The report of groups of (axiom, hits) families, each family's hits
+        a list of (witness, residual) in witness order: within a group the
+        families in the order of order(first witness), then in table order,
+        with the first hit of each or all of them."""
+        found = [families[n] for families in groups for _, n in sorted(
+            (order(hits[0][0]), n) for n, (_, hits) in enumerate(families) if hits)]
+        return cls.collect(Violation(axiom, w, r) for axiom, hits in found
+                           for w, r in (hits if all_witnesses else hits[:1]))
+
     def first(self, axiom):
         for v in self.violations:
             if v.axiom == axiom:
                 return v
         return None
-
-
-class _Recorder:
-    """Keeps the lexicographically first violation per axiom (or all of them)."""
-
-    def __init__(self, keep_all):
-        self.keep_all = keep_all
-        self.by_axiom = {}
-        self.order = []
-
-    def hit(self, axiom, witness, residual):
-        if axiom not in self.by_axiom:
-            self.by_axiom[axiom] = []
-            self.order.append(axiom)
-        if self.keep_all or not self.by_axiom[axiom]:
-            self.by_axiom[axiom].append(Violation(axiom, tuple(witness), tuple(residual)))
-
-    def report(self):
-        return AxiomReport.collect(v for a in self.order for v in self.by_axiom[a])
 
 
 @dataclass(frozen=True)
@@ -181,6 +175,54 @@ class LieTripleSystem:
 
     def bracket_basis(self, i, j, k):
         return self.mu.basis_value(i, j, k)
+
+
+# The skew and cyclic identities as tables of argument permutations: the
+# sum of the tensor at the permuted arguments (x[perm[0]], x[perm[1]],
+# x[perm[2]]) vanishes.  The permutations act on the last three arguments,
+# so a degree-k cochain keeps its prefix.
+SKEW = ((0, 1, 2), (1, 0, 2))
+CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def permuted_sum(terms):
+    """The sum of tensor(.., x[perm[0]], x[perm[1]], x[perm[2]]) over the
+    (tensor, perm) terms, tensors of one shape, as a tensor of that shape:
+    each entry is pushed to the argument tuple x that reads it."""
+    out = {}
+    for tensor, perm in terms:
+        *_, n0, n1, n2 = tensor.dims
+        m = tensor.dim_out
+        inv = [perm.index(q) for q in range(3)]
+        for key, v in tensor.entries.items():
+            rest, l = divmod(key, m)
+            rest, k = divmod(rest, n2)
+            rest, j = divmod(rest, n1)
+            pre, i = divmod(rest, n0)
+            y = (i, j, k)
+            flat = (((pre * n0 + y[inv[0]]) * n1 + y[inv[1]]) * n2 + y[inv[2]]) * m + l
+            out[flat] = out.get(flat, 0) + v
+    out = {k: v for k, v in out.items() if v}
+    return StructureTensor(tensor.dims, m, out, tensor.field)
+
+
+def permutation_hits(terms):
+    """(witness, residual) of every argument tuple, in flat order, at which
+    the permuted_sum of the terms is nonzero."""
+    t = permuted_sum(terms)
+    return list(value_vectors(t.entries, t.dims + (t.dim_out,), t.field.zero))
+
+
+def skew_hits(tensor, polarized_diagonal=True):
+    """The skew identity of the table SKEW in its last three arguments
+    (i, j, k): the diagonal value at i = j and the polarized sum at i < j,
+    which together say [iik] = 0 in every characteristic.  The axiom
+    reports also list the polarized sum at i = j, twice the diagonal value
+    (zero in characteristic 2), after it; the cochain conditions do not."""
+    diag = [h for h in permutation_hits([(tensor, SKEW[0])]) if h[0][-3] == h[0][-2]]
+    polar = [h for h in permutation_hits([(tensor, p) for p in SKEW])
+             if h[0][-3] < h[0][-2] or polarized_diagonal and h[0][-3] == h[0][-2]]
+    return sorted(diag + polar, key=lambda h: h[0])
 
 
 # The fundamental identity [x0 x1 [x2 x3 x4]] = [[x0 x1 x2] x3 x4]
@@ -207,25 +249,11 @@ def verify_lts(mu, all_witnesses=False):
     d = mu.dim_in
     if mu.dim_out != d:
         raise LinAlgError("structure tensor must be square (dim_out == dim_in)")
-    rec = _Recorder(all_witnesses)
-    for i, j, k in product(range(d), repeat=3):
-        if i == j:
-            w = mu.basis_value(i, i, k)
-            if any(w):
-                rec.hit("skew", (i, i, k), w)
-        if i <= j:
-            w = [a + b for a, b in zip(mu.basis_value(i, j, k), mu.basis_value(j, i, k))]
-            if any(w):
-                rec.hit("skew", (i, j, k), w)
-        w = [a + b + c for a, b, c in zip(mu.basis_value(i, j, k),
-                                          mu.basis_value(j, k, i),
-                                          mu.basis_value(k, i, j))]
-        if any(w):
-            rec.hit("cyclic", (i, j, k), w)
     res = nested_sum(fundamental_terms(mu, mu), (d,) * 6)
-    for witness, residual in value_vectors(res, (d,) * 6, mu.field.zero):
-        rec.hit("fundamental", witness, residual)
-    return rec.report()
+    return AxiomReport.from_hits(
+        [[("skew", skew_hits(mu)), ("cyclic", permutation_hits([(mu, p) for p in CYCLIC]))],
+         [("fundamental", list(value_vectors(res, (d,) * 6, mu.field.zero)))]],
+        all_witnesses)
 
 
 def make_system(names, mu, fld=QQ, check=True):
@@ -248,7 +276,8 @@ class LtsModule:
     """Coefficient space V with the three T (x) T actions.
 
     left, right, middle are the maps (a,b,v) -> [abv], [vab], [avb]; each is
-    a (d, d, m) -> m structure tensor over the base system's field.
+    a (d, d, m) -> m structure tensor over the base system's field.  right
+    is theta: theta(a, b) v = [v a b].
     """
 
     system: LieTripleSystem
@@ -257,26 +286,13 @@ class LtsModule:
     right: StructureTensor
     middle: StructureTensor
 
-    def theta_basis(self, i, j):
-        """Matrix of theta(e_i, e_j): v -> [v e_i e_j] on the V-basis."""
-        m = self.dim
-        cols = [self.right.basis_value(i, j, w) for w in range(m)]
-        return Matrix([[cols[w][l] for w in range(m)] for l in range(m)],
-                      self.system.field, copy=False)
-
 
 def self_module(system):
     """The system as a module over itself: right(i, j, w) = [w i j] and
-    middle(i, j, w) = [i w j] permute the bracket's entries."""
+    middle(i, j, w) = [i w j] permute the bracket's arguments."""
     mu = system.mu
-    d = system.dim
-    right, middle = {}, {}
-    for key, v in mu.entries.items():
-        i, j, k, l = slot_indices(key, (d, d, d, d))
-        right[((j * d + k) * d + i) * d + l] = v
-        middle[((i * d + k) * d + j) * d + l] = v
-    return LtsModule(system, d, mu, StructureTensor((d, d, d), d, right, system.field),
-                     StructureTensor((d, d, d), d, middle, system.field))
+    return LtsModule(system, system.dim, mu, permuted_sum([(mu, (2, 0, 1))]),
+                     permuted_sum([(mu, (0, 2, 1))]))
 
 
 def _module_fundamental_terms(module, p):
@@ -302,67 +318,46 @@ def _module_fundamental_terms(module, p):
     return terms
 
 
+def theta_module(module):
+    """The module that theta = module.right alone determines: left is
+    D(a, b) = theta(b, a) - theta(a, b) and middle is -theta."""
+    right = module.right
+    return LtsModule(module.system, module.dim,
+                     permuted_sum([(right, SKEW[1]), (right.scale(-1), SKEW[0])]),
+                     right, right.scale(-1))
+
+
 def verify_module(module, all_witnesses=False):
     """Check the module identities and the theta-operator relations.
 
     The bracket identities are checked on every basis placement with exactly
     one slot in V (the all-T placements are the base system's own axioms).
+    Yamaguti's theta-square and theta-d relations are the fundamental
+    identity with V in position 1 resp. 3 on theta_module(module), negated;
+    each residual is the m x m matrix, row-major over (l, w).
     """
     T = module.system
-    mu = T.mu
-    d = T.dim
-    m = module.dim
-    m1, m2, m3 = module.left, module.right, module.middle
-    rec = _Recorder(all_witnesses)
-
-    for i, j, w in product(range(d), range(d), range(m)):
-        if i == j:
-            r = m1.basis_value(i, i, w)
-            if any(r):
-                rec.hit("module-skew", (i, i, w), r)
-        if i <= j:
-            r = [a + b for a, b in zip(m1.basis_value(i, j, w), m1.basis_value(j, i, w))]
-            if any(r):
-                rec.hit("module-skew", (i, j, w), r)
-        r = [a + b for a, b in zip(m3.basis_value(i, j, w), m2.basis_value(i, j, w))]
-        if any(r):
-            rec.hit("module-skew-mixed", (i, j, w), r)
-        r = [a + b + c for a, b, c in zip(m1.basis_value(i, j, w),
-                                          m3.basis_value(j, i, w),
-                                          m2.basis_value(i, j, w))]
-        if any(r):
-            rec.hit("module-cyclic", (i, j, w), r)
-
-    # the module slot in position last, 4, 3, 2, 1 of the identity; within
-    # one witness tuple the placements are reported in that order
+    d, m = T.dim, module.dim
+    left, right, middle = module.left, module.right, module.middle
     dims = (d, d, d, d, m, m)
-    res = {p: nested_sum(_module_fundamental_terms(module, p), dims) for p in range(5)}
-    for p in sorted((p for p in res if res[p]), key=lambda p: (min(res[p]) // m, -p)):
-        for witness, residual in value_vectors(res[p], dims, T.field.zero):
-            rec.hit("module-fundamental-%s" % ("last" if p == 4 else p + 1), witness, residual)
-
-    th = [[module.theta_basis(i, j) for j in range(d)] for i in range(d)]
-    dop = [[th[j][i] - th[i][j] for j in range(d)] for i in range(d)]
-
-    def theta_vec(w, a=None, b=None):
-        """theta(e_a, w) or theta(w, e_b) for a coefficient vector w."""
-        acc = Matrix.zero(m, m, T.field)
-        for l, coef in enumerate(w):
-            if coef:
-                acc = acc + (th[l][b] if a is None else th[a][l]).scale(coef)
-        return acc
-
-    for a, b, c, dd in product(range(d), repeat=4):
-        r = (th[c][dd] * th[a][b] - th[b][dd] * th[a][c]
-             - theta_vec(mu.basis_value(b, c, dd), a=a) + dop[b][c] * th[a][dd])
-        if not r.is_zero():
-            rec.hit("theta-square", (a, b, c, dd), tuple(v for row in r.rows for v in row))
-        r = (th[c][dd] * dop[a][b] - dop[a][b] * th[c][dd]
-             + theta_vec(mu.basis_value(a, b, c), b=dd)
-             + theta_vec(mu.basis_value(a, b, dd), a=c))
-        if not r.is_zero():
-            rec.hit("theta-d", (a, b, c, dd), tuple(v for row in r.rows for v in row))
-    return rec.report()
+    zero = T.field.zero
+    identities = [
+        ("module-skew", skew_hits(left)),
+        ("module-skew-mixed", permutation_hits([(middle, SKEW[0]), (right, SKEW[0])])),
+        ("module-cyclic", permutation_hits([(left, SKEW[0]), (middle, SKEW[1]),
+                                            (right, SKEW[0])]))]
+    fundamental, theta, tm = [], [], theta_module(module)
+    for p in (4, 3, 2, 1, 0):  # the module slot in position last, 4, 3, 2, 1
+        res = nested_sum(_module_fundamental_terms(module, p), dims)
+        fundamental.append(("module-fundamental-%s" % ("last" if p == 4 else p + 1),
+                            list(value_vectors(res, dims, zero))))
+    for axiom, p in (("theta-square", 0), ("theta-d", 2)):
+        res = {}
+        for key, v in nested_sum(_module_fundamental_terms(tm, p), dims).items():
+            base, w, l = key // (m * m), key // m % m, key % m
+            res[(base * m + l) * m + w] = -v
+        theta.append((axiom, list(value_vectors(res, (d, d, d, d, m * m), zero))))
+    return AxiomReport.from_hits([identities, fundamental, theta], all_witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -483,49 +478,28 @@ def rect_lts(p, q, fld=QQ):
 def from_lie_algebra(brackets, names=None, fld=QQ):
     """Lie algebra constants [e_i, e_j] = sum_l brackets[i][j][l] e_l, as an Lts.
 
-    Validates antisymmetry and the Jacobi identity, then sets
-    [abc] = [[a, b], c].
+    Validates antisymmetry, the skew identity of the bracket read as a
+    (d, d, 1) -> d tensor, and the Jacobi identity, the cyclic identity of
+    [abc] = [[a, b], c], which is the system's bracket.
     """
     d = len(brackets)
-    br = [[[fld(v) for v in brackets[i][j]] for j in range(d)] for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            if len(br[i][j]) != d:
-                raise BuildError("bracket table must be d x d x d")
-            if i == j and any(br[i][i]):
-                raise BuildError("[e_%d, e_%d] must vanish" % (i, i))
-            w = [a + b for a, b in zip(br[i][j], br[j][i])]
-            if any(w):
-                raise BuildError("bracket not antisymmetric at (%d, %d)" % (i, j))
-
-    def lie(x, y):
-        out = [fld.zero] * d
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                for l, v in enumerate(br[i][j]):
-                    if v:
-                        out[l] = out[l] + a * b * v
-        return out
-
-    def basis_vec(i):
-        v = [fld.zero] * d
-        v[i] = fld.one
-        return v
-
-    for i, j, k in product(range(d), repeat=3):
-        ei, ej, ek = basis_vec(i), basis_vec(j), basis_vec(k)
-        w = [a + b + c for a, b, c in zip(lie(lie(ei, ej), ek),
-                                          lie(lie(ej, ek), ei),
-                                          lie(lie(ek, ei), ej))]
-        if any(w):
-            raise BuildError("Jacobi identity fails at (%d, %d, %d)" % (i, j, k))
-
-    mu = StructureTensor.from_map(
-        lambda i, j, k: lie(br[i][j], basis_vec(k)), (d, d, d), d, fld)
+    if any(len(row) != d or any(len(v) != d for v in row) for row in brackets):
+        raise BuildError("bracket table must be d x d x d")
+    br = StructureTensor.from_map(lambda i, j, _: brackets[i][j], (d, d, 1), d, fld)
+    for (i, j, _), _ in skew_hits(br)[:1]:
+        if i == j:
+            raise BuildError("[e_%d, e_%d] must vanish" % (i, i))
+        raise BuildError("bracket not antisymmetric at (%d, %d)" % (i, j))
+    entries = {}
+    for key, c in br.entries.items():
+        i, j, _, p = slot_indices(key, (d, d, 1, d))
+        for k in range(d):
+            for l, c2 in enumerate(br.basis_value(p, k, 0)):
+                flat = ((i * d + j) * d + k) * d + l
+                entries[flat] = entries.get(flat, 0) + c * c2
+    mu = StructureTensor.from_entries(dict(sorted(entries.items())), (d, d, d), d, fld)
+    for (i, j, k), _ in permutation_hits([(mu, p) for p in CYCLIC])[:1]:
+        raise BuildError("Jacobi identity fails at (%d, %d, %d)" % (i, j, k))
     if names is None:
         names = ["x%d" % (i + 1) for i in range(d)]
     return make_system(names, mu, fld)

@@ -4,11 +4,10 @@ from itertools import product
 from math import prod
 
 from ltsdeform.caps import DEFAULT_CAPS
-from ltsdeform.cohomology import (CochainBasis, cochain_space_basis,
-                                  three_slot_constraint_rows)
+from ltsdeform.cohomology import CochainBasis, cochain_space_basis
 from ltsdeform.groups import GroupActionError, apply_group_sparse, self_module_action
 from ltsdeform.linalg import QQ, LinAlgError, Matrix, nullspace_from_rref, rref_rows
-from ltsdeform.lts import StructureTensor
+from ltsdeform.lts import AxiomReport, StructureTensor, Violation
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +105,114 @@ def module_fundamental_loop(module):
              ev(m3, b, dd, m2.basis_value(a, c, w)),
              ev(m1, b, c, m2.basis_value(a, dd, w))])
     return {axiom: _sparse(vals) for axiom, vals in data.items()}
+
+
+class Recorder:
+    """Keeps the violations per axiom, in the order of the first hit of
+    each axiom: the first violation of each, or all of them."""
+
+    def __init__(self, keep_all):
+        self.keep_all = keep_all
+        self.by_axiom = {}
+
+    def hit(self, axiom, witness, residual):
+        kept = self.by_axiom.setdefault(axiom, [])
+        if self.keep_all or not kept:
+            kept.append(Violation(axiom, tuple(witness), tuple(residual)))
+
+    def report(self):
+        return AxiomReport.collect(v for vs in self.by_axiom.values() for v in vs)
+
+
+def verify_lts_loop(mu, all_witnesses=False):
+    """Reference for lts.verify_lts: the skew and cyclic identities written
+    out at every basis triple (skew as the diagonal, then the polarized sum
+    at i <= j), then the fundamental identity at every basis 5-tuple."""
+    d = mu.dim_in
+    zero = mu.field.zero
+    rec = Recorder(all_witnesses)
+    for i, j, k in product(range(d), repeat=3):
+        if i == j:
+            w = mu.basis_value(i, i, k)
+            if any(w):
+                rec.hit("skew", (i, i, k), w)
+        if i <= j:
+            w = [a + b for a, b in zip(mu.basis_value(i, j, k), mu.basis_value(j, i, k))]
+            if any(w):
+                rec.hit("skew", (i, j, k), w)
+        w = [a + b + c for a, b, c in zip(mu.basis_value(i, j, k),
+                                          mu.basis_value(j, k, i),
+                                          mu.basis_value(k, i, j))]
+        if any(w):
+            rec.hit("cyclic", (i, j, k), w)
+    res = fundamental_residual_loop([(mu, mu)], d)
+    for n, x in enumerate(product(range(d), repeat=5)):
+        w = [res.get(n * d + l, zero) for l in range(d)]
+        if any(w):
+            rec.hit("fundamental", x, w)
+    return rec.report()
+
+
+def verify_module_loop(module, all_witnesses=False):
+    """Reference for lts.verify_module: the module identities at every
+    basis triple, the fundamental identity with the module slot in each
+    position (module_fundamental_loop) at every basis tuple, and the theta
+    relations as d^4 dense m x m matrix products."""
+    T = module.system
+    mu = T.mu
+    d, m = T.dim, module.dim
+    zero = T.field.zero
+    m1, m2, m3 = module.left, module.right, module.middle
+    rec = Recorder(all_witnesses)
+
+    for i, j, w in product(range(d), range(d), range(m)):
+        if i == j:
+            r = m1.basis_value(i, i, w)
+            if any(r):
+                rec.hit("module-skew", (i, i, w), r)
+        if i <= j:
+            r = [a + b for a, b in zip(m1.basis_value(i, j, w), m1.basis_value(j, i, w))]
+            if any(r):
+                rec.hit("module-skew", (i, j, w), r)
+        r = [a + b for a, b in zip(m3.basis_value(i, j, w), m2.basis_value(i, j, w))]
+        if any(r):
+            rec.hit("module-skew-mixed", (i, j, w), r)
+        r = [a + b + c for a, b, c in zip(m1.basis_value(i, j, w),
+                                          m3.basis_value(j, i, w),
+                                          m2.basis_value(i, j, w))]
+        if any(r):
+            rec.hit("module-cyclic", (i, j, w), r)
+
+    res = module_fundamental_loop(module)
+    for n, x in enumerate(product(range(d), range(d), range(d), range(d), range(m))):
+        for p in ("last", 4, 3, 2, 1):
+            axiom = "module-fundamental-%s" % p
+            r = [res[axiom].get(n * m + l, zero) for l in range(m)]
+            if any(r):
+                rec.hit(axiom, x, r)
+
+    th = [[theta_basis(module, i, j) for j in range(d)] for i in range(d)]
+    dop = [[th[j][i] - th[i][j] for j in range(d)] for i in range(d)]
+
+    def theta_vec(w, a=None, b=None):
+        """theta(e_a, w) or theta(w, e_b) for a coefficient vector w."""
+        acc = Matrix.zero(m, m, T.field)
+        for l, coef in enumerate(w):
+            if coef:
+                acc = acc + (th[l][b] if a is None else th[a][l]).scale(coef)
+        return acc
+
+    for a, b, c, dd in product(range(d), repeat=4):
+        r = (th[c][dd] * th[a][b] - th[b][dd] * th[a][c]
+             - theta_vec(mu.basis_value(b, c, dd), a=a) + dop[b][c] * th[a][dd])
+        if not r.is_zero():
+            rec.hit("theta-square", (a, b, c, dd), tuple(v for row in r.rows for v in row))
+        r = (th[c][dd] * dop[a][b] - dop[a][b] * th[c][dd]
+             + theta_vec(mu.basis_value(a, b, c), b=dd)
+             + theta_vec(mu.basis_value(a, b, dd), a=c))
+        if not r.is_zero():
+            rec.hit("theta-d", (a, b, c, dd), tuple(v for row in r.rows for v in row))
+    return rec.report()
 
 
 def compose_tensor_dense(tensor, out_mat, in1, in2, in3):
@@ -278,18 +385,71 @@ def reynolds_project(action, module_action, degree, data):
 # cochain constraints and module operators
 
 
+def three_slot_conditions(d):
+    """The conditions on the last three slots that define C^k, in witness
+    order: (axiom, witness, triples), each saying that the values at the
+    triples sum to zero.  The square condition is polarized plus the
+    diagonal."""
+    for i in range(d):
+        for j in range(i, d):
+            for y in range(d):
+                if i == j:
+                    yield "square", (i, i, y), ((i, i, y),)
+                else:
+                    yield "square", (i, j, y), ((i, j, y), (j, i, y))
+    for x, y, z in product(range(d), repeat=3):
+        yield "cyclic", (x, y, z), ((x, y, z), (y, z, x), (z, x, y))
+
+
 def constraint_rows(d, m, degree, field):
-    """Sparse constraint rows over the full degree ambient (for any prefix)."""
+    """Reference for the constraint rows of cohomology.three_slot_constraint_rows,
+    written out from three_slot_conditions over the full degree ambient
+    (for every prefix), one row per condition and value coordinate."""
     if degree == 1:
         return []
     block = d ** 3 * m
-    base_rows = three_slot_constraint_rows(d, m, field)
     rows = []
     for p in range(d ** (degree - 3)):
-        off = p * block
-        for r in base_rows:
-            rows.append({off + k: v for k, v in r.items()})
+        for _, _, triples in three_slot_conditions(d):
+            for a in range(m):
+                row = {}
+                for i, j, k in triples:
+                    key = p * block + ((i * d + j) * d + k) * m + a
+                    row[key] = row.get(key, field.zero) + field.one
+                row = {key: v for key, v in row.items() if v}
+                if row:
+                    rows.append(row)
     return rows
+
+
+def cochain_violations_loop(c, all_witnesses=False):
+    """Reference for cohomology.cochain_violations: three_slot_conditions
+    at every prefix, prefix by prefix."""
+    rec = Recorder(all_witnesses)
+    degree = len(c.dims)
+    if degree < 3:
+        return rec.report()
+    d, m = c.dims[0], c.dim_out
+    zero = c.field.zero
+    data = dense(c)
+    for p, pre in enumerate(product(range(d), repeat=degree - 3)):
+        for axiom, witness, triples in three_slot_conditions(d):
+            w = [zero] * m
+            for i, j, k in triples:
+                base = (p * d ** 3 + (i * d + j) * d + k) * m
+                for l in range(m):
+                    w[l] = w[l] + data[base + l]
+            if any(w):
+                rec.hit(axiom, pre + witness, w)
+    return rec.report()
+
+
+def theta_basis(module, i, j):
+    """Matrix of theta(e_i, e_j): v -> [v e_i e_j] on the V-basis."""
+    m = module.dim
+    cols = [module.right.basis_value(i, j, w) for w in range(m)]
+    return Matrix([[cols[w][l] for w in range(m)] for l in range(m)],
+                  module.system.field, copy=False)
 
 
 def theta(module, a, b):
@@ -303,7 +463,7 @@ def theta(module, a, b):
             continue
         for j, y in enumerate(b):
             if y:
-                acc = acc + module.theta_basis(i, j).scale(x * y)
+                acc = acc + theta_basis(module, i, j).scale(x * y)
     return acc
 
 
@@ -425,7 +585,7 @@ def coboundary_pointwise(module, f):
     n = (deg_in + 1) // 2
     deg_out = deg_in + 2
 
-    th = [[module.theta_basis(i, j).rows for j in range(d)] for i in range(d)]
+    th = [[theta_basis(module, i, j).rows for j in range(d)] for i in range(d)]
     dop = [[[[a - b for a, b in zip(r1, r2)]
              for r1, r2 in zip(th[j][i], th[i][j])] for j in range(d)]
            for i in range(d)]

@@ -119,6 +119,35 @@ def test_deform_trivialize(capsys):
     assert report["trivial"] is True
 
 
+def test_deform_equiv_cap_below_the_order_truncates_both_documents(capsys):
+    # the order-2 document used to make the cap an error (exit 1, the code of
+    # inequivalence) in one direction only
+    t2, trivial = data("meson2_swap_t2.json"), data("meson2_swap_trivial.json")
+    reports = []
+    for a, b in ((t2, trivial), (trivial, t2)):
+        assert run_cli("deform-equiv", a, b, "--cap", "1", "--json") == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    assert reports[0]["cap"] == 1 and len(reports[0]["isomorphism"]) == 2
+
+
+def test_deform_trivialize_cap_below_the_order_truncates(capsys):
+    for cap in ("0", "1"):
+        assert run_cli("deform-trivialize", data("meson2_swap_t2.json"),
+                       "--cap", cap, "--json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["cap"] == int(cap) and report["trivial"] is True
+        assert all(t["order"] <= int(cap) for t in report["reduced"]["terms"])
+
+
+def test_negative_deform_cap_is_usage_error(capsys):
+    t2, trivial = data("meson2_swap_t2.json"), data("meson2_swap_trivial.json")
+    assert run_cli("deform-equiv", t2, trivial, "--cap", "-1") == 2
+    assert_one_line_error(capsys, "usage error:")
+    assert run_cli("deform-trivialize", t2, "--cap", "-1") == 2
+    assert_one_line_error(capsys, "usage error:")
+
+
 def test_rigidity_exit_codes(capsys):
     assert run_cli("rigidity", data("meson2.json"),
                    "--equivariant", data("meson2_swap.json")) == 0

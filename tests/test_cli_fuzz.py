@@ -96,7 +96,10 @@ def _commands(name, tmp):
     return [["deform-check", path], ["deform-obstruct", path],
             ["deform-extend", path, "-o", str(tmp / "out.json")],
             ["deform-equiv", path, other], ["deform-equiv", other, path, "--cap", "3"],
-            ["deform-trivialize", path]]
+            ["deform-equiv", path, other, "--cap", "1"],
+            ["deform-equiv", other, path, "--cap", "-1"],
+            ["deform-trivialize", path], ["deform-trivialize", path, "--cap", "1"],
+            ["deform-trivialize", path, "--cap", "-1"]]
 
 
 def test_mutated_documents_exit_with_a_contract_code(tmp_path, capsys):

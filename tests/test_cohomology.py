@@ -7,9 +7,10 @@ from oracles import (act_dense, coboundary_pointwise, cochain, constraint_rows, 
                      evaluate_dense)
 
 from ltsdeform.caps import CapExceeded, Caps
-from ltsdeform.cohomology import (SpanError, apply_coboundary, coboundary_matrix,
-                                  cochain_space_basis, cochain_violations, cohomology,
-                                  is_coboundary, is_cocycle)
+from ltsdeform.cohomology import (SpanError, _three_slot_kernel, apply_coboundary,
+                                  coboundary_matrix, cochain_space_basis,
+                                  cochain_violations, cohomology, is_coboundary,
+                                  is_cocycle)
 from ltsdeform.groups import (make_group_action, self_module_action, sign_action,
                               transpose_action_on_rect)
 from ltsdeform.linalg import Matrix, PrimeField, QQ, nullspace_from_rref, rref_rows
@@ -122,6 +123,16 @@ def test_basis_equals_bruteforce_constraint_nullspace():
     assert cols == basis.columns
     assert free == basis.free_positions
     assert len(basis) == 24
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
+def test_three_slot_kernel_is_the_kernel_of_the_written_out_conditions(field):
+    # in characteristic 2 the polarized square rows vanish on the diagonal,
+    # in characteristic 3 the cyclic rows at (i, i, i)
+    for d, m in product(range(1, 4), repeat=2):
+        pivots = rref_rows(constraint_rows(d, m, 3, field), field)
+        assert _three_slot_kernel(d, m, field) == nullspace_from_rref(
+            pivots, d ** 3 * m, field)
 
 
 def test_express_rejects_outside_vectors(m2):
