@@ -6,6 +6,7 @@ violation, in every field and with or without every witness; and
 cochain_violations must give the report of cochain_violations_loop."""
 
 from functools import lru_cache
+from math import prod
 
 from hypothesis import example, given, settings, strategies as st
 from oracles import cochain_violations_loop, verify_lts_loop, verify_module_loop
@@ -28,9 +29,7 @@ def base_module(label, field):
 
 def perturbed(tensor, changes):
     """The tensor with the entries at the given flat indices replaced."""
-    size = tensor.dim_out
-    for n in tensor.dims:
-        size *= n
+    size = prod(tensor.dims) * tensor.dim_out
     entries = dict(tensor.entries)
     for key, v in changes.items():
         entries[key % size] = v
