@@ -17,9 +17,8 @@ from pathlib import Path
 
 from .caps import Caps, CapExceeded
 from .cohomology import cohomology
-from .deformation import (DeformationError, TruncatedDeformation,
-                          check_deformation_equations, check_equivalence, extend,
-                          make_deformation, obstruction, pad_deformation,
+from .deformation import (DeformationError, check_deformation_equations, check_equivalence,
+                          extend, make_deformation, obstruction, pad_deformation,
                           rigidity_certificate, trivialize)
 from .documents import (DocumentError, action_elements_from_document,
                         deformation_from_document, deformation_terms,
@@ -256,11 +255,6 @@ def _check_cap(args):
         raise UsageError("--cap must be a non-negative order; got %d" % args.cap)
 
 
-def _truncated(defo, cap):
-    """The deformation read modulo t^(cap+1): its terms through order cap."""
-    return TruncatedDeformation(defo.system, defo.action, defo.terms[:cap + 1])
-
-
 def cmd_deform_obstruct(args):
     caps = _caps(args)
     defo, _, _ = _load_deformation(args.deformation, _field_override(args), caps)
@@ -320,11 +314,10 @@ def cmd_deform_equiv(args):
     if (defo_a.action.labels != defo_b.action.labels
             or defo_a.action.matrices != defo_b.action.matrices):
         raise DeformationError("the two documents reference different actions")
-    defo_b = make_deformation(defo_a.system, defo_a.action, defo_b.terms)
     cap = args.cap if args.cap is not None else max(defo_a.order, defo_b.order)
     _require_valid(pad_deformation(defo_a, cap) if defo_a.order < cap else defo_a)
     _require_valid(pad_deformation(defo_b, cap) if defo_b.order < cap else defo_b)
-    res = check_equivalence(_truncated(defo_a, cap), _truncated(defo_b, cap), cap, caps)
+    res = check_equivalence(defo_a, defo_b, cap, caps)
     fld = defo_a.system.field
     if res.equivalent:
         report = {
@@ -361,7 +354,7 @@ def cmd_deform_trivialize(args):
                                                      _field_override(args), caps)
     _require_valid(defo)
     cap = args.cap if args.cap is not None else defo.order
-    reduced, log = trivialize(_truncated(defo, cap), cap, caps)
+    reduced, log = trivialize(defo, cap, caps)
     fld = defo.system.field
     doc = deformation_to_document(system_ref, action_ref,
                                   [(i, reduced.terms[i]) for i in range(1, reduced.order + 1)],

@@ -15,7 +15,10 @@ infinitesimals, the degree-5 obstruction cochain, order-by-order
 extension, gauge transformations by truncated formal isomorphisms,
 equivalence testing, trivialization, and the rigidity certificate.
 
-Terms and cochains are sparse StructureTensors.  All linear solves for
+Terms and cochains are sparse StructureTensors.  Gauge transformations,
+equivalence and trivialization read a deformation modulo t^(cap+1): its
+terms through the cap, zero-padded above its own order.  Gauge composition
+is one series transform (tensorops.transform_series).  All linear solves for
 gauge terms and extensions are restricted to the invariant subcomplex,
 with the canonical echelon solution (free variables zero), so results are
 deterministic.  Each call solves on one cohomology.CochainComplex, which
@@ -29,10 +32,10 @@ from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, CapExceeded
 from .cohomology import CochainComplex, apply_coboundary, cochain_violations, cohomology
-from .groups import apply_group_sparse, equivariance_witness, generators
+from .groups import equivariance_witness, generators
 from .linalg import Matrix
 from .lts import StructureTensor, fundamental_terms, self_module
-from .tensorops import first_difference, nested_sum, transform_sparse, value_vectors
+from .tensorops import nested_sum, transform_series, value_vectors
 
 
 class DeformationError(ValueError):
@@ -186,8 +189,16 @@ def pad_deformation(defo, order):
     """Zero-pad the term list up to the requested order."""
     if order < defo.order:
         raise DeformationError("cannot pad below the current order")
-    terms = list(defo.terms) + [defo.term(i) for i in range(defo.order + 1, order + 1)]
-    return TruncatedDeformation(defo.system, defo.action, tuple(terms))
+    return _modulo(defo, order)
+
+
+def _modulo(defo, cap):
+    """defo read modulo t^(cap+1): mu_0, ..., mu_cap, truncated above the
+    cap and zero-padded below it."""
+    if cap < 0:
+        raise DeformationError("the cap must be a non-negative order; got %d" % cap)
+    return TruncatedDeformation(defo.system, defo.action,
+                                tuple(defo.term(i) for i in range(cap + 1)))
 
 
 def _convolution_residual(defo, r, lowest):
@@ -248,10 +259,11 @@ def obstruction(defo, caps=DEFAULT_CAPS):
     if not report.passed:
         raise RuntimeError("obstruction cochain violates the degree-5 constraints; "
                            "this must not happen")
-    cochains = CochainComplex(self_module(system), defo.action, caps=caps)
-    for g in generators(defo.action):
-        moved = apply_group_sparse(defo.action, cochains.module_action, g, 5, entries)
-        if first_difference(moved, entries) is not None:
+    action = defo.action
+    cochains = CochainComplex(self_module(system), action, caps=caps)
+    for g in generators(action):
+        if equivariance_witness(cochain, (action.matrices[g],) * 5,
+                                action.inverse_matrix(g)) is not None:
             raise RuntimeError("obstruction cochain is not invariant; "
                                "this must not happen for equivariant terms")
 
@@ -302,48 +314,22 @@ def make_formal_isomorphism(action, matrices):
 
 
 def apply_isomorphism(defo, iso, cap_order):
-    """Gauge transform: Psi o mu_t o (Psi^{-1})^(x3), truncated at cap_order.
+    """Gauge transform: Psi o mu_t o (Psi^{-1})^(x3), read modulo
+    t^(cap_order+1).
 
-    The input terms are zero-padded above the stated order, so the result
-    always has order cap_order; equivariance of every new term is preserved
-    and revalidated.
+    One series transform with slots (Phi, Phi, Phi, Psi^T), Phi the
+    inverse series; terms above cap_order are dropped and missing ones read
+    as zero, so the result always has order cap_order.  Equivariance of
+    every new term is preserved and revalidated.
     """
-    if cap_order < defo.order:
-        raise DeformationError("cap %d is below the deformation order %d"
-                               % (cap_order, defo.order))
-    system = defo.system
-    d = system.dim
-    phis = iso.inverse_terms(cap_order)
-    zero_t = StructureTensor.zero((d, d, d), d, system.field)
-    new_terms = []
-    for r in range(cap_order + 1):
-        acc = zero_t
-        for p in range(r + 1):
-            psi = iso.term(p)
-            if psi.is_zero():
-                continue
-            psi_t = list(zip(*psi.rows))
-            for i in range(r - p + 1):
-                mu_i = defo.term(i)
-                if mu_i.is_zero():
-                    continue
-                rem = r - p - i
-                for a in range(rem + 1):
-                    fa = phis[a]
-                    if fa.is_zero():
-                        continue
-                    for b in range(rem - a + 1):
-                        fb = phis[b]
-                        if fb.is_zero():
-                            continue
-                        fc = phis[rem - a - b]
-                        if fc.is_zero():
-                            continue
-                        acc = acc + StructureTensor.from_entries(transform_sparse(
-                            mu_i.entries, [fa.rows, fb.rows, fc.rows, psi_t]),
-                            mu_i.dims, d, system.field)
-        new_terms.append(acc)
-    return make_deformation(system, defo.action, new_terms)
+    d = defo.system.dim
+    phis = [m.rows for m in iso.inverse_terms(cap_order)]
+    psis_t = [list(zip(*m.rows)) for m in iso.terms]
+    series = transform_series([t.entries for t in defo.terms],
+                              [phis, phis, phis, psis_t], cap_order)
+    return make_deformation(defo.system, defo.action,
+                            [StructureTensor.from_entries(e, (d, d, d), d, defo.system.field)
+                             for e in series])
 
 
 def check_equivalence(defo_a, defo_b, cap_order, caps=DEFAULT_CAPS):
@@ -366,41 +352,17 @@ def check_equivalence(defo_a, defo_b, cap_order, caps=DEFAULT_CAPS):
     field = system.field
     cochains = CochainComplex(self_module(system), action, caps=caps)
 
-    ident = Matrix.identity(d, field)
-    psis = [ident]
-    zero_t = StructureTensor.zero((d, d, d), d, field)
+    defo_a, defo_b = _modulo(defo_a, cap_order), _modulo(defo_b, cap_order)
+    mu_a, mu_b = [t.entries for t in defo_a.terms], [t.entries for t in defo_b.terms]
+    ident = [Matrix.identity(d, field).rows]
+    psis = [Matrix.identity(d, field)]
     for k in range(1, cap_order + 1):
-        lhs = zero_t
-        for i in range(k):  # psi_i with i < k
-            psi = psis[i]
-            if psi.is_zero():
-                continue
-            mu_j = defo_a.term(k - i)
-            if mu_j.is_zero():
-                continue
-            lhs = lhs + StructureTensor.from_entries(transform_sparse(
-                mu_j.entries, [ident.rows] * 3 + [list(zip(*psi.rows))]), mu_j.dims, d, field)
-        rhs = zero_t
-        for j in range(k + 1):
-            mu_j = defo_b.term(j)
-            if mu_j.is_zero():
-                continue
-            rem = k - j
-            for p in range(min(rem, k - 1) + 1):
-                fp = psis[p] if p < len(psis) else None
-                if fp is None or fp.is_zero():
-                    continue
-                for q in range(rem - p + 1):
-                    s = rem - p - q
-                    if q >= k or s >= k or q >= len(psis) or s >= len(psis):
-                        continue
-                    fq, fs = psis[q], psis[s]
-                    if fq.is_zero() or fs.is_zero():
-                        continue
-                    rhs = rhs + StructureTensor.from_entries(transform_sparse(
-                        mu_j.entries, [fp.rows, fq.rows, fs.rows, ident.rows]),
-                        mu_j.dims, d, field)
-        g_k = lhs - rhs
+        # g_k = [t^k](Psi_{<k} o mu^a) - [t^k](mu^b o Psi_{<k}^(x3))
+        rows = [m.rows for m in psis]
+        lhs = transform_series(mu_a, [ident] * 3 + [[list(zip(*r)) for r in rows]], k)[k]
+        rhs = transform_series(mu_b, [rows] * 3 + [ident], k)[k]
+        g_k = (StructureTensor.from_entries(lhs, (d, d, d), d, field)
+               - StructureTensor.from_entries(rhs, (d, d, d), d, field))
         x = cochains.preimage(g_k)
         if x is None:
             plain = CochainComplex(cochains.module, caps=caps).preimage(g_k) is not None
@@ -408,11 +370,9 @@ def check_equivalence(defo_a, defo_b, cap_order, caps=DEFAULT_CAPS):
                                      plain_solvable=plain)
         psis.append(_cochain1_to_matrix(x, field))
     iso = make_formal_isomorphism(action, psis)
-    gauged = apply_isomorphism(defo_a, iso, cap_order)
-    for r in range(cap_order + 1):
-        if gauged.term(r) != defo_b.term(r):
-            raise RuntimeError("order-by-order solution failed the round trip; "
-                               "this must not happen")
+    if apply_isomorphism(defo_a, iso, cap_order).terms != defo_b.terms:
+        raise RuntimeError("order-by-order solution failed the round trip; "
+                           "this must not happen")
     return EquivalenceResult(iso)
 
 
@@ -434,7 +394,7 @@ def trivialize(defo, cap_order, caps=DEFAULT_CAPS):
     field = system.field
     cochains = CochainComplex(self_module(system), action, caps=caps)
 
-    cur = pad_deformation(defo, cap_order) if defo.order < cap_order else defo
+    cur = _modulo(defo, cap_order)
     log = []
     while True:
         inf = infinitesimal(cur)

@@ -133,9 +133,9 @@ def make_group_action(system, elements, caps=DEFAULT_CAPS):
 
 def equivariance_witness(tensor, in_mats, out_inv):
     """First basis tuple t, in lexicographic order, with
-    out_inv T(A_1 e_t1, A_2 e_t2, A_3 e_t3) != T(e_t1, e_t2, e_t3) for the
-    structure tensor T and A_s = in_mats[s], or None: the fixed-point form
-    of T(A_1 x, A_2 y, A_3 z) = B T(x, y, z) with out_inv = B^{-1}."""
+    out_inv T(A_1 e_t1, ..., A_k e_tk) != T(e_t1, ..., e_tk) for the tensor
+    T with k input slots and A_s = in_mats[s], or None: the fixed-point
+    form of T(A_1 x_1, ..., A_k x_k) = B T(x_1, ..., x_k), out_inv = B^{-1}."""
     mats = [a.rows for a in in_mats] + [list(zip(*out_inv.rows))]
     key = first_difference(transform_sparse(tensor.entries, mats), tensor.entries)
     if key is None:

@@ -4,10 +4,11 @@ A tensor with input slots of dimensions n_1, ..., n_k and values of
 dimension m is a {flat index: value} dict, flattened row-major over
 (i_1, ..., i_k, l): the value coordinate l, the last slot, varies fastest.
 Structure tensors (d, d, d) -> d, module tensors (d, d, m) -> m and
-cochains of every degree share this layout.  The group action on cochains,
-every equivariance check and gauge composition go through
-transform_sparse; the fundamental identity, its module placements and the
-order-r deformation equations go through nested_sum.
+cochains of every degree share this layout.  The group action on cochains
+and every equivariance check go through transform_sparse, gauge
+composition through its series form transform_series; the fundamental
+identity, its module placements and the order-r deformation equations go
+through nested_sum.
 """
 
 from __future__ import annotations
@@ -42,10 +43,30 @@ def transform_sparse(entries, mats):
     return entries
 
 
-def _contract(entries, stride, mat):
-    """Contract the slot of the given stride with mat (see transform_sparse)."""
+def transform_series(series, mats, order):
+    """Coefficients 0..order of the slot transform of a series of sparse
+    tensors with one series of row-list matrices per slot (the value slot
+    last and transposed, as in transform_sparse): coefficient r is the sum
+    of transform_sparse(series[a_0], [mats[0][a_1], ..., mats[-1][a_k]])
+    over a_0 + ... + a_k = r.  Every list reads as zero past its end (a
+    matrix series needs its term 0), index 0 is like any other, and each
+    slot in turn is a truncated convolution of one-slot contractions."""
+    out = [series[r] if r < len(series) else {} for r in range(order + 1)]
+    stride = 1
+    for slot in reversed(mats):
+        new = [{} for _ in range(order + 1)]
+        for r, acc in enumerate(new):
+            for a in range(min(r + 1, len(slot))):
+                _contract(out[r - a], stride, slot[a], acc)
+        out, stride = new, stride * len(slot[0])
+    return out
+
+
+def _contract(entries, stride, mat, out=None):
+    """Contract the slot of the given stride with mat (see transform_sparse),
+    adding into out when it is given."""
     dim = len(mat)
-    out = {}
+    out = {} if out is None else out
     for flat, v in entries.items():
         if not v:
             continue

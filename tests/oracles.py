@@ -227,6 +227,21 @@ def compose_tensor_dense(tensor, out_mat, in1, in2, in3):
     return StructureTensor.build(entries, (d, d, d), d, out_mat.field)
 
 
+def gauge_dense(defo, iso, cap):
+    """Reference for deformation.apply_isomorphism: term r is the sum, over
+    every (p, i, a, b, c) with p + i + a + b + c = r, of
+    psi_p . mu_i(phi_a x, phi_b y, phi_c z), phi the inverse series; no
+    zero term is skipped."""
+    d, phis = defo.system.dim, iso.inverse_terms(cap)
+    terms = [StructureTensor.zero((d, d, d), d, defo.system.field)] * (cap + 1)
+    for r in range(cap + 1):
+        for p, i, a, b in product(range(r + 1), repeat=4):
+            if p + i + a + b <= r:
+                terms[r] = terms[r] + compose_tensor_dense(
+                    defo.term(i), iso.term(p), phis[a], phis[b], phis[r - p - i - a - b])
+    return terms
+
+
 # ---------------------------------------------------------------------------
 # dense slot transforms and equivariance
 

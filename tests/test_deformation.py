@@ -1,16 +1,23 @@
+import json
 import random
+from functools import cache
+from pathlib import Path
 
 import pytest
-from oracles import cochain, evaluate_dense
+from hypothesis import given, settings, strategies as st
+from oracles import cochain, evaluate_dense, gauge_dense
 
+from ltsdeform import bundled_path
 from ltsdeform.cohomology import apply_coboundary, coboundary_matrix, cochain_space_basis
 from ltsdeform.deformation import (DeformationError, apply_isomorphism,
                                    check_deformation_equations, check_equivalence,
                                    extend, infinitesimal, make_deformation,
                                    make_formal_isomorphism, obstruction,
                                    pad_deformation, rigidity_certificate, trivialize)
+from ltsdeform.documents import (action_elements_from_document, deformation_from_document,
+                                  deformation_terms, load_document, system_from_document)
 from ltsdeform.groups import make_group_action, sign_action, trivial_action
-from ltsdeform.linalg import Matrix, QQ, nullspace_from_rref, rref_rows
+from ltsdeform.linalg import Matrix, PrimeField, QQ, nullspace_from_rref, rref_rows
 from ltsdeform.lts import StructureTensor, make_system, meson, self_module, skew_lts
 
 
@@ -299,6 +306,102 @@ def test_obstructed_equivalence_reports_the_order():
     assert res.obstructed_order == 1
     assert not res.witness.is_zero()
     assert res.plain_solvable is False
+
+
+def bundled_deformation(name):
+    def doc(n):
+        return load_document(bundled_path(n).read_text())
+
+    system_ref, action_ref, raw_terms = deformation_from_document(doc(name))
+    system = system_from_document(doc(system_ref))
+    action = make_group_action(system, action_elements_from_document(doc(action_ref),
+                                                                     system.field))
+    terms = deformation_terms(raw_terms, system.dim, system.field)
+    return make_deformation(system, action, [system.mu] + terms)
+
+
+def test_equivalence_at_a_cap_below_the_order_holds_both_ways():
+    t2 = bundled_deformation("meson2_swap_t2.json")
+    trivial = bundled_deformation("meson2_swap_trivial.json")
+    assert t2.order == 2
+    assert check_equivalence(t2, trivial, 1).equivalent
+    assert check_equivalence(trivial, t2, 1).equivalent
+
+
+def test_trivialize_at_a_cap_below_the_order_matches_the_command_line():
+    golden = Path(__file__).parent / "golden" / "deform-trivialize-t2-cap1.json"
+    reduced, log = trivialize(bundled_deformation("meson2_swap_t2.json"), 1)
+    assert log == json.loads(golden.read_text())["log"]
+    assert reduced.order == 1
+
+
+def test_negative_cap_is_rejected(worked_example):
+    with pytest.raises(DeformationError, match="non-negative"):
+        trivialize(worked_example, -1)
+    with pytest.raises(DeformationError, match="non-negative"):
+        check_equivalence(worked_example, worked_example, -1)
+
+
+def test_gauge_at_a_cap_below_the_order_reads_the_truncated_deformation():
+    t2 = bundled_deformation("meson2_swap_t2.json")
+    iso = random_equivariant_iso(t2.action, random.Random(5), order=2)
+    gauged = apply_isomorphism(t2, iso, 1)
+    assert gauged.order == 1
+    truncated = make_deformation(t2.system, t2.action, t2.terms[:2])
+    assert gauged.terms == apply_isomorphism(truncated, iso, 1).terms
+
+
+# systems with an action under which the random isomorphisms below are
+# equivariant: the swap commutes with [[a, b], [b, a]], the sign action
+# {I, -I} with every matrix
+GAUGE_SYSTEMS = ("meson2-swap", "meson3-sign", "skew3-sign")
+GAUGE_FIELDS = (QQ, PrimeField(7))
+
+
+@cache
+def gauge_setting(name, fld):
+    if name == "meson2-swap":
+        system = meson(2, fld)
+        action = make_group_action(system, [("0", Matrix.identity(2, fld)),
+                                            ("1", Matrix([[0, 1], [1, 0]], fld))])
+    else:
+        system = meson(3, fld) if name == "meson3-sign" else skew_lts(3, fld)
+        action = sign_action(system)
+    return system, action, cochain_space_basis(self_module(system), 3, action)
+
+
+@st.composite
+def gauge_cases(draw):
+    name = draw(st.sampled_from(GAUGE_SYSTEMS))
+    fld = draw(st.sampled_from(GAUGE_FIELDS))
+    system, action, basis = gauge_setting(name, fld)
+    d = system.dim
+    cap = draw(st.integers(1, 4))
+    small = st.integers(-2, 2)
+
+    def term():
+        return basis.combine([draw(small) for _ in basis.columns])
+
+    # the order may exceed the cap: apply_isomorphism reads modulo t^(cap+1)
+    order = draw(st.integers(0, cap + 1))
+    defo = make_deformation(system, action, [system.mu] + [term() for _ in range(order)])
+    mats = [Matrix.identity(d, fld)]
+    for _ in range(draw(st.integers(0, cap))):
+        if name == "meson2-swap":
+            a, b = draw(small), draw(small)
+            mats.append(Matrix([[a, b], [b, a]], fld))
+        else:
+            mats.append(Matrix([[draw(small) for _ in range(d)] for _ in range(d)], fld))
+    return defo, make_formal_isomorphism(action, mats), cap
+
+
+@settings(max_examples=40, deadline=None)
+@given(gauge_cases())
+def test_gauge_equals_the_dense_sum_over_index_tuples(case):
+    defo, iso, cap = case
+    gauged = apply_isomorphism(defo, iso, cap)
+    assert gauged.order == cap
+    assert list(gauged.terms) == gauge_dense(defo, iso, cap)
 
 
 # ---------------------------------------------------------------------------
