@@ -242,8 +242,11 @@ def cmd_deform_check(args):
     return 0 if rep.passed else 1
 
 
-def _require_valid(defo):
-    rep = check_deformation_equations(defo)
+def _require_valid(defo, cap=None):
+    """Reject a document whose order equations fail when it is read
+    zero-padded through max(its top term, cap)."""
+    order = defo.order if cap is None else max(defo.order, cap)
+    rep = check_deformation_equations(pad_deformation(defo, order))
     if not rep.passed:
         bad = next(c for c in rep.orders if not c.passed)
         raise DeformationError("deformation fails its order-%d equation at %r"
@@ -309,14 +312,9 @@ def cmd_deform_equiv(args):
     fo = _field_override(args)
     defo_a, _, _ = _load_deformation(args.deformation_a, fo, caps)
     defo_b, _, _ = _load_deformation(args.deformation_b, fo, caps)
-    if defo_a.system != defo_b.system:
-        raise DeformationError("the two documents reference different systems")
-    if (defo_a.action.labels != defo_b.action.labels
-            or defo_a.action.matrices != defo_b.action.matrices):
-        raise DeformationError("the two documents reference different actions")
     cap = args.cap if args.cap is not None else max(defo_a.order, defo_b.order)
-    _require_valid(pad_deformation(defo_a, cap) if defo_a.order < cap else defo_a)
-    _require_valid(pad_deformation(defo_b, cap) if defo_b.order < cap else defo_b)
+    _require_valid(defo_a, cap)
+    _require_valid(defo_b, cap)
     res = check_equivalence(defo_a, defo_b, cap, caps)
     fld = defo_a.system.field
     if res.equivalent:
@@ -352,8 +350,8 @@ def cmd_deform_trivialize(args):
     _check_cap(args)
     defo, system_ref, action_ref = _load_deformation(args.deformation,
                                                      _field_override(args), caps)
-    _require_valid(defo)
     cap = args.cap if args.cap is not None else defo.order
+    _require_valid(defo, cap)
     reduced, log = trivialize(defo, cap, caps)
     fld = defo.system.field
     doc = deformation_to_document(system_ref, action_ref,

@@ -10,6 +10,9 @@ order-r compatibility equations
                       + mu_i(c, d, mu_j(a,b,e)) }
 
 must hold for 0 <= r <= n (r = 0 is the fundamental identity itself).
+Their residuals are the coefficients 0..n of one tensorops.nested_sum over
+the term series, and the obstruction cochain is coefficient n+1 of the
+same pass taken through n+1.
 The module covers the whole deformation pipeline: validation,
 infinitesimals, the degree-5 obstruction cochain, order-by-order
 extension, gauge transformations by truncated formal isomorphisms,
@@ -201,25 +204,13 @@ def _modulo(defo, cap):
                                 tuple(defo.term(i) for i in range(cap + 1)))
 
 
-def _convolution_residual(defo, r, lowest):
-    """sum_{i+j=r, i,j>=lowest} of mu_i(a,b,mu_j(c,d,e)) minus the three
-    right-hand terms, as a sparse degree-5 tensor {flat index: value}
-    (terms above the stated order count as zero)."""
-    d = defo.system.dim
-    terms = []
-    for i in range(lowest, r - lowest + 1):
-        mi, mj = defo.term(i), defo.term(r - i)
-        if not (mi.is_zero() or mj.is_zero()):
-            terms.extend(fundamental_terms(mi, mj))
-    return nested_sum(terms, (d,) * 6)
-
-
 def check_deformation_equations(defo):
-    """Residuals of the order-r equations for every 0 <= r <= order."""
+    """Residuals of the order-r equations for every 0 <= r <= order: the
+    coefficients of one nested_sum over the term series."""
     d = defo.system.dim
+    residuals = nested_sum(fundamental_terms(defo.terms, defo.terms), (d,) * 6, defo.order)
     checks = []
-    for r in range(defo.order + 1):
-        res = _convolution_residual(defo, r, lowest=0)
+    for r, res in enumerate(residuals):
         witness, residual = next(value_vectors(res, (d,) * 6, defo.system.field.zero),
                                  (None, None))
         checks.append(OrderCheck(r, witness is None, witness, residual))
@@ -243,7 +234,10 @@ def obstruction(defo, caps=DEFAULT_CAPS):
 
     F(a,b,c,d,e) = sum_{i+j=n+1; i,j>0} mu_i(a,b,mu_j(c,d,e))
                    - mu_i(mu_j(a,b,c),d,e) - mu_i(c,mu_j(a,b,d),e)
-                   - mu_i(c,d,mu_j(a,b,e)).
+                   - mu_i(c,d,mu_j(a,b,e)),
+
+    coefficient n+1 of the order equations of the term series: mu_(n+1)
+    reads as zero, so the pairs (0, n+1) and (n+1, 0) drop out.
 
     The result is checked invariant; its cocycle property is checked
     exactly when the degree-7 ambient fits the caps (is_cocycle is None
@@ -251,8 +245,8 @@ def obstruction(defo, caps=DEFAULT_CAPS):
     coboundary(x) = F when one exists.
     """
     system = defo.system
-    d = system.dim
-    entries = _convolution_residual(defo, defo.order + 1, lowest=1)
+    d, n = system.dim, defo.order
+    entries = nested_sum(fundamental_terms(defo.terms, defo.terms), (d,) * 6, n + 1)[n + 1]
     cochain = StructureTensor((d,) * 5, d, entries, system.field)
 
     report = cochain_violations(cochain)

@@ -15,7 +15,7 @@ the bracket, the module actions, the cochains of the cohomology layer and
 their constraint rows; FUNDAMENTAL is the term table of the sparse kernel
 tensorops.nested_sum, checked on the bracket, with the module variable at
 each of its five positions, on the theta operators of a module (Yamaguti's
-relations), and summed over pairs of deformation terms.  Witnesses come
+relations), and on the series of deformation terms.  Witnesses come
 in flat order, which is lexicographic.
 
 Also provides modules over a system (three bilinear actions of T x T on a
@@ -235,7 +235,7 @@ FUNDAMENTAL = ((1, 2, (2, 3, 4)), (-1, 0, (0, 1, 2)), (-1, 1, (0, 1, 3)),
 
 def fundamental_terms(outer, inner):
     """tensorops.nested_sum terms of the fundamental identity with the
-    outer bracket outer and the inner bracket inner."""
+    series outer of outer brackets and the series inner of inner ones."""
     return [(sign, outer, slot, inner, pos) for sign, slot, pos in FUNDAMENTAL]
 
 
@@ -249,7 +249,7 @@ def verify_lts(mu, all_witnesses=False):
     d = mu.dim_in
     if mu.dim_out != d:
         raise LinAlgError("structure tensor must be square (dim_out == dim_in)")
-    res = nested_sum(fundamental_terms(mu, mu), (d,) * 6)
+    res = nested_sum(fundamental_terms([mu], [mu]), (d,) * 6, 0)[0]
     return AxiomReport.from_hits(
         [[("skew", skew_hits(mu)), ("cyclic", permutation_hits([(mu, p) for p in CYCLIC]))],
          [("fundamental", list(value_vectors(res, (d,) * 6, mu.field.zero)))]],
@@ -296,8 +296,9 @@ def self_module(system):
 
 
 def _module_fundamental_terms(module, p):
-    """nested_sum terms of the fundamental identity with its variable at
-    position p in V, renamed x4 (the others keep their order, as x0..x3).
+    """nested_sum terms (one-term series) of the fundamental identity with
+    its variable at position p in V, renamed x4 (the others keep their
+    order, as x0..x3).
 
     A bracket whose V-valued argument sits in slot t is module.right,
     middle or left for t = 0, 1, 2, each taking that argument last.
@@ -313,7 +314,7 @@ def _module_fundamental_terms(module, p):
         vslot = slot if p in pos else args.index(4)
         args.append(args.pop(vslot))
         # x4 sorts last, where the acting tensors take it
-        terms.append((sign, acting[vslot], args.index(None), inner,
+        terms.append((sign, [acting[vslot]], args.index(None), [inner],
                       tuple(sorted(name[q] for q in pos))))
     return terms
 
@@ -348,12 +349,12 @@ def verify_module(module, all_witnesses=False):
                                             (right, SKEW[0])]))]
     fundamental, theta, tm = [], [], theta_module(module)
     for p in (4, 3, 2, 1, 0):  # the module slot in position last, 4, 3, 2, 1
-        res = nested_sum(_module_fundamental_terms(module, p), dims)
+        res = nested_sum(_module_fundamental_terms(module, p), dims, 0)[0]
         fundamental.append(("module-fundamental-%s" % ("last" if p == 4 else p + 1),
                             list(value_vectors(res, dims, zero))))
     for axiom, p in (("theta-square", 0), ("theta-d", 2)):
         res = {}
-        for key, v in nested_sum(_module_fundamental_terms(tm, p), dims).items():
+        for key, v in nested_sum(_module_fundamental_terms(tm, p), dims, 0)[0].items():
             base, w, l = key // (m * m), key // m % m, key % m
             res[(base * m + l) * m + w] = -v
         theta.append((axiom, list(value_vectors(res, (d, d, d, d, m * m), zero))))

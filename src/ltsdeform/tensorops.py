@@ -7,8 +7,8 @@ Structure tensors (d, d, d) -> d, module tensors (d, d, m) -> m and
 cochains of every degree share this layout.  The group action on cochains
 and every equivariance check go through transform_sparse, gauge
 composition through its series form transform_series; the fundamental
-identity, its module placements and the order-r deformation equations go
-through nested_sum.
+identity and its module placements (one-term series) and all the order-r
+deformation equations (the term series) through one nested_sum each.
 """
 
 from __future__ import annotations
@@ -88,34 +88,39 @@ def _contract(entries, stride, mat, out=None):
     return out
 
 
-def nested_sum(terms, dims):
-    """The sum of sign * outer(.., inner(x_p, x_q, x_r), ..) over the terms,
-    as a sparse tensor over variables of dimensions dims[:-1] with values of
-    dimension dims[-1].
+def nested_sum(terms, dims, order):
+    """Coefficients 0..order of the sum of sign * outer(.., inner(x_p, x_q, x_r), ..)
+    over the terms, as sparse tensors over variables of dimensions dims[:-1]
+    with values of dimension dims[-1].
 
-    Each term is (sign, outer, slot, inner, positions) with trilinear
-    tensors outer and inner (entries, dims, dim_out): inner reads the
-    variables at positions and fills the given slot of outer, whose other
-    two arguments are the remaining variables in increasing order.  The
-    cost is the number of (inner entry, outer entry) pairs that meet.
+    Each term is (sign, outer, slot, inner, positions) with series (lists)
+    outer and inner of trilinear tensors: inner[b] reads the variables at
+    positions and fills the given slot of outer[a], whose other two
+    arguments are the remaining variables in increasing order, adding into
+    coefficient a + b.  Every entry is decoded once per term; the cost is the
+    number of (inner entry, outer entry) pairs that meet with a + b <= order.
     """
     strides = [prod(dims[s + 1:]) for s in range(len(dims))]
-    out = {}
+    out = [{} for _ in range(order + 1)]
     for sign, outer, slot, inner, positions in terms:
         rest = [strides[s] for s in range(len(dims) - 1) if s not in positions]
-        # outer entries by their index in the inner's slot: (rest of the key, value)
+        # outer entries by their index in the inner's slot: (a, rest of key, value), a rising
         by_slot = {}
-        for key, u in outer.entries.items():
-            idx = slot_indices(key, outer.dims + (outer.dim_out,))
-            args = idx[:slot] + idx[slot + 1:-1]
-            part = idx[-1] + args[0] * rest[0] + args[1] * rest[1]
-            by_slot.setdefault(idx[slot], []).append((part, u if sign > 0 else -u))
-        for key, v in inner.entries.items():
-            idx = slot_indices(key, inner.dims + (inner.dim_out,))
-            base = sum(i * strides[s] for i, s in zip(idx, positions))
-            for part, u in by_slot.get(idx[-1], ()):
-                out[base + part] = out.get(base + part, 0) + u * v
-    return {k: v for k, v in out.items() if v}
+        for a, t in enumerate(outer[:order + 1]):
+            for key, u in t.entries.items():
+                idx = slot_indices(key, t.dims + (t.dim_out,))
+                args = idx[:slot] + idx[slot + 1:-1]
+                part = idx[-1] + args[0] * rest[0] + args[1] * rest[1]
+                by_slot.setdefault(idx[slot], []).append((a, part, u if sign > 0 else -u))
+        for b, t in enumerate(inner[:order + 1]):
+            for key, v in t.entries.items():
+                idx = slot_indices(key, t.dims + (t.dim_out,))
+                base = sum(i * strides[s] for i, s in zip(idx, positions))
+                for a, part, u in by_slot.get(idx[-1], ()):
+                    if a + b > order:
+                        break
+                    out[a + b][base + part] = out[a + b].get(base + part, 0) + u * v
+    return [{k: v for k, v in acc.items() if v} for acc in out]
 
 
 def value_vectors(entries, dims, zero):

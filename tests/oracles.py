@@ -40,8 +40,8 @@ def _sparse(data):
 
 
 def fundamental_residual_loop(pairs, d):
-    """Reference for the nested_sum of lts.fundamental_terms(mi, mj) over
-    the (mi, mj) pairs: the sum of mi(a,b,mj(c,d,e)) - mi(mj(a,b,c),d,e)
+    """Reference for nested_sum(lts.fundamental_terms([mi], [mj]), ...) summed
+    over the (mi, mj) pairs: the sum of mi(a,b,mj(c,d,e)) - mi(mj(a,b,c),d,e)
     - mi(c,mj(a,b,d),e) - mi(c,d,mj(a,b,e)) at every basis tuple, as a
     sparse {flat index: value} dict over (d,) * 6."""
     data = []

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -97,9 +98,7 @@ def test_deform_extend_writes_valid_document(tmp_path, capsys):
     assert doc["terms"][-1]["order"] == 3
     assert doc["terms"][-1]["entries"] == []
     # the written document must itself pass deform-check; references resolve
-    # relative to the document, so work in the bundled data directory
-    import shutil
-
+    # relative to the document, so copy what it references next to it
     shutil.copy(data("meson2.json"), tmp_path / "meson2.json")
     shutil.copy(data("meson2_swap.json"), tmp_path / "meson2_swap.json")
     assert run_cli("deform-check", str(out_path)) == 0
@@ -138,6 +137,19 @@ def test_deform_trivialize_cap_below_the_order_truncates(capsys):
         report = json.loads(capsys.readouterr().out)
         assert report["cap"] == int(cap) and report["trivial"] is True
         assert all(t["order"] <= int(cap) for t in report["reduced"]["terms"])
+
+
+def test_deform_equiv_rejects_documents_with_different_actions(tmp_path, capsys):
+    # the worked example's terms with no action, on the same system
+    doc = load_document(bundled_path("meson2_swap_t2.json").read_text())
+    del doc["action"]
+    plain = tmp_path / "meson2_t2_no_action.json"
+    plain.write_text(dump_document(doc))
+    shutil.copy(data("meson2.json"), tmp_path / "meson2.json")
+    assert run_cli("deform-check", str(plain)) == 0
+    capsys.readouterr()
+    assert run_cli("deform-equiv", str(plain), data("meson2_swap_t2.json")) == 1
+    assert capsys.readouterr().err == "error: deformations carry different actions\n"
 
 
 def test_negative_deform_cap_is_usage_error(capsys):

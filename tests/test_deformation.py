@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import cochain, evaluate_dense, gauge_dense
+from oracles import cochain, evaluate_dense, fundamental_residual_loop, gauge_dense
 
 from ltsdeform import bundled_path
 from ltsdeform.cohomology import apply_coboundary, coboundary_matrix, cochain_space_basis
@@ -18,7 +18,8 @@ from ltsdeform.documents import (action_elements_from_document, deformation_from
                                   deformation_terms, load_document, system_from_document)
 from ltsdeform.groups import make_group_action, sign_action, trivial_action
 from ltsdeform.linalg import Matrix, PrimeField, QQ, nullspace_from_rref, rref_rows
-from ltsdeform.lts import StructureTensor, make_system, meson, self_module, skew_lts
+from ltsdeform.lts import (StructureTensor, make_system, meson, self_module, skew_lts,
+                           sym_lts)
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +334,35 @@ def test_trivialize_at_a_cap_below_the_order_matches_the_command_line():
     reduced, log = trivialize(bundled_deformation("meson2_swap_t2.json"), 1)
     assert log == json.loads(golden.read_text())["log"]
     assert reduced.order == 1
+
+
+def sym2_coboundary_deformation():
+    """The order-1 deformation of sym2 (no action) with mu_1 = d(e_0 -> e_0),
+    the one of tests/golden/docs/sym2_cob_e00.json."""
+    sym2 = sym_lts(2)
+    cob = apply_coboundary(self_module(sym2), StructureTensor((3,), 3, {0: 1}))
+    return make_deformation(sym2, trivial_action(sym2), [sym2.mu, cob])
+
+
+def test_obstruction_of_a_coboundary_infinitesimal_is_nonzero_and_unobstructed():
+    # mu_2 = 0 fails the order-2 equation, so F = mu_1(mu_1) is not zero
+    defo = sym2_coboundary_deformation()
+    mu1 = defo.terms[1]
+    ob = obstruction(defo)
+    assert not ob.cochain.is_zero()
+    assert ob.cochain.entries == fundamental_residual_loop([(mu1, mu1)], 3)
+    assert ob.is_cocycle is True and ob.preimage is not None
+    assert check_deformation_equations(extend(defo)).passed
+
+
+def test_equivalence_needs_one_system_and_one_action():
+    t2 = bundled_deformation("meson2_swap_t2.json")
+    other_system = sym2_coboundary_deformation()
+    other_action = make_deformation(t2.system, trivial_action(t2.system), t2.terms)
+    with pytest.raises(DeformationError, match="different systems"):
+        check_equivalence(other_system, t2, 1)
+    with pytest.raises(DeformationError, match="different actions"):
+        check_equivalence(other_action, t2, 2)
 
 
 def test_negative_cap_is_rejected(worked_example):

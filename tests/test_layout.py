@@ -1,5 +1,7 @@
 """Module boundaries inside the package: no module under src/ltsdeform/
-imports an underscore-prefixed (private) name from a sibling module."""
+imports an underscore-prefixed (private) name from a sibling module, or a
+name it never uses (the package's __init__.py re-exports and the
+__future__ imports aside)."""
 
 import ast
 from pathlib import Path
@@ -24,4 +26,24 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     found = [hit for path in modules for hit in _private_sibling_imports(path)]
+    assert not found, found
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    yield "%s:%d imports %s and never uses it" % (path.name, node.lineno, name)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    assert modules
+    found = [hit for path in modules for hit in _unused_imports(path)]
     assert not found, found

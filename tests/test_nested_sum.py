@@ -1,8 +1,10 @@
 """The sparse structure tensor and the nested-sum kernel against the dense
-loops in tests/oracles.py: the fundamental identity, its five module
-placements and the order-r deformation equations, gauge composition
-through the slot transform, and trilinear evaluation, on generated sparse
-and fully dense tensors over QQ and GF(p), most failing the identities."""
+loops in tests/oracles.py: the fundamental identity and its five module
+placements (one-term series), the order-r deformation equations and the
+obstruction (coefficients of one pass over a term series), gauge
+composition through the slot transform, and trilinear evaluation, on
+generated sparse and fully dense tensors over QQ and GF(p), most failing
+the identities."""
 
 from fractions import Fraction
 
@@ -10,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from oracles import (compose_tensor_dense, evaluate_dense, fundamental_residual_loop,
                      module_fundamental_loop)
 
-from ltsdeform.deformation import TruncatedDeformation, _convolution_residual
+from ltsdeform import bundled_path, deformation
+from ltsdeform.caps import DEFAULT_CAPS
+from ltsdeform.cli import _load_deformation
 from ltsdeform.linalg import Matrix, PrimeField, QQ
 from ltsdeform.lts import (LieTripleSystem, LtsModule, StructureTensor,
                            _module_fundamental_terms, fundamental_terms, meson,
@@ -70,7 +74,7 @@ def test_fundamental_identity_matches_the_loop(data):
     fld = data.draw(st.sampled_from(FIELDS))
     d = _dims(data.draw)
     mu = data.draw(brackets(fld, d))
-    res = nested_sum(fundamental_terms(mu, mu), (d,) * 6)
+    res = nested_sum(fundamental_terms([mu], [mu]), (d,) * 6, 0)[0]
     expected = fundamental_residual_loop([(mu, mu)], d)
     assert res == expected
     # every witness in flat order, with its whole residual vector
@@ -114,7 +118,7 @@ def test_module_placements_match_the_loop(module):
     for p, name in PLACEMENTS:
         axiom = "module-fundamental-%s" % name
         assert nested_sum(_module_fundamental_terms(module, p),
-                          (d, d, d, d, m, m)) == expected[axiom], axiom
+                          (d, d, d, d, m, m), 0) == [expected[axiom]], axiom
     # first-hit order of the old loop: witness tuples in flat order and,
     # within one tuple, the placements last, 4, 3, 2, 1
     hits = sorted((k // m, n) for n, (_, name) in enumerate(PLACEMENTS)
@@ -136,18 +140,37 @@ def test_module_placements_match_the_loop(module):
     assert got == want
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_order_equations_match_the_loop(data):
+    # coefficients 0..n of one pass are the order equations, n+1 the obstruction
     fld = data.draw(st.sampled_from(FIELDS))
     d = 4 if data.draw(st.integers(0, 14)) == 0 else data.draw(st.integers(1, 3))
-    terms = [data.draw(brackets(fld, d))]
-    terms += [data.draw(tensors(fld, d, d)) for _ in range(data.draw(st.integers(1, 2)))]
-    defo = TruncatedDeformation(_system(terms[0]), None, tuple(terms))
-    for r in range(len(terms) + 1):
-        for lowest in (0, 1):
-            pairs = [(defo.term(i), defo.term(r - i)) for i in range(lowest, r - lowest + 1)]
-            assert _convolution_residual(defo, r, lowest) == fundamental_residual_loop(pairs, d)
+    n = data.draw(st.integers(1, 3 if d < 4 else 1))
+    terms = [data.draw(brackets(fld, d))] + [data.draw(tensors(fld, d, d)) for _ in range(n)]
+    series = nested_sum(fundamental_terms(terms, terms), (d,) * 6, n + 1)
+    assert len(series) == n + 2
+    for r in range(n + 1):
+        pairs = [(terms[i], terms[r - i]) for i in range(r + 1)]
+        assert series[r] == fundamental_residual_loop(pairs, d), r
+    # mu_(n+1) is missing, which leaves the pairs i, j >= 1 of the obstruction
+    pairs = [(terms[i], terms[n + 1 - i]) for i in range(1, n + 1)]
+    assert series[n + 1] == fundamental_residual_loop(pairs, d)
+
+
+def test_order_equations_and_obstruction_take_one_pass_each(monkeypatch):
+    t2, _, _ = _load_deformation(str(bundled_path("meson2_swap_t2.json")), None, DEFAULT_CAPS)
+    calls = []
+
+    def counting(terms, dims, order):
+        calls.append(order)
+        return nested_sum(terms, dims, order)
+
+    monkeypatch.setattr(deformation, "nested_sum", counting)
+    assert deformation.check_deformation_equations(t2).passed
+    assert calls == [2]
+    assert deformation.obstruction(t2).cochain.is_zero()
+    assert calls == [2, 3]
 
 
 @st.composite
