@@ -241,12 +241,17 @@ def cochain_space_basis(module, degree, action=None, module_action=None,
         module_action = self_module_action(action, module)
     rows = {}
     for g in generators(action):
-        for c, col in enumerate(basis.columns):
-            moved = apply_group_sparse(action, module_action, g, degree, col)
-            for pos in moved.keys() | col.keys():
-                v = moved.get(pos, 0) - col.get(pos, 0)
+        moved_columns = apply_group_sparse(action, module_action, g, degree, basis.columns)
+        for c, (col, moved) in enumerate(zip(basis.columns, moved_columns)):
+            for pos, v in moved.items():
+                w = col.get(pos)
+                if w is not None:
+                    v = v - w
                 if v:
                     rows.setdefault((g, pos), {})[c] = v
+            for pos, w in col.items():
+                if pos not in moved:
+                    rows.setdefault((g, pos), {})[c] = -w
     pivots = rref_rows(rows.values(), field)
     ncols, nfree = nullspace_from_rref(pivots, len(basis.columns), field)
     inv_columns = [_span_sum(basis.columns, ncol) for ncol in ncols]

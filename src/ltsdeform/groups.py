@@ -137,7 +137,8 @@ def equivariance_witness(tensor, in_mats, out_inv):
     T with k input slots and A_s = in_mats[s], or None: the fixed-point
     form of T(A_1 x_1, ..., A_k x_k) = B T(x_1, ..., x_k), out_inv = B^{-1}."""
     mats = [a.rows for a in in_mats] + [list(zip(*out_inv.rows))]
-    key = first_difference(transform_sparse(tensor.entries, mats), tensor.entries)
+    moved, = transform_sparse([tensor.entries], mats)
+    key = first_difference(moved, tensor.entries)
     if key is None:
         return None
     return slot_indices(key // tensor.dim_out, tensor.dims)
@@ -272,15 +273,18 @@ def make_module_action(action, module, matrices):
 # induced action on cochain ambients
 
 
-def apply_group_sparse(action, module_action, g, degree, entries):
-    """Apply element g to a sparse degree-cochain {flat index: value}:
-    (g.c)(x_1, ..., x_k) = V(g) c(g^{-1} x_1, ..., g^{-1} x_k)."""
+def apply_group_sparse(action, module_action, g, degree, columns):
+    """Apply element g to every sparse degree-cochain {flat index: value}
+    in the list, returning the list of moved cochains:
+    (g.c)(x_1, ..., x_k) = V(g) c(g^{-1} x_1, ..., g^{-1} x_k).
+    One call per element moves a whole basis, so the slot matrices are
+    read (and the monomial move tables of transform_sparse built) once."""
     ginv = action.inverse_matrix(g).rows
     gv = list(zip(*module_action.matrices[g].rows))
-    return transform_sparse(entries, [ginv] * degree + [gv])
+    return transform_sparse(columns, [ginv] * degree + [gv])
 
 
 def apply_group_dense(action, module_action, g, degree, data):
-    """apply_group_sparse on a flat coefficient list, as a list."""
-    moved = apply_group_sparse(action, module_action, g, degree, dict(enumerate(data)))
+    """apply_group_sparse on one flat coefficient list, as a list."""
+    moved, = apply_group_sparse(action, module_action, g, degree, [dict(enumerate(data))])
     return [moved.get(k, 0) for k in range(len(data))]

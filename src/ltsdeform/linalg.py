@@ -341,11 +341,25 @@ class Matrix:
 
 
 class RrefAccumulator:
-    """Incrementally maintained RREF of the rows fed to add()."""
+    """Incrementally maintained RREF of the rows fed to add().
+
+    A new pivot column must be eliminated from every earlier pivot row that
+    holds it, and few rows do: scanning all of them for every new pivot
+    costs rank^2 / 2 dict probes per echelon form, almost all of them
+    misses.  So the accumulator keeps an index {column: pivot columns of
+    the rows that may hold it}, and every row that gains an entry at a
+    column is listed under it.  The index may list more than it needs: a
+    row that lost the entry again stays listed and is skipped when the
+    column becomes a pivot.  The column's list is then dropped, since no
+    row ever gains a pivot column again.  Every row that holds the column
+    is eliminated, as by a full scan, so the pivot rows are the same.  One
+    elimination loop (_subtract) serves both fields, reduce and add.
+    """
 
     def __init__(self, field):
         self.field = field
         self.pivots = {}
+        self._holders = {}
 
     def reduce(self, row):
         """Remainder of row after reduction by the current pivot rows.
@@ -367,18 +381,7 @@ class RrefAccumulator:
                 else:
                     hits.append((c, v, prow))
         for c, coef, prow in hits:
-            for cc, v in prow.items():
-                if cc == c:
-                    continue
-                cur = out.get(cc)
-                if cur is None:
-                    out[cc] = -coef * v
-                else:
-                    cur = cur - coef * v
-                    if cur:
-                        out[cc] = cur
-                    else:
-                        del out[cc]
+            _subtract(out, coef, prow, c)
         return out
 
     def add(self, row):
@@ -391,29 +394,43 @@ class RrefAccumulator:
         field = self.field
         r = {cc: field.div(v, piv) for cc, v in r.items()}
         r[c] = field.one
-        for pc, prow in self.pivots.items():
-            coef = prow.get(c)
-            if coef is None:
-                continue
-            del prow[c]
-            for cc, v in r.items():
-                if cc == c:
-                    continue
-                cur = prow.get(cc)
-                if cur is None:
-                    prow[cc] = -coef * v
-                else:
-                    cur = cur - coef * v
-                    if cur:
-                        prow[cc] = cur
-                    else:
-                        del prow[cc]
-        self.pivots[c] = r
+        holders = self._holders
+        pivots = self.pivots
+        for pc in holders.pop(c, ()):
+            prow = pivots[pc]
+            coef = prow.pop(c, None)
+            if coef is not None:
+                for cc in _subtract(prow, coef, r, c):
+                    holders.setdefault(cc, []).append(pc)
+        for cc in r:
+            if cc != c:
+                holders.setdefault(cc, []).append(c)
+        pivots[c] = r
         return True
 
     @property
     def rank(self):
         return len(self.pivots)
+
+
+def _subtract(out, coef, prow, skip):
+    """out -= coef * prow in place, leaving out column skip; returns the
+    columns at which out gained an entry."""
+    gained = []
+    for cc, v in prow.items():
+        if cc == skip:
+            continue
+        cur = out.get(cc)
+        if cur is None:
+            out[cc] = -coef * v
+            gained.append(cc)
+        else:
+            cur = cur - coef * v
+            if cur:
+                out[cc] = cur
+            else:
+                del out[cc]
+    return gained
 
 
 def rref_rows(rows, field):

@@ -5,10 +5,12 @@ dimension m is a {flat index: value} dict, flattened row-major over
 (i_1, ..., i_k, l): the value coordinate l, the last slot, varies fastest.
 Structure tensors (d, d, d) -> d, module tensors (d, d, m) -> m and
 cochains of every degree share this layout.  The group action on cochains
-and every equivariance check go through transform_sparse, gauge
-composition through its series form transform_series; the fundamental
-identity and its module placements (one-term series) and all the order-r
-deformation equations (the term series) through one nested_sum each.
+(a whole basis per call) and every equivariance check go through
+transform_sparse, which moves entries through lookup tables when every
+slot matrix is monomial, and gauge composition through its series form
+transform_series; the fundamental identity and its module placements
+(one-term series) and all the order-r deformation equations (the term
+series) through one nested_sum each.
 """
 
 from __future__ import annotations
@@ -26,21 +28,76 @@ def slot_indices(flat, dims):
     return tuple(reversed(idx))
 
 
-def transform_sparse(entries, mats):
-    """Contract every slot with its own square row-list matrix (mats, the
-    value slot last) the same way: new[.., j, ..] = sum_i mat[i][j] old[.., i, ..].
+def transform_sparse(tensors, mats):
+    """Contract every slot of every tensor in the list with its own square
+    row-list matrix (mats, the value slot last) the same way:
+    new[.., j, ..] = sum_i mat[i][j] old[.., i, ..].  Returns the list of
+    results, so that one call moves a whole basis.
 
     An input slot given A reads its argument through A (new(x) = old(A x));
     a map B on the values (new = B old) is passed as its transpose.  An int
     matrix entry that is a multiple of p is zero in GF(p) but not falsy and
     can leave a zero value: compare results with zero defaults
     (first_difference), not by key presence.
+
+    When every matrix is monomial (one nonzero per row and per column, as
+    for signed and scaled permutations; a truthy int multiple of p counts as
+    nonzero here) every entry moves to exactly one key.  The shapes are then
+    checked and the (target, coefficient) tables built once per call: one
+    table for the trailing slots and one for the rest, so that each entry
+    moves by one lookup in each.  Any other matrix contracts one slot at a
+    time, through transform_series.
     """
-    stride = 1
-    for mat in reversed(mats):
-        entries = _contract(entries, stride, mat)
-        stride *= len(mat)
-    return entries
+    moves = [_monomial_moves(mat) for mat in mats]
+    if None in moves:
+        series = [[mat] for mat in mats]
+        return [transform_series([entries], series, 0)[0] for entries in tensors]
+    # one table for the trailing slots and one for the rest, each about the
+    # square root of the index range long: a single table over the whole
+    # range can cost more to build than the entries it moves
+    split, size, total = len(moves), 1, prod(map(len, moves))
+    while size * size < total:
+        split -= 1
+        size *= len(moves[split])
+    low, high = _move_table(moves[split:]), _move_table(moves[:split], size)
+    out = []
+    for entries in tensors:
+        new = {}
+        for key, v in entries.items():
+            if v:
+                h, lo = divmod(key, size)
+                th, ch = high[h]
+                tl, cl = low[lo]
+                if cl is not None:
+                    v = cl * v
+                new[th + tl] = v if ch is None else ch * v
+        out.append(new)
+    return out
+
+
+def _monomial_moves(mat):
+    """(column, entry) of the one nonzero entry of every row of a monomial
+    row-list matrix, or None when a row or column has more or fewer."""
+    moves = []
+    for row in mat:
+        nonzero = [(j, c) for j, c in enumerate(row) if c]
+        if len(nonzero) != 1:
+            return None
+        moves.append(nonzero[0])
+    if len({j for j, _ in moves}) != len(moves):
+        return None
+    return moves
+
+
+def _move_table(moves, scale=1):
+    """(target, coefficient) of every flat index over the slots with the
+    given moves (the last slot fastest), the target multiplied by scale and
+    a coefficient equal to one given as None."""
+    table = [(0, 1)]
+    for slot in moves:
+        n = len(slot)
+        table = [(t * n + j, a * c) for t, a in table for j, c in slot]
+    return [(t * scale, None if c == 1 else c) for t, c in table]
 
 
 def transform_series(series, mats, order):

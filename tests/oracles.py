@@ -5,7 +5,7 @@ from math import prod
 
 from ltsdeform.caps import DEFAULT_CAPS
 from ltsdeform.cohomology import CochainBasis, cochain_space_basis
-from ltsdeform.groups import GroupActionError, apply_group_sparse, self_module_action
+from ltsdeform.groups import GroupActionError, self_module_action
 from ltsdeform.linalg import QQ, LinAlgError, Matrix, nullspace_from_rref, rref_rows
 from ltsdeform.lts import AxiomReport, StructureTensor, Violation
 
@@ -503,29 +503,23 @@ def _as_vector(x, d):
 def invariant_basis_all_elements(module, degree, action, module_action=None):
     """Basis of C_G^degree(T; V) as the kernel of the stacked rows of
     (g.c - c) over the plain basis columns c, for every non-identity element
-    g of the group (the library stacks a generating set only)."""
+    g of the group (the library stacks a generating set only), each column
+    moved densely by act_dense, apart from the library's slot transform."""
     if module_action is None:
         module_action = self_module_action(action, module)
     basis = cochain_space_basis(module, degree)
     field = basis.field
     rows = {}
+    ambient = basis.dim ** degree * basis.mdim
     for g in range(action.size):
         if g == action.identity_index:
             continue
         for c, col in enumerate(basis.columns):
-            moved = apply_group_sparse(action, module_action, g, degree, col)
-            for pos, v in col.items():
-                cur = moved.get(pos)
-                if cur is None:
-                    moved[pos] = -v
-                else:
-                    cur = cur - v
-                    if cur:
-                        moved[pos] = cur
-                    else:
-                        del moved[pos]
-            for pos, v in moved.items():
-                rows.setdefault((g, pos), {})[c] = v
+            data = [col.get(pos, 0) for pos in range(ambient)]
+            moved = act_dense(action, module_action, g, degree, data)
+            for pos, v in enumerate(moved):
+                if v := v - data[pos]:
+                    rows.setdefault((g, pos), {})[c] = v
     pivots = rref_rows(rows.values(), field)
     ncols, nfree = nullspace_from_rref(pivots, len(basis.columns), field)
     inv_columns = []

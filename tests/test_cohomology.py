@@ -215,6 +215,11 @@ def changed_basis(system, p, pinv):
     return make_system(system.basis_names, mu, system.field)
 
 
+# a unimodular change of basis and its inverse: the changed brackets stay
+# integral but turn dense
+UNIMODULAR = ([[1, 1, 0], [0, 1, 1], [1, 1, 1]], [[0, -1, 1], [1, 1, -1], [-1, 0, 1]])
+
+
 def oracle_cases(fld):
     """(label, module, action, degrees) for the pointwise coboundary oracle."""
     one, zero = fld.one, fld.zero
@@ -223,9 +228,7 @@ def oracle_cases(fld):
                                   ("1", Matrix([[zero, one], [one, zero]], fld))])
     skew3 = skew_lts(3, fld)
     rect, transpose = transpose_action_on_rect(2, fld)
-    # unimodular, so the changed brackets stay integral but turn dense
-    p = Matrix([[1, 1, 0], [0, 1, 1], [1, 1, 1]], fld)
-    pinv = Matrix([[0, -1, 1], [1, 1, -1], [-1, 0, 1]], fld)
+    p, pinv = (Matrix(rows, fld) for rows in UNIMODULAR)
     assert p * pinv == Matrix.identity(3, fld)
     sl2 = from_lie_algebra(sl2_brackets(fld), fld=fld)
     return [("meson2", self_module(t2), None, (1, 3, 5)),

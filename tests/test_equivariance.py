@@ -1,7 +1,8 @@
 """The fixed-point equivariance test and the sparse slot transform against
 their loop and dense references in tests/oracles.py, on generated tensors
-and invertible matrices that are not permutations, over QQ and GF(p),
-with matrix entries that are plain ints (some of them multiples of p)."""
+and invertible matrices that are not permutations, or monomial ones (the
+move-table path of the slot transform), over QQ and GF(p), with matrix
+entries that are plain ints (some of them multiples of p)."""
 
 from hypothesis import given, settings, strategies as st
 from oracles import equivariance_witness_loop, transform_dense
@@ -96,29 +97,59 @@ def test_witness_matches_the_evaluate_loop(case):
             == equivariance_witness_loop(tensor, in_mats, out_mat))
 
 
+def _monomial_rows(draw, n, fld):
+    """A monomial matrix (one nonzero per row and per column): a permutation
+    with signed or scaled entries, or one scale for the whole matrix (2 P).
+    Sometimes two rows share their column instead, which is not monomial.
+    Over GF(p) its entries are sometimes left plain ints, with zeros shifted
+    to multiples of p, which no longer reads as monomial either."""
+    if draw(st.integers(0, 3)):
+        perm = draw(st.permutations(range(n)))
+    else:
+        perm = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    scales = st.sampled_from([1, -1, 2, -2, 3])
+    if draw(st.booleans()):
+        row_scales = [draw(scales)] * n
+    else:
+        row_scales = [draw(scales) for _ in range(n)]
+    rows = [[row_scales[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    if fld is not QQ and draw(st.booleans()):
+        return _field_matrix(draw, rows, fld).rows
+    return [[fld(v) for v in r] for r in rows]
+
+
 @st.composite
 def transform_cases(draw):
+    """Several tensors (sometimes none) and slot matrices that are all
+    monomial, all general, or mixed."""
     fld = draw(st.sampled_from(FIELDS))
     dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
     size = 1
     for n in dims:
         size *= n
-    data = [fld(v) for v in draw(st.lists(st.integers(-2, 2), min_size=size,
-                                          max_size=size))]
+    datas = [[fld(v) for v in draw(st.lists(st.integers(-2, 2), min_size=size,
+                                            max_size=size))]
+             for _ in range(draw(st.integers(0, 3)))]
+    kind = draw(st.sampled_from(["monomial", "monomial", "general", "mixed"]))
     mats = []
     for n in dims:
+        if kind == "monomial" or (kind == "mixed" and draw(st.booleans())):
+            mats.append(_monomial_rows(draw, n, fld))
+            continue
         rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
                              min_size=n, max_size=n))
         mats.append(_field_matrix(draw, rows, fld).rows)
-    return fld, data, mats
+    return fld, datas, mats
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(transform_cases())
 def test_transform_sparse_matches_dense_reference_per_slot(case):
-    fld, data, mats = case
+    fld, datas, mats = case
     in_mats, out_mat = mats[:-1], mats[-1]
-    sparse = transform_sparse({k: v for k, v in enumerate(data) if v},
-                              in_mats + [[list(c) for c in zip(*out_mat)]])
-    dense = transform_dense(data, in_mats, out_mat)
-    assert [sparse.get(k, 0) for k in range(len(data))] == dense
+    moved = transform_sparse([{k: v for k, v in enumerate(data) if v} for data in datas],
+                             in_mats + [[list(c) for c in zip(*out_mat)]])
+    assert len(moved) == len(datas)
+    for data, sparse in zip(datas, moved):
+        dense = transform_dense(data, in_mats, out_mat)
+        assert [sparse.get(k, 0) for k in range(len(data))] == dense

@@ -4,13 +4,15 @@ module actions that must be representations."""
 
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from oracles import invariant_basis_all_elements
+from test_cohomology import UNIMODULAR, changed_basis
 
-from ltsdeform.cohomology import cochain_space_basis
-from ltsdeform.groups import (GroupActionError, _subgroup, generators,
+from ltsdeform.cohomology import cochain_space_basis, cohomology
+from ltsdeform.groups import (GroupActionError, _subgroup, apply_group_sparse, generators,
                               make_group_action, make_module_action,
                               sign_action, transpose_action_on_rect)
 from ltsdeform.linalg import Matrix, PrimeField, QQ
@@ -95,6 +97,47 @@ def test_sign_and_transpose_bases_equal_all_elements_oracle(fld):
         module = self_module(system)
         assert_same_basis(cochain_space_basis(module, 3, action),
                           invariant_basis_all_elements(module, 3, action))
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=repr)
+def test_conjugated_action_takes_the_general_transform_to_the_same_cohomology(fld):
+    # S3 x C2 conjugated into the changed basis of meson(3): the element
+    # matrices are no longer monomial, so every invariant basis goes through
+    # the slot-by-slot contraction, not the move tables
+    system, action = meson_action("S3xC2", fld)
+    p, pinv = (Matrix(rows, fld) for rows in UNIMODULAR)
+    changed = changed_basis(system, p, pinv)
+    conj = make_group_action(changed, [(lab, pinv * m * p)
+                                       for lab, m in zip(action.labels, action.matrices)])
+    assert all(any(sum(1 for v in row if v) > 1 for row in conj.matrices[g].rows)
+               for g in generators(conj))
+    module = self_module(changed)
+    assert_same_basis(cochain_space_basis(module, 3, conj),
+                      invariant_basis_all_elements(module, 3, conj))
+    want = cohomology(self_module(system), 3, action, want_representatives=False)
+    got = cohomology(module, 3, conj, want_representatives=False)
+    assert want == got
+    assert (got.dim_space, got.dim_cocycles, got.dim_h) == (4, 2, 0)
+
+
+def test_invariant_basis_moves_each_basis_once_per_generator(monkeypatch):
+    # one apply_group_sparse call per generator moves every basis column
+    calls = []
+
+    def counting(action, module_action, g, degree, columns):
+        calls.append((g, degree, len(columns)))
+        return apply_group_sparse(action, module_action, g, degree, columns)
+
+    monkeypatch.setattr(sys.modules["ltsdeform.cohomology"], "apply_group_sparse", counting)
+    system, action = meson_action("B3", QQ)
+    module = self_module(system)
+    gens = generators(action)
+    for degree in (1, 3):
+        calls.clear()
+        basis = cochain_space_basis(module, degree, action)
+        plain = len(cochain_space_basis(module, degree))
+        assert calls == [(g, degree, plain) for g in gens]
+        assert len(basis) < plain
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))

@@ -187,7 +187,8 @@ def test_gauge_composition_matches_the_dense_loop(data):
     tensor = data.draw(tensors(fld, d, d))
     out, a1, a2, a3 = [data.draw(square_matrices(fld, d)) for _ in range(4)]
     got = StructureTensor.from_entries(
-        transform_sparse(tensor.entries, [a1.rows, a2.rows, a3.rows, list(zip(*out.rows))]),
+        transform_sparse([tensor.entries],
+                         [a1.rows, a2.rows, a3.rows, list(zip(*out.rows))])[0],
         (d, d, d), d, fld)
     assert got == compose_tensor_dense(tensor, out, a1, a2, a3)
 
