@@ -242,17 +242,6 @@ def cmd_deform_check(args):
     return 0 if rep.passed else 1
 
 
-def _require_valid(defo, cap=None):
-    """Reject a document whose order equations fail when it is read
-    zero-padded through max(its top term, cap)."""
-    order = defo.order if cap is None else max(defo.order, cap)
-    rep = check_deformation_equations(pad_deformation(defo, order))
-    if not rep.passed:
-        bad = next(c for c in rep.orders if not c.passed)
-        raise DeformationError("deformation fails its order-%d equation at %r"
-                               % (bad.order, bad.witness))
-
-
 def _check_cap(args):
     if args.cap is not None and args.cap < 0:
         raise UsageError("--cap must be a non-negative order; got %d" % args.cap)
@@ -261,7 +250,6 @@ def _check_cap(args):
 def cmd_deform_obstruct(args):
     caps = _caps(args)
     defo, _, _ = _load_deformation(args.deformation, _field_override(args), caps)
-    _require_valid(defo)
     ob = obstruction(defo, caps)
     fld = defo.system.field
     report = {
@@ -286,7 +274,6 @@ def cmd_deform_extend(args):
     caps = _caps(args)
     defo, system_ref, action_ref = _load_deformation(args.deformation,
                                                      _field_override(args), caps)
-    _require_valid(defo)
     extended = extend(defo, caps)
     if extended is None:
         _emit(args, {"extended": False,
@@ -313,8 +300,6 @@ def cmd_deform_equiv(args):
     defo_a, _, _ = _load_deformation(args.deformation_a, fo, caps)
     defo_b, _, _ = _load_deformation(args.deformation_b, fo, caps)
     cap = args.cap if args.cap is not None else max(defo_a.order, defo_b.order)
-    _require_valid(defo_a, cap)
-    _require_valid(defo_b, cap)
     res = check_equivalence(defo_a, defo_b, cap, caps)
     fld = defo_a.system.field
     if res.equivalent:
@@ -351,7 +336,6 @@ def cmd_deform_trivialize(args):
     defo, system_ref, action_ref = _load_deformation(args.deformation,
                                                      _field_override(args), caps)
     cap = args.cap if args.cap is not None else defo.order
-    _require_valid(defo, cap)
     reduced, log = trivialize(defo, cap, caps)
     fld = defo.system.field
     doc = deformation_to_document(system_ref, action_ref,

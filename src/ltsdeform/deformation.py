@@ -12,7 +12,10 @@ order-r compatibility equations
 must hold for 0 <= r <= n (r = 0 is the fundamental identity itself).
 Their residuals are the coefficients 0..n of one tensorops.nested_sum over
 the term series, and the obstruction cochain is coefficient n+1 of the
-same pass taken through n+1.
+same pass taken through n+1.  Every computation here assumes the
+equations: obstruction, extend, check_equivalence and trivialize (the last
+two through max(n, cap)) raise DeformationError at the first failing
+order; only check_deformation_equations reports failures.
 The module covers the whole deformation pipeline: validation,
 infinitesimals, the degree-5 obstruction cochain, order-by-order
 extension, gauge transformations by truncated formal isomorphisms,
@@ -31,7 +34,7 @@ complex for its diagnostic only when a step is obstructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .caps import DEFAULT_CAPS, CapExceeded
 from .cohomology import CochainComplex, apply_coboundary, cochain_violations, cohomology
@@ -189,32 +192,49 @@ def make_deformation(system, action, terms):
 
 
 def pad_deformation(defo, order):
-    """Zero-pad the term list up to the requested order."""
+    """Zero-pad the term list up to the requested order (no equation check)."""
     if order < defo.order:
         raise DeformationError("cannot pad below the current order")
-    return _modulo(defo, order)
+    return replace(defo, terms=tuple(defo.term(i) for i in range(order + 1)))
 
 
 def _modulo(defo, cap):
     """defo read modulo t^(cap+1): mu_0, ..., mu_cap, truncated above the
-    cap and zero-padded below it."""
+    cap and zero-padded below it.  Its order equations must hold through
+    max(order, cap), the terms read as zero above the order."""
     if cap < 0:
         raise DeformationError("the cap must be a non-negative order; got %d" % cap)
-    return TruncatedDeformation(defo.system, defo.action,
-                                tuple(defo.term(i) for i in range(cap + 1)))
+    _require_equations(defo.system, _residuals(defo, max(defo.order, cap)))
+    return replace(defo, terms=tuple(defo.term(i) for i in range(cap + 1)))
+
+
+def _residuals(defo, through):
+    """Coefficients 0..through of the order equations, in one nested_sum pass."""
+    d = defo.system.dim
+    return nested_sum(fundamental_terms(defo.terms, defo.terms), (d,) * 6, through)
+
+
+def _order_checks(system, residuals):
+    """One OrderCheck per residual coefficient, witnessed by its first nonzero vector."""
+    d = system.dim
+    for r, res in enumerate(residuals):
+        witness, residual = next(value_vectors(res, (d,) * 6, system.field.zero), (None, None))
+        yield OrderCheck(r, witness is None, witness, residual)
+
+
+def _require_equations(system, residuals):
+    """Raise DeformationError at the first nonzero residual coefficient."""
+    for c in _order_checks(system, residuals):
+        if not c.passed:
+            raise DeformationError("deformation fails its order-%d equation at %r"
+                                   % (c.order, c.witness))
 
 
 def check_deformation_equations(defo):
     """Residuals of the order-r equations for every 0 <= r <= order: the
     coefficients of one nested_sum over the term series."""
-    d = defo.system.dim
-    residuals = nested_sum(fundamental_terms(defo.terms, defo.terms), (d,) * 6, defo.order)
-    checks = []
-    for r, res in enumerate(residuals):
-        witness, residual = next(value_vectors(res, (d,) * 6, defo.system.field.zero),
-                                 (None, None))
-        checks.append(OrderCheck(r, witness is None, witness, residual))
-    return DeformationReport(all(c.passed for c in checks), tuple(checks))
+    checks = tuple(_order_checks(defo.system, _residuals(defo, defo.order)))
+    return DeformationReport(all(c.passed for c in checks), checks)
 
 
 def infinitesimal(defo):
@@ -237,7 +257,8 @@ def obstruction(defo, caps=DEFAULT_CAPS):
                    - mu_i(c,d,mu_j(a,b,e)),
 
     coefficient n+1 of the order equations of the term series: mu_(n+1)
-    reads as zero, so the pairs (0, n+1) and (n+1, 0) drop out.
+    reads as zero, so the pairs (0, n+1) and (n+1, 0) drop out.  Its
+    coefficients 0..n must vanish (DeformationError otherwise).
 
     The result is checked invariant; its cocycle property is checked
     exactly when the degree-7 ambient fits the caps (is_cocycle is None
@@ -246,8 +267,9 @@ def obstruction(defo, caps=DEFAULT_CAPS):
     """
     system = defo.system
     d, n = system.dim, defo.order
-    entries = nested_sum(fundamental_terms(defo.terms, defo.terms), (d,) * 6, n + 1)[n + 1]
-    cochain = StructureTensor((d,) * 5, d, entries, system.field)
+    residuals = _residuals(defo, n + 1)
+    _require_equations(system, residuals[:n + 1])
+    cochain = StructureTensor((d,) * 5, d, residuals[n + 1], system.field)
 
     report = cochain_violations(cochain)
     if not report.passed:
@@ -335,7 +357,9 @@ def check_equivalence(defo_a, defo_b, cap_order, caps=DEFAULT_CAPS):
     Returns the isomorphism, or the first obstructed order with the
     offending equivariant 3-cocycle as witness (plus a diagnostic flag for
     whether the step would have been solvable without equivariance).
+    Reads a, then b, modulo t^(cap_order+1) (_modulo) before comparing them.
     """
+    defo_a, defo_b = _modulo(defo_a, cap_order), _modulo(defo_b, cap_order)
     if defo_a.system is not defo_b.system and defo_a.system != defo_b.system:
         raise DeformationError("deformations live on different systems")
     if defo_a.action is not defo_b.action and defo_a.action != defo_b.action:
@@ -345,8 +369,6 @@ def check_equivalence(defo_a, defo_b, cap_order, caps=DEFAULT_CAPS):
     d = system.dim
     field = system.field
     cochains = CochainComplex(self_module(system), action, caps=caps)
-
-    defo_a, defo_b = _modulo(defo_a, cap_order), _modulo(defo_b, cap_order)
     mu_a, mu_b = [t.entries for t in defo_a.terms], [t.entries for t in defo_b.terms]
     ident = [Matrix.identity(d, field).rows]
     psis = [Matrix.identity(d, field)]
@@ -383,12 +405,11 @@ def trivialize(defo, cap_order, caps=DEFAULT_CAPS):
     or when the current infinitesimal's class is nonzero (the gauge-reduced
     normal form).  Returns the reduced deformation and a step log.
     """
+    cur = _modulo(defo, cap_order)
     system = defo.system
     action = defo.action
     field = system.field
     cochains = CochainComplex(self_module(system), action, caps=caps)
-
-    cur = _modulo(defo, cap_order)
     log = []
     while True:
         inf = infinitesimal(cur)

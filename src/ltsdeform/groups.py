@@ -64,10 +64,9 @@ def make_group_action(system, elements, caps=DEFAULT_CAPS):
     """Validate (label, matrix) pairs as a group acting on the system.
 
     Checks, in order: shapes, duplicate elements, invertibility, closure
-    (building the multiplication table), presence of the identity, and
-    equivariance of the bracket under the generating set of generators();
-    equivariance under s and t implies it under st, so that covers every
-    element.
+    (building the multiplication table), and equivariance of the bracket
+    under the generating set of generators(); equivariance under s and t
+    implies it under st, so that covers every element.
     """
     labels = tuple(lab for lab, _ in elements)
     mats = tuple(m for _, m in elements)
@@ -106,21 +105,13 @@ def make_group_action(system, elements, caps=DEFAULT_CAPS):
             row.append(k)
         table.append(tuple(row))
 
-    identity_index = index.get(_matrix_key(Matrix.identity(d, fld), fld))
-    if identity_index is None:
-        raise GroupActionError("identity matrix missing from element list")
+    # a finite set of invertible matrices closed under products is a group
+    # (g has finite order k, so g^k = 1 and g^(k-1) = g^-1 are elements):
+    # the identity is in the list and in every row of the table
+    identity_index = index[_matrix_key(Matrix.identity(d, fld), fld)]
+    inverses = tuple(row.index(identity_index) for row in table)
 
-    inverses = []
-    for i in range(n):
-        for j in range(n):
-            if table[i][j] == identity_index:
-                inverses.append(j)
-                break
-        else:
-            raise GroupActionError("element %r has no inverse in the list" % (labels[i],))
-
-    action = GroupAction(system, labels, mats, identity_index,
-                         tuple(table), tuple(inverses))
+    action = GroupAction(system, labels, mats, identity_index, tuple(table), inverses)
     for g in generators(action):
         m = mats[g]
         t = equivariance_witness(system.mu, (m, m, m), action.inverse_matrix(g))

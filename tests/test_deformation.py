@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from functools import cache
 from pathlib import Path
 
@@ -363,6 +364,46 @@ def test_equivalence_needs_one_system_and_one_action():
         check_equivalence(other_system, t2, 1)
     with pytest.raises(DeformationError, match="different actions"):
         check_equivalence(other_action, t2, 2)
+
+
+def skew3_non_cocycle_deformation():
+    """Order 1 on skew3 with the sign action; mu_1 is the first invariant
+    basis column of C^3 that is not a cocycle, so the order-1 equation fails."""
+    system = skew_lts(3)
+    action = sign_action(system)
+    module = self_module(system)
+    columns = (StructureTensor((3, 3, 3), 3, col)
+               for col in cochain_space_basis(module, 3, action).columns)
+    mu1 = next(c for c in columns if not apply_coboundary(module, c).is_zero())
+    return make_deformation(system, action, [system.mu, mu1])
+
+
+def test_the_library_rejects_a_deformation_whose_order_1_equation_fails():
+    bad = skew3_non_cocycle_deformation()
+    report = check_deformation_equations(bad)
+    assert report.orders[0].passed and not report.orders[1].passed
+    message = re.escape("deformation fails its order-1 equation at %r"
+                        % (report.orders[1].witness,))
+    good = make_deformation(bad.system, bad.action, [bad.system.mu])
+    calls = [lambda: obstruction(bad), lambda: extend(bad), lambda: trivialize(bad, 1),
+             lambda: check_equivalence(bad, good, 1), lambda: check_equivalence(good, bad, 1),
+             lambda: check_equivalence(bad, bad, 1)]
+    for call in calls:
+        with pytest.raises(DeformationError, match=message):
+            call()
+
+
+def test_the_order_equations_are_required_through_the_cap():
+    # valid at its own order 1; read through order 2, mu_2 = 0 fails the
+    # order-2 equation, as golden case deform-trivialize-sym2-cob-cap2 shows
+    defo = sym2_coboundary_deformation()
+    assert check_deformation_equations(defo).passed
+    assert trivialize(defo, 1)[1][-1]["status"] == "trivial"
+    message = re.escape("deformation fails its order-2 equation at (0, 1, 0, 2, 1)")
+    with pytest.raises(DeformationError, match=message):
+        trivialize(defo, 2)
+    with pytest.raises(DeformationError, match=message):
+        check_equivalence(defo, defo, 2)
 
 
 def test_negative_cap_is_rejected(worked_example):

@@ -14,7 +14,7 @@ from oracles import (compose_tensor_dense, evaluate_dense, fundamental_residual_
 
 from ltsdeform import bundled_path, deformation
 from ltsdeform.caps import DEFAULT_CAPS
-from ltsdeform.cli import _load_deformation
+from ltsdeform.cli import _load_deformation, main
 from ltsdeform.linalg import Matrix, PrimeField, QQ
 from ltsdeform.lts import (LieTripleSystem, LtsModule, StructureTensor,
                            _module_fundamental_terms, fundamental_terms, meson,
@@ -158,8 +158,9 @@ def test_order_equations_match_the_loop(data):
     assert series[n + 1] == fundamental_residual_loop(pairs, d)
 
 
-def test_order_equations_and_obstruction_take_one_pass_each(monkeypatch):
-    t2, _, _ = _load_deformation(str(bundled_path("meson2_swap_t2.json")), None, DEFAULT_CAPS)
+def test_order_equations_and_obstruction_take_one_pass_each(monkeypatch, capsys):
+    t2_path = str(bundled_path("meson2_swap_t2.json"))
+    t2, _, _ = _load_deformation(t2_path, None, DEFAULT_CAPS)
     calls = []
 
     def counting(terms, dims, order):
@@ -171,6 +172,18 @@ def test_order_equations_and_obstruction_take_one_pass_each(monkeypatch):
     assert calls == [2]
     assert deformation.obstruction(t2).cochain.is_zero()
     assert calls == [2, 3]
+
+    # each deform command: one pass per document, plus deform-extend's
+    # recheck of the extended deformation
+    trivial = str(bundled_path("meson2_swap_trivial.json"))
+    for argv, orders in [(["deform-obstruct", t2_path], [3]),
+                         (["deform-extend", t2_path], [3, 3]),
+                         (["deform-trivialize", t2_path], [2]),
+                         (["deform-equiv", t2_path, trivial], [2, 2])]:
+        calls.clear()
+        assert main(argv + ["--json"]) == 0
+        assert calls == orders, argv[0]
+    capsys.readouterr()
 
 
 @st.composite
