@@ -158,7 +158,7 @@ def test_order_equations_match_the_loop(data):
     assert series[n + 1] == fundamental_residual_loop(pairs, d)
 
 
-def test_order_equations_and_obstruction_take_one_pass_each(monkeypatch, capsys):
+def test_order_equations_and_obstruction_take_one_pass_each(monkeypatch):
     t2_path = str(bundled_path("meson2_swap_t2.json"))
     t2, _, _ = _load_deformation(t2_path, None, DEFAULT_CAPS)
     calls = []
@@ -183,7 +183,6 @@ def test_order_equations_and_obstruction_take_one_pass_each(monkeypatch, capsys)
         calls.clear()
         assert main(argv + ["--json"]) == 0
         assert calls == orders, argv[0]
-    capsys.readouterr()
 
 
 @st.composite
