@@ -435,20 +435,18 @@ class CochainComplex:
             raise LinAlgError("cohomology degree must be odd and >= 1")
         field = self.field
         basis = self.basis(degree)
-        rows = self.rows(degree)
-        pivots = rref_rows((rows[i] for i in sorted(rows)), field)
+        pivots = rref_rows(self.rows(degree).values(), field)
         zcols, _ = nullspace_from_rref(pivots, len(basis), field)
         dim_z = len(zcols)
 
         acc = RrefAccumulator(field)
         if degree > 1:
-            columns = _transpose(self.rows(degree - 2).items())
-            for j in sorted(columns):
-                acc.add(columns[j])
+            acc.extend(_transpose(self.rows(degree - 2).items()).values())
         dim_b = acc.rank
 
         # representatives: extend the coboundary span through the cocycle
-        # basis, first fit in the canonical cocycle order
+        # basis, first fit in the canonical cocycle order; the whole span is
+        # in by now, so the fit does not depend on the order it went in
         representatives = []
         if want_representatives:
             for z in zcols:

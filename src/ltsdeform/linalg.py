@@ -3,8 +3,10 @@
 Scalars over the rationals are plain ``int`` or ``fractions.Fraction``
 values (always canonical: a Fraction is demoted to ``int`` whenever its
 denominator is 1).  Prime-field scalars are :class:`GFElement` residues.
-Everything is exact and deterministic: elimination pivots on the first
-nonzero entry in row-major order, nullspace bases list free variables in
+Everything is exact and deterministic: every echelon form is the unique
+reduced row echelon form of its row span (rows enter the elimination by
+ascending nonzero count, which keeps fill-in and coefficient growth down
+without changing the result), nullspace bases list free variables in
 ascending index order, and ``solve`` sets free variables to zero.
 """
 
@@ -384,6 +386,13 @@ class RrefAccumulator:
             _subtract(out, coef, prow, c)
         return out
 
+    def extend(self, rows):
+        """Insert every row, sparsest first (the Markowitz order; ties keep
+        their input order).  The pivot rows do not depend on the order, but
+        sparse rows entered first fill in less and keep the scalars small."""
+        for row in sorted(rows, key=len):
+            self.add(row)
+
     def add(self, row):
         """Insert a row; returns True when it increased the rank."""
         r = self.reduce(row)
@@ -434,9 +443,15 @@ def _subtract(out, coef, prow, skip):
 
 
 def rref_rows(rows, field):
+    """The unique RREF of the span of rows, as {pivot column: pivot row}.
+
+    rows is any iterable of sparse row dicts, a generator too; it is
+    materialised, and the rows enter the elimination by ascending nonzero
+    count, ties in input order (RrefAccumulator.extend).  The result does
+    not depend on the order of the rows.
+    """
     acc = RrefAccumulator(field)
-    for row in rows:
-        acc.add(row)
+    acc.extend(rows)
     return acc.pivots
 
 

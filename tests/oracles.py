@@ -6,7 +6,8 @@ from math import prod
 from ltsdeform.caps import DEFAULT_CAPS
 from ltsdeform.cohomology import CochainBasis, cochain_space_basis
 from ltsdeform.groups import GroupActionError, self_module_action
-from ltsdeform.linalg import QQ, LinAlgError, Matrix, nullspace_from_rref, rref_rows
+from ltsdeform.linalg import (QQ, LinAlgError, Matrix, RrefAccumulator, nullspace_from_rref,
+                              rref_rows)
 from ltsdeform.lts import AxiomReport, StructureTensor, Violation
 
 
@@ -520,7 +521,7 @@ def invariant_basis_all_elements(module, degree, action, module_action=None):
             for pos, v in enumerate(moved):
                 if v := v - data[pos]:
                     rows.setdefault((g, pos), {})[c] = v
-    pivots = rref_rows(rows.values(), field)
+    pivots = rref_in_order(rows.values(), field)
     ncols, nfree = nullspace_from_rref(pivots, len(basis.columns), field)
     inv_columns = []
     for ncol in ncols:
@@ -532,6 +533,15 @@ def invariant_basis_all_elements(module, degree, action, module_action=None):
     inv_free = [basis.free_positions[j] for j in nfree]
     return CochainBasis(degree, basis.dim, basis.mdim, field, inv_columns, inv_free,
                         invariant=True)
+
+
+def rref_in_order(rows, field):
+    """Reference for linalg.rref_rows: the rows enter RrefAccumulator one at
+    a time in the order given, not sparsest first."""
+    acc = RrefAccumulator(field)
+    for row in rows:
+        acc.add(row)
+    return acc.pivots
 
 
 def rref_dense(rows, ncols, field):

@@ -8,12 +8,12 @@ import sys
 from fractions import Fraction
 
 import pytest
-from oracles import invariant_basis_all_elements
+from oracles import act_dense, invariant_basis_all_elements
 from test_cohomology import UNIMODULAR, changed_basis
 
 from ltsdeform.cohomology import cochain_space_basis, cohomology
 from ltsdeform.groups import (GroupActionError, _subgroup, apply_group_sparse, generators,
-                              make_group_action, make_module_action,
+                              make_group_action, make_module_action, self_module_action,
                               sign_action, transpose_action_on_rect)
 from ltsdeform.linalg import Matrix, PrimeField, QQ
 from ltsdeform.lts import make_system, meson, self_module, skew_lts, StructureTensor
@@ -118,6 +118,28 @@ def test_conjugated_action_takes_the_general_transform_to_the_same_cohomology(fl
     got = cohomology(module, 3, conj, want_representatives=False)
     assert want == got
     assert (got.dim_space, got.dim_cocycles, got.dim_h) == (4, 2, 0)
+
+
+def test_conjugated_d4_invariant_degree5_basis_is_fixed_by_every_element():
+    # D4 conjugated into the changed basis of meson(3): every moved plain
+    # column is dense, so the stacked (g.c - c) rows are too, and their
+    # echelon form took seconds over QQ in coboundary-row order
+    system, action = meson_action("D4", QQ)
+    p, pinv = (Matrix(rows, QQ) for rows in UNIMODULAR)
+    changed = changed_basis(system, p, pinv)
+    conj = make_group_action(changed, [(lab, pinv * m * p)
+                                       for lab, m in zip(action.labels, action.matrices)])
+    module = self_module(changed)
+    basis = cochain_space_basis(module, 5, conj)
+    assert len(basis) == len(cochain_space_basis(self_module(system), 5, action)) == 27
+    module_action = self_module_action(conj, module)
+    ambient = 3 ** 5 * 3
+    for col in basis.columns:
+        # through QQ, so that the dense transform runs on ints where it can
+        data = [QQ(col.get(pos, 0)) for pos in range(ambient)]
+        for g in range(conj.size):
+            if g != conj.identity_index:
+                assert act_dense(conj, module_action, g, 5, data) == data
 
 
 def test_invariant_basis_moves_each_basis_once_per_generator(monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import rref_dense
+from oracles import rref_dense, rref_in_order
 
 from ltsdeform.linalg import (LinAlgError, Matrix, PrimeField, QQ, RrefAccumulator,
                               field_from_spec, nullspace, nullspace_from_rref, rank,
@@ -112,19 +112,30 @@ def sparse_rows(max_rows=8, max_cols=8):
             lambda rows: (c, [{j: v for j, v in enumerate(r) if v} for r in rows])))
 
 
-@settings(max_examples=80)
-@given(sparse_rows(max_rows=12, max_cols=12),
-       st.sampled_from([QQ, PrimeField(2), PrimeField(3)]), st.randoms())
-def test_rref_rows_matches_dense_gauss_jordan(shape, fld, rnd):
+@settings(max_examples=120)
+@given(sparse_rows(max_rows=12, max_cols=12), st.lists(st.sampled_from([0, 0, 1, -1, 2]),
+                                                     max_size=14),
+       st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(10007)]), st.randoms())
+def test_rref_rows_matches_dense_gauss_jordan(shape, rhs, fld, rnd):
     # wide enough that new pivots fill in and cancel entries of earlier
     # pivot rows, which the accumulator's column index must follow
     ncols, rows = shape
+    if rhs:
+        # a right-hand side in one more column, as CochainComplex.preimage
+        # builds it: rows past the matrix's carry the right-hand side alone
+        n = max(len(rows), len(rhs))
+        rows = [{**r, ncols: v} if v else r
+                for r, v in zip(rows + [{}] * n, rhs + [0] * n)][:n]
+        ncols += 1
     rows = [{j: fld(v) for j, v in r.items()} for r in rows]
     want = rref_dense(rows, ncols, fld)
+    assert rref_in_order(rows, fld) == want
     # the RREF of a span is unique: any insertion order gives the same one
     rnd.shuffle(rows)
     got = rref_rows(rows, fld)
     assert got == want
+    assert rref_in_order(rows, fld) == want
+    assert rref_rows((r for r in rows), fld) == want
     cols, free = nullspace_from_rref(got, ncols, fld)
     assert free == [c for c in range(ncols) if c not in want]
     for col in cols:
