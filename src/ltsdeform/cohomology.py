@@ -469,7 +469,7 @@ class CochainComplex:
         aug = len(self.basis(degree - 2))
         rhs = {i: v for i, v in enumerate(self.basis(degree).express(c)) if v}
         pivots = rref_rows(({**rows.get(i, {}), aug: rhs[i]} if i in rhs else rows[i]
-                            for i in sorted(rows.keys() | rhs.keys())), self.field)
+                            for i in rows.keys() | rhs.keys()), self.field)
         if aug in pivots:
             return None
         return self.basis(degree - 2).combine(
