@@ -1,9 +1,10 @@
 """Finite group actions on a Lie triple system by bracket-preserving
 linear automorphisms.
 
-Groups are given by explicit element lists (label, matrix); closure,
-identity and invertibility are validated by exact comparison over the
-whole list.  A multilinear map (the bracket, a module action, a
+Groups are given by explicit element lists (label, matrix), compared
+exactly.  Closure is validated on the right multiplications by a
+generating set only; the rest of the multiplication table follows from
+them by integer lookups.  A multilinear map (the bracket, a module action, a
 deformation term, a cochain) is equivariant exactly when it is a fixed
 point of the group action on maps, g.T = V(g) o T o (g^{-1} x ... x g^{-1})
 with V(g^{-1}) on a module slot, so one fixed-point test
@@ -64,9 +65,11 @@ def make_group_action(system, elements, caps=DEFAULT_CAPS):
     """Validate (label, matrix) pairs as a group acting on the system.
 
     Checks, in order: shapes, duplicate elements, invertibility, closure
-    (building the multiplication table), and equivariance of the bracket
-    under the generating set of generators(); equivariance under s and t
-    implies it under st, so that covers every element.
+    (building the multiplication table from |G| matrix products per element
+    of a generating set, see _closed_table; when it fails, a row-major scan
+    names the first pair whose product is not an element), and equivariance
+    of the bracket under the generating set of generators(); equivariance
+    under s and t implies it under st, so that covers every element.
     """
     labels = tuple(lab for lab, _ in elements)
     mats = tuple(m for _, m in elements)
@@ -94,24 +97,15 @@ def make_group_action(system, elements, caps=DEFAULT_CAPS):
         if rank(m) != d:
             raise GroupActionError("element %r is not invertible" % (lab,))
 
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            k = index.get(_matrix_key(mats[i] * mats[j], fld))
-            if k is None:
-                raise GroupActionError("not closed under product: %r * %r is not "
-                                       "an element" % (labels[i], labels[j]))
-            row.append(k)
-        table.append(tuple(row))
-
-    # a finite set of invertible matrices closed under products is a group
-    # (g has finite order k, so g^k = 1 and g^(k-1) = g^-1 are elements):
-    # the identity is in the list and in every row of the table
-    identity_index = index[_matrix_key(Matrix.identity(d, fld), fld)]
+    identity_index = index.get(_matrix_key(Matrix.identity(d, fld), fld))
+    table = None if identity_index is None else _closed_table(mats, index, identity_index, fld)
+    if table is None:
+        i, j = _first_non_product(mats, index, fld)
+        raise GroupActionError("not closed under product: %r * %r is not "
+                               "an element" % (labels[i], labels[j]))
     inverses = tuple(row.index(identity_index) for row in table)
 
-    action = GroupAction(system, labels, mats, identity_index, tuple(table), inverses)
+    action = GroupAction(system, labels, mats, identity_index, table, inverses)
     for g in generators(action):
         m = mats[g]
         t = equivariance_witness(system.mu, (m, m, m), action.inverse_matrix(g))
@@ -120,6 +114,64 @@ def make_group_action(system, elements, caps=DEFAULT_CAPS):
                 "bracket is not equivariant under element %r at basis triple "
                 "(%d, %d, %d)" % ((labels[g],) + t))
     return action
+
+
+def _closed_table(mats, index, identity, fld):
+    """Multiplication table of the list, or None when some product falls
+    outside it.
+
+    Only right multiplications by a generating set are matrix products:
+    walking the list in index order, each element that the search from the
+    identity has not reached becomes a generator s, with
+    R_s[g] = index of g s, and the breadth-first search over every R_s so far
+    records each element b it reaches as b = a s_t.  Once every element is
+    reached, every element is a word in the generators, so rows follow by
+    integer lookups, i b = R_t[i a], and the list is closed.  (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, ch. 4.)
+    """
+    rights = []
+    parent = {identity: None}
+    order = [identity]
+    for s in range(len(mats)):
+        if s in parent:
+            continue
+        ms = mats[s]
+        r = [index.get(_matrix_key(m * ms, fld)) for m in mats]
+        if None in r:
+            return None
+        rights.append(r)
+        t = len(rights) - 1
+        k = len(order)
+        for a in order[:k]:
+            if r[a] not in parent:
+                parent[r[a]] = (a, t)
+                order.append(r[a])
+        while k < len(order):
+            a = order[k]
+            k += 1
+            for u, ru in enumerate(rights):
+                if ru[a] not in parent:
+                    parent[ru[a]] = (a, u)
+                    order.append(ru[a])
+    steps = [(b,) + parent[b] for b in order[1:]]
+    table = []
+    for i in range(len(mats)):
+        row = [None] * len(mats)
+        row[identity] = i
+        for b, a, t in steps:
+            row[b] = rights[t][row[a]]
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _first_non_product(mats, index, fld):
+    """First pair (i, j) in row-major order whose product is not an element
+    (there is one: a finite set of invertible matrices closed under
+    products is a group, so it holds the identity)."""
+    for i, mi in enumerate(mats):
+        for j, mj in enumerate(mats):
+            if _matrix_key(mi * mj, fld) not in index:
+                return i, j
 
 
 def equivariance_witness(tensor, in_mats, out_inv):
@@ -220,7 +272,8 @@ def self_module_action(action, module):
 def make_module_action(action, module, matrices):
     """Validate the module matrices as a representation V of the group
     (V(e) = I and V(s) V(g) = V(sg) for every generator s and element g,
-    which makes every V(g) invertible) under which the three module actions
+    which makes every V(g) invertible; module matrices equal to the element
+    matrices pass by the table) under which the three module actions
     are equivariant.
 
     Equivariance is checked under the generators only: for a representation
@@ -239,13 +292,15 @@ def make_module_action(action, module, matrices):
         raise GroupActionError("module matrix for the identity %r is not the identity"
                                % (action.labels[e],))
     gens = generators(action)
-    for s in gens:
-        row = action.mult_table[s]
-        for g in range(action.size):
-            if mats[s] * mats[g] != mats[row[g]]:
-                raise GroupActionError(
-                    "module matrices are not a representation: V(%r) V(%r) != V(%r)"
-                    % (action.labels[s], action.labels[g], action.labels[row[g]]))
+    # the element matrices themselves need no check: the table holds their products
+    if mats != action.matrices:
+        for s in gens:
+            row = action.mult_table[s]
+            for g in range(action.size):
+                if mats[s] * mats[g] != mats[row[g]]:
+                    raise GroupActionError(
+                        "module matrices are not a representation: V(%r) V(%r) != V(%r)"
+                        % (action.labels[s], action.labels[g], action.labels[row[g]]))
     checked = []
     for name, tensor in (("left", module.left), ("right", module.right),
                          ("middle", module.middle)):

@@ -318,6 +318,34 @@ def equivariance_witness_loop(tensor, in_mats, out_mat):
 
 
 # ---------------------------------------------------------------------------
+# group multiplication tables
+
+
+def mult_table_row_major(mats, fld):
+    """Reference for the table of groups.make_group_action: every product
+    mats[i] * mats[j], looked up in the list row by row.  Returns
+    (table, None) when the list is closed under products, otherwise
+    (None, (i, j)) for the first pair in row-major order whose product is
+    not in the list."""
+    def key(m):
+        return tuple(tuple(fld(v) for v in row) for row in m.rows)
+
+    index = {}
+    for k, m in enumerate(mats):
+        index.setdefault(key(m), k)
+    table = []
+    for i, a in enumerate(mats):
+        row = []
+        for j, b in enumerate(mats):
+            k = index.get(key(a * b))
+            if k is None:
+                return None, (i, j)
+            row.append(k)
+        table.append(tuple(row))
+    return tuple(table), None
+
+
+# ---------------------------------------------------------------------------
 # ambient actions, invariant subspaces and the Reynolds projector
 
 

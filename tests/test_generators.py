@@ -162,6 +162,27 @@ def test_invariant_basis_moves_each_basis_once_per_generator(monkeypatch):
         assert len(basis) < plain
 
 
+def test_group_table_takes_one_product_per_element_and_chosen_generator(monkeypatch):
+    # make_group_action multiplies every element by each generator it
+    # chooses, and chooses at most log2 |G| (each at least doubles the
+    # subgroup reached); the whole table would be |G|^2 = 2304 products
+    calls = []
+    mul = Matrix.__mul__
+
+    def counting(a, b):
+        calls.append(b)
+        return mul(a, b)
+
+    n, gens = GROUPS["B3"]
+    elements = [("g%d" % k, Matrix(m))
+                for k, m in enumerate(closure([signed_perm(p, s) for p, s in gens]))]
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    action = make_group_action(meson(n), elements)
+    assert action.size == 48
+    chosen = {id(b) for b in calls}
+    assert len(calls) == 48 * len(chosen) <= 48 * int(math.log2(48))
+
+
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_generators_generate_the_whole_group_and_are_few(group):
     _, action = meson_action(group, QQ)

@@ -1,12 +1,18 @@
+import functools
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import (act_dense, action_on_cochain_ambient, invariant_subspace,
-                     reynolds_project)
+                     mult_table_row_major, reynolds_project)
+from test_cohomology import UNIMODULAR, changed_basis
+from test_generators import closure, signed_perm
 
-from ltsdeform.groups import (GroupActionError, make_group_action, self_module_action,
-                              sign_action, transpose_action_on_rect, trivial_action)
-from ltsdeform.linalg import Matrix, QQ, rank
+from ltsdeform.groups import (GroupAction, GroupActionError, generators, make_group_action,
+                              self_module_action, sign_action, transpose_action_on_rect,
+                              trivial_action)
+from ltsdeform.linalg import Matrix, PrimeField, QQ, rank
 from ltsdeform.lts import meson, self_module, skew_lts
 
 
@@ -120,6 +126,61 @@ def test_transpose_action_agrees_with_matrix_arithmetic():
 def test_transpose_action_p1_degenerates():
     with pytest.raises(GroupActionError, match="duplicate"):
         transpose_action_on_rect(1)
+
+
+@functools.lru_cache(maxsize=None)
+def _meson_basis(d, fld, conjugate):
+    """meson(d), written in the basis P = UNIMODULAR (+) I when conjugate is
+    set, with P and its inverse (identities otherwise)."""
+    p, pinv = (Matrix([[fld(v) for v in row] for row in rows], fld) for rows in UNIMODULAR)
+    if not conjugate:
+        p = pinv = Matrix.identity(d, fld)
+    elif d == 4:
+        p, pinv = ([r + [fld.zero] for r in m.rows] + [[fld.zero] * 3 + [fld.one]]
+                   for m in (p, pinv))
+        p, pinv = Matrix(p, fld), Matrix(pinv, fld)
+    return changed_basis(meson(d, fld), p, pinv), p, pinv
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(10007)]), st.booleans(),
+       st.sampled_from(["none", "drop", "swap"]), st.integers(0, 2 ** 32))
+def test_group_table_matches_the_row_major_oracle(d, fld, conjugate, change, seed):
+    # the closure of 1-3 random signed permutations (at most 48 elements),
+    # shuffled and for d >= 3 possibly conjugated to non-monomial matrices;
+    # then one element dropped or swapped for 2I, which is never a member
+    rnd = random.Random(seed)
+    gens = [signed_perm(rnd.sample(range(d), d), [rnd.choice((1, -1)) for _ in range(d)])
+            for _ in range(rnd.randint(1, 3))]
+    while len(gens) > 1 and len(closure(gens)) > 48:
+        gens.pop()
+    system, p, pinv = _meson_basis(d, fld, conjugate and d >= 3)
+    group = closure(gens)
+    rnd.shuffle(group)
+    elements = [("g%d" % k, pinv * Matrix([[fld(v) for v in row] for row in m], fld) * p)
+                for k, m in enumerate(group)]
+    k = rnd.randrange(len(elements))
+    if change == "drop" and elements[k][1] != Matrix.identity(d, fld):
+        del elements[k]
+    elif change == "swap":
+        elements[k] = (elements[k][0], Matrix.identity(d, fld).scale(fld(2)))
+    labels = [lab for lab, _ in elements]
+    table, miss = mult_table_row_major([m for _, m in elements], fld)
+    if miss is not None:
+        with pytest.raises(GroupActionError) as err:
+            make_group_action(system, elements)
+        assert str(err.value) == ("not closed under product: %r * %r is not an element"
+                                  % (labels[miss[0]], labels[miss[1]]))
+        return
+    action = make_group_action(system, elements)
+    ident = next(e for e, row in enumerate(table) if row == tuple(range(len(row))))
+    inverses = tuple(row.index(ident) for row in table)
+    assert action.mult_table == table
+    assert action.identity_index == ident
+    assert action.inverses == inverses
+    oracle = GroupAction(system, tuple(labels), action.matrices, ident, table, inverses)
+    assert generators(action) == generators(oracle)
 
 
 # ---------------------------------------------------------------------------
