@@ -124,41 +124,34 @@ def _closed_table(mats, index, identity, fld):
     walking the list in index order, each element that the search from the
     identity has not reached becomes a generator s, with
     R_s[g] = index of g s, and the breadth-first search over every R_s so far
-    records each element b it reaches as b = a s_t.  Once every element is
-    reached, every element is a word in the generators, so rows follow by
-    integer lookups, i b = R_t[i a], and the list is closed.  (Holt, Eick and
-    O'Brien, Handbook of Computational Group Theory, 2005, ch. 4.)
+    records each element b it reaches as b = a s_t (one search costs
+    |G| |gens| lookups, so it is simply run again for each new generator).
+    Once every element is reached, every element is a word in the
+    generators, so rows follow by integer lookups, i b = R_t[i a], and the
+    list is closed.  (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 2005, ch. 4.)
     """
     rights = []
-    parent = {identity: None}
-    order = [identity]
+    order, parent = [identity], {identity: None}
     for s in range(len(mats)):
         if s in parent:
             continue
-        ms = mats[s]
-        r = [index.get(_matrix_key(m * ms, fld)) for m in mats]
+        r = [index.get(_matrix_key(m * mats[s], fld)) for m in mats]
         if None in r:
             return None
         rights.append(r)
-        t = len(rights) - 1
-        k = len(order)
-        for a in order[:k]:
-            if r[a] not in parent:
-                parent[r[a]] = (a, t)
-                order.append(r[a])
-        while k < len(order):
-            a = order[k]
-            k += 1
-            for u, ru in enumerate(rights):
-                if ru[a] not in parent:
-                    parent[ru[a]] = (a, u)
-                    order.append(ru[a])
-    steps = [(b,) + parent[b] for b in order[1:]]
+        order, parent = [identity], {identity: None}
+        for a in order:
+            for t, rt in enumerate(rights):
+                if rt[a] not in parent:
+                    parent[rt[a]] = (a, t)
+                    order.append(rt[a])
     table = []
     for i in range(len(mats)):
         row = [None] * len(mats)
         row[identity] = i
-        for b, a, t in steps:
+        for b in order[1:]:
+            a, t = parent[b]
             row[b] = rights[t][row[a]]
         table.append(tuple(row))
     return tuple(table)
