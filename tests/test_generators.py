@@ -181,6 +181,10 @@ def test_group_table_takes_one_product_per_element_and_chosen_generator(monkeypa
     assert action.size == 48
     chosen = {id(b) for b in calls}
     assert len(calls) == 48 * len(chosen) <= 48 * int(math.log2(48))
+    # the element matrices as module matrices are a representation by the table
+    calls.clear()
+    self_module_action(action, self_module(action.system))
+    assert calls == []
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
