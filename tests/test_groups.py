@@ -130,15 +130,13 @@ def test_transpose_action_p1_degenerates():
 
 @functools.lru_cache(maxsize=None)
 def _meson_basis(d, fld, conjugate):
-    """meson(d), written in the basis P = UNIMODULAR (+) I when conjugate is
-    set, with P and its inverse (identities otherwise)."""
-    p, pinv = (Matrix([[fld(v) for v in row] for row in rows], fld) for rows in UNIMODULAR)
+    """meson(d) with the change of basis P and its inverse: P = UNIMODULAR
+    (+) I when conjugate is set (d >= 3), the identity otherwise."""
     if not conjugate:
-        p = pinv = Matrix.identity(d, fld)
-    elif d == 4:
-        p, pinv = ([r + [fld.zero] for r in m.rows] + [[fld.zero] * 3 + [fld.one]]
-                   for m in (p, pinv))
-        p, pinv = Matrix(p, fld), Matrix(pinv, fld)
+        one = Matrix.identity(d, fld)
+        return meson(d, fld), one, one
+    p, pinv = (Matrix([[fld(v) for v in row] + [fld.zero] * (d - 3) for row in rows]
+                      + Matrix.identity(d, fld).rows[3:], fld) for rows in UNIMODULAR)
     return changed_basis(meson(d, fld), p, pinv), p, pinv
 
 
