@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Compare two revisions on one benchmark workload, in alternating pairs.
 
-    python3 scripts/bench_pairs.py REV_A REV_B --workload scan-equivariant \\
-        --pairs 10 --seconds 20
+    python3 scripts/bench_pairs.py REV_A REV_B --workload scan-equivariant --pairs 10
 
 Both revisions are exported with `git archive` into a temporary directory,
 and each runs `perfbench/run.py --trace 0` from its own tree.  Pair i runs
 both with seed SEED + i, A first in even pairs and B first in odd ones, so
-a drift in host speed does not favour either side.  For every end-to-end
-metric of BENCHMARK.json (read from REV_B) it prints the median and
-quartiles of each side, in how many pairs B beat A, and whether B's median
-is better than A's by more than A's interquartile range.
+a drift in host speed does not favour either side.  Every run lasts the
+benchmark's `run_seconds`, read from REV_B's BENCHMARK.json like the
+end-to-end metrics; for each metric it prints the median and quartiles of
+each side, in how many pairs B beat A, and whether B's median is better
+than A's by more than A's interquartile range.
 """
 
 import argparse
@@ -83,7 +83,6 @@ def main(argv=None):
     p.add_argument("rev_b")
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=20)
     p.add_argument("--seed", type=int, default=2101, help="seed of the first pair")
     args = p.parse_args(argv)
 
@@ -91,15 +90,16 @@ def main(argv=None):
         trees = {"A": Path(tmp) / "a", "B": Path(tmp) / "b"}
         for side, rev in (("A", args.rev_a), ("B", args.rev_b)):
             print("%s = %s" % (side, export(rev, trees[side])), file=sys.stderr)
-        metrics = json.loads((trees["B"] / "BENCHMARK.json").read_text())["end_to_end"]
+        bench = json.loads((trees["B"] / "BENCHMARK.json").read_text())
+        seconds, metrics = bench["run_seconds"], bench["end_to_end"]
         runs = {"A": [], "B": []}
         for i in range(args.pairs):
             seed = args.seed + i
             for side in ("AB" if i % 2 == 0 else "BA"):
-                runs[side].append(run(trees[side], args.workload, seed, args.seconds))
+                runs[side].append(run(trees[side], args.workload, seed, seconds))
                 print("pair %d seed %d %s: jobs_per_s %.2f" % (
                     i + 1, seed, side, runs[side][-1]["jobs_per_s"]), file=sys.stderr)
-    print("%s, %d pairs of %g s" % (args.workload, args.pairs, args.seconds))
+    print("%s, %d pairs of %g s" % (args.workload, args.pairs, seconds))
     print(summary(metrics, runs["A"], runs["B"]))
     return 0
 
