@@ -50,24 +50,36 @@ class SpanError(ValueError):
     """A vector falls outside the span of the basis it is expressed in."""
 
 
-def _span_sum(columns, coords):
-    """sum of coef * columns[j] over the sparse coordinates {j: coef}, field
-    elements, as a sparse dict without zeros."""
+def _span_sum(columns, coords, p):
+    """sum of coef * columns[j] over the sparse coordinates {j: coef}, raw
+    scalars of the field of characteristic p, as a sparse dict without
+    zeros: each entry is reduced mod p, or over QQ (p = 0) demoted to int
+    when its denominator is 1, once, after the sum."""
     out = {}
     for j, coef in coords.items():
         if not coef:
             continue
         for pos, v in columns[j].items():
-            cur = out.get(pos)
-            if cur is None:
-                out[pos] = coef * v
-            else:
-                cur = cur + coef * v
-                if cur:
-                    out[pos] = cur
-                else:
-                    del out[pos]
-    return out
+            out[pos] = out.get(pos, 0) + coef * v
+    return {pos: r for pos, v in out.items()
+            if (r := v % p if p else (v.numerator if v.denominator == 1 else v))}
+
+
+def _raw_entries(entries, field):
+    """The nonzero entries of a sparse vector of field scalars as raw
+    scalars (field.raw); QQ scalars are their own raw form."""
+    if field.char:
+        raw = field.raw
+        return {k: r for k, v in entries.items() if (r := raw(v))}
+    return {k: v for k, v in entries.items() if v}
+
+
+def _field_entries(entries, field):
+    """A sparse vector of raw scalars as field elements, the type that
+    values carry out of the complex; QQ raw scalars already are."""
+    if field.char:
+        return {k: field(v) for k, v in entries.items()}
+    return entries
 
 
 def _transpose(vectors):
@@ -135,10 +147,13 @@ def _three_slot_kernel(d, m, field):
 class CochainBasis:
     """Basis of a (possibly invariant) cochain space.
 
-    Columns are sparse {ambient position: scalar} dicts.  Every column has
-    entry 1 at its own free position and 0 at the free positions of the
-    other columns, so coordinates of a member vector are read directly off
-    the free positions (and verified by exact reconstruction).
+    Columns are sparse {ambient position: scalar} dicts of raw scalars
+    (field.raw): plain ints in [0, p) over GF(p), canonical int | Fraction
+    over QQ.  Every column has entry 1 at its own free position and 0 at
+    the free positions of the other columns, so coordinates of a member
+    vector are read directly off the free positions (and verified by exact
+    reconstruction).  express and combine take any scalars and return field
+    elements.
     """
 
     degree: int
@@ -163,21 +178,22 @@ class CochainBasis:
             if c.dims != (self.dim,) * self.degree or c.dim_out != self.mdim:
                 raise LinAlgError("cochain does not match the basis shape")
             c = c.entries
-        coords = self._coordinates({pos: v for pos, v in c.items() if v})
-        z = self.field.zero
+        field = self.field
+        coords = _field_entries(self._coordinates(_raw_entries(c, field)), field)
+        z = field.zero
         return [coords.get(j, z) for j in range(len(self.columns))]
 
     def _coordinates(self, support):
-        """Sparse coordinates {column: scalar} of a sparse vector without
-        zero entries, read off the free positions in its support and
-        verified by exact reconstruction."""
+        """Sparse raw coordinates {column: scalar} of a sparse vector of raw
+        scalars without zero entries, read off the free positions in its
+        support and verified by exact reconstruction."""
         index = self._free_index
         coords = {}
         for pos, v in support.items():
             j = index.get(pos)
             if j is not None:
                 coords[j] = v
-        recon = _span_sum(self.columns, coords)
+        recon = _span_sum(self.columns, coords, self.field.char)
         for pos, v in support.items():
             if recon.pop(pos, None) != v:
                 raise SpanError("vector is not in the span of the basis")
@@ -193,9 +209,11 @@ class CochainBasis:
                 raise LinAlgError("coordinate vector of length %d, expected %d"
                                   % (len(coords), len(self.columns)))
             coords = dict(enumerate(coords))
-        coords = {j: self.field(coef) for j, coef in coords.items()}
+        field = self.field
+        coords = {j: field.raw(coef) for j, coef in coords.items()}
+        entries = _span_sum(self.columns, coords, field.char)
         return StructureTensor((self.dim,) * self.degree, self.mdim,
-                               _span_sum(self.columns, coords), self.field)
+                               _field_entries(entries, field), field)
 
 
 def cochain_space_basis(module, degree, action=None, module_action=None,
@@ -220,8 +238,7 @@ def cochain_space_basis(module, degree, action=None, module_action=None,
     caps.check_ambient(ambient)
 
     if degree == 1:
-        one = field.one
-        columns = [{pos: one} for pos in range(ambient)]
+        columns = [{pos: 1} for pos in range(ambient)]
         free = list(range(ambient))
     else:
         wcols, wfree = _three_slot_kernel(d, m, field)
@@ -239,22 +256,21 @@ def cochain_space_basis(module, degree, action=None, module_action=None,
 
     if module_action is None:
         module_action = self_module_action(action, module)
+    raw, p = field.raw, field.char
     rows = {}
     for g in generators(action):
         moved_columns = apply_group_sparse(action, module_action, g, degree, basis.columns)
         for c, (col, moved) in enumerate(zip(basis.columns, moved_columns)):
             for pos, v in moved.items():
-                w = col.get(pos)
-                if w is not None:
-                    v = v - w
+                v = (raw(v) - col.get(pos, 0)) % p if p else v - col.get(pos, 0)
                 if v:
                     rows.setdefault((g, pos), {})[c] = v
             for pos, w in col.items():
                 if pos not in moved:
-                    rows.setdefault((g, pos), {})[c] = -w
+                    rows.setdefault((g, pos), {})[c] = -w % p if p else -w
     pivots = rref_rows(rows.values(), field)
     ncols, nfree = nullspace_from_rref(pivots, len(basis.columns), field)
-    inv_columns = [_span_sum(basis.columns, ncol) for ncol in ncols]
+    inv_columns = [_span_sum(basis.columns, ncol, p) for ncol in ncols]
     inv_free = [basis.free_positions[j] for j in nfree]
     return CochainBasis(degree, d, m, field, inv_columns, inv_free, invariant=True)
 
@@ -266,6 +282,10 @@ def cochain_space_basis(module, degree, action=None, module_action=None,
 def _coboundary_images(module, degree, cochains, caps):
     """Sparse coboundary image {ambient position: scalar} of each sparse
     degree-(2n-1) cochain {ambient position: scalar}, yielded one at a time.
+    Cochain and image entries are raw scalars (field.raw): the structure
+    tables are read through field.raw once, the terms of each image entry
+    are summed unreduced, and the sum is reduced mod p (over QQ, demoted to
+    int when integral) once per entry.
 
     The image is, at every basis tuple (x_1, ..., x_{2n+1}):
 
@@ -286,6 +306,7 @@ def _coboundary_images(module, degree, cochains, caps):
     d = module.system.dim
     m = module.dim
     n = (degree + 1) // 2
+    raw, p = module.system.field.raw, module.system.field.char
     caps.check_degree(degree + 2)
     caps.check_ambient(d ** (degree + 2) * m)
 
@@ -296,12 +317,12 @@ def _coboundary_images(module, degree, cochains, caps):
     for lists, tensor in ((theta, module.right), (dop, theta_module(module).left)):
         for key in sorted(tensor.entries):
             a, c, w, l = slot_indices(key, (d, d, m, m))
-            lists[w].append((a, c, l, tensor.entries[key]))
+            lists[w].append((a, c, l, raw(tensor.entries[key])))
     inverse_bracket = [[] for _ in range(d)]
     mu = module.system.mu.entries
     for key in sorted(mu):
         a, c, e, l = slot_indices(key, (d, d, d, d))
-        inverse_bracket[l].append((a, c, e, mu[key]))
+        inverse_bracket[l].append((a, c, e, raw(mu[key])))
 
     place = [d ** (degree - 1 - s) for s in range(degree)]
     for col in cochains:
@@ -332,7 +353,8 @@ def _coboundary_images(module, degree, cochains, caps):
                         key = ((((hi * d + a) * d + c) * tail + lo
                                 + (e - y[s]) * place[s]) * m + w)
                         out[key] = out.get(key, 0) - coef * sv
-        yield {key: val for key, val in out.items() if val}
+        yield {key: r for key, val in out.items()
+               if (r := val % p if p else (val.numerator if val.denominator == 1 else val))}
 
 
 def apply_coboundary(module, f, caps=DEFAULT_CAPS):
@@ -342,8 +364,10 @@ def apply_coboundary(module, f, caps=DEFAULT_CAPS):
     degree = len(f.dims)
     if f.dims != (d,) * degree or f.dim_out != module.dim:
         raise LinAlgError("cochain does not match the module shape")
-    image, = _coboundary_images(module, degree, [f.entries], caps)
-    return StructureTensor((d,) * (degree + 2), module.dim, image, module.system.field)
+    field = module.system.field
+    image, = _coboundary_images(module, degree, [_raw_entries(f.entries, field)], caps)
+    return StructureTensor((d,) * (degree + 2), module.dim, _field_entries(image, field),
+                           field)
 
 
 def is_cocycle(module, c, caps=DEFAULT_CAPS):
@@ -378,7 +402,7 @@ def coboundary_matrix(module, basis_from, basis_to, caps=DEFAULT_CAPS):
     rows = [[field.zero] * len(basis_from) for _ in range(len(basis_to))]
     for j, col in enumerate(_coboundary_columns(module, basis_from, basis_to, caps)):
         for i, v in col.items():
-            rows[i][j] = v
+            rows[i][j] = field(v)
     return Matrix(rows, field, copy=False)
 
 
@@ -422,8 +446,8 @@ class CochainComplex:
 
     def rows(self, degree):
         """The coboundary from degree to degree + 2 in the bases of the two
-        degrees, as sparse rows {row: {column: scalar}}, assembled column by
-        column."""
+        degrees, as sparse rows {row: {column: scalar}} of raw scalars
+        (field.raw), assembled column by column."""
         if degree not in self._rows:
             self._rows[degree] = _transpose(enumerate(_coboundary_columns(
                 self.module, self.basis(degree), self.basis(degree + 2), self.caps)))

@@ -2,12 +2,19 @@
 
 Scalars over the rationals are plain ``int`` or ``fractions.Fraction``
 values (always canonical: a Fraction is demoted to ``int`` whenever its
-denominator is 1).  Prime-field scalars are :class:`GFElement` residues.
-Everything is exact and deterministic: every echelon form is the unique
-reduced row echelon form of its row span (rows enter the elimination by
-ascending nonzero count, which keeps fill-in and coefficient growth down
-without changing the result), nullspace bases list free variables in
-ascending index order, and ``solve`` sets free variables to zero.
+denominator is 1).  Prime-field scalars are :class:`GFElement` residues
+wherever they leave this module or the cochain complex, and raw residues
+inside: the echelon form (``RrefAccumulator``, ``rref_rows``,
+``nullspace_from_rref``) and the cochain complex's bases and coboundary
+rows hold plain ints in [0, p).  ``field.raw`` reads a scalar into that
+form (over QQ it is the field itself), every stored value is reduced mod
+p (demoted to ``int`` over QQ), and ``field(v)`` turns a value back into
+the boundary type.  Everything is exact and deterministic: every echelon
+form is the unique reduced row echelon form of its row span (rows enter
+the elimination by ascending nonzero count, which keeps fill-in and
+coefficient growth down without changing the result), nullspace bases
+list free variables in ascending index order, and ``solve`` sets free
+variables to zero.
 """
 
 from __future__ import annotations
@@ -108,6 +115,8 @@ class RationalField:
         q = v if isinstance(v, Fraction) else Fraction(v)
         return q.numerator if q.denominator == 1 else q
 
+    raw = __call__
+
     @property
     def zero(self):
         return 0
@@ -156,6 +165,12 @@ class PrimeField:
             return GFElement(v, self.p)
         q = Fraction(v)
         return self._from_fraction(q)
+
+    def raw(self, v):
+        """The residue of v in [0, p), as a plain int: self(v).val."""
+        if v.__class__ is int:
+            return v % self.p
+        return self(v).val
 
     def _from_fraction(self, q):
         if q.denominator % self.p == 0:
@@ -339,7 +354,9 @@ class Matrix:
 # Rows are dicts {column index: nonzero scalar}.  The result is the unique
 # RREF of the row span, as a dict {pivot column: row dict} with pivot entry 1
 # and pivot columns eliminated everywhere else.  Uniqueness of the RREF makes
-# every routine below independent of row ordering and scheduling.
+# every routine below independent of row ordering and scheduling.  Entries
+# are read through field.raw on the way in, so pivot rows hold raw residues
+# in [0, p) over GF(p) and canonical int | Fraction over QQ.
 
 
 class RrefAccumulator:
@@ -366,24 +383,25 @@ class RrefAccumulator:
     def reduce(self, row):
         """Remainder of row after reduction by the current pivot rows.
 
-        The row's entries pass through the field first, so a plain int
-        multiple of p is a zero of GF(p), not a pivot.  A pivot row carries
-        no other pivot column, so subtracting it never changes the row's
-        entry at another pivot: one pass over the row's pivot entries, each
+        The row's entries pass through field.raw first, so a plain int
+        multiple of p is a zero of GF(p), not a pivot, and GFElement, int
+        and Fraction entries are all accepted.  A pivot row carries no
+        other pivot column, so subtracting it never changes the row's entry
+        at another pivot: one pass over the row's pivot entries, each
         subtracting coef * (pivot row), reduces it fully.
         """
         pivots = self.pivots
-        field = self.field
+        raw, p = self.field.raw, self.field.char
         out, hits = {}, []
         for c, v in row.items():
-            if v := field(v):
+            if v := raw(v):
                 prow = pivots.get(c)
                 if prow is None:
                     out[c] = v
                 else:
                     hits.append((c, v, prow))
         for c, coef, prow in hits:
-            _subtract(out, coef, prow, c)
+            _subtract(out, coef, prow, c, p)
         return out
 
     def extend(self, rows):
@@ -400,16 +418,20 @@ class RrefAccumulator:
             return False
         c = min(r)
         piv = r.pop(c)
-        field = self.field
-        r = {cc: field.div(v, piv) for cc, v in r.items()}
-        r[c] = field.one
+        field, p = self.field, self.field.char
+        if p:
+            inv = pow(piv, -1, p)
+            r = {cc: v * inv % p for cc, v in r.items()}
+        else:
+            r = {cc: field.div(v, piv) for cc, v in r.items()}
+        r[c] = 1
         holders = self._holders
         pivots = self.pivots
         for pc in holders.pop(c, ()):
             prow = pivots[pc]
             coef = prow.pop(c, None)
             if coef is not None:
-                for cc in _subtract(prow, coef, r, c):
+                for cc in _subtract(prow, coef, r, c, p):
                     holders.setdefault(cc, []).append(pc)
         for cc in r:
             if cc != c:
@@ -422,23 +444,28 @@ class RrefAccumulator:
         return len(self.pivots)
 
 
-def _subtract(out, coef, prow, skip):
+def _subtract(out, coef, prow, skip, p):
     """out -= coef * prow in place, leaving out column skip; returns the
-    columns at which out gained an entry."""
+    columns at which out gained an entry.  Each stored entry is reduced mod
+    p, or over QQ (p = 0) demoted to int when its denominator is 1."""
     gained = []
     for cc, v in prow.items():
         if cc == skip:
             continue
         cur = out.get(cc)
         if cur is None:
-            out[cc] = -coef * v
+            cur = -coef * v
             gained.append(cc)
         else:
-            cur = cur - coef * v
-            if cur:
-                out[cc] = cur
-            else:
-                del out[cc]
+            cur -= coef * v
+        if p:
+            cur %= p
+        elif cur.__class__ is Fraction and cur.denominator == 1:
+            cur = cur.numerator
+        if cur:
+            out[cc] = cur
+        else:
+            del out[cc]
     return gained
 
 
@@ -448,7 +475,7 @@ def rref_rows(rows, field):
     rows is any iterable of sparse row dicts, a generator too; it is
     materialised, and the rows enter the elimination by ascending nonzero
     count, ties in input order (RrefAccumulator.extend).  The result does
-    not depend on the order of the rows.
+    not depend on the order of the rows.  Its entries are raw (field.raw).
     """
     acc = RrefAccumulator(field)
     acc.extend(rows)
@@ -460,16 +487,17 @@ def nullspace_from_rref(pivots, ncols, field):
 
     Each basis column carries 1 at its free coordinate, so reading a kernel
     vector's coordinates off the free positions recovers its expansion.
-    Returns (columns, free_positions) with columns as sparse dicts.
+    Returns (columns, free_positions) with columns as sparse dicts of raw
+    scalars, like the pivot rows.
     """
-    one = field.one
+    p = field.char
     free = [c for c in range(ncols) if c not in pivots]
-    cols = [{f: one} for f in free]
+    cols = [{f: 1} for f in free]
     index = {f: j for j, f in enumerate(free)}
     for pc, prow in pivots.items():
         for c, v in prow.items():
             if c != pc:
-                cols[index[c]][pc] = -v
+                cols[index[c]][pc] = -v % p if p else -v
     return cols, free
 
 
@@ -486,15 +514,16 @@ def rank(m):
 def nullspace(m):
     """Basis of the right kernel as matrix columns (deterministic)."""
     pivots = rref_rows(_matrix_rows_sparse(m), m.field)
-    cols, _ = nullspace_from_rref(pivots, m.ncols, m.field)
-    z = m.field.zero
+    field = m.field
+    cols, _ = nullspace_from_rref(pivots, m.ncols, field)
+    z = field.zero
     dense = []
     for col in cols:
         v = [z] * m.ncols
         for i, val in col.items():
-            v[i] = val
+            v[i] = field(val)
         dense.append(v)
-    return Matrix.from_columns(dense, m.ncols, m.field)
+    return Matrix.from_columns(dense, m.ncols, field)
 
 
 def solve(a, b):
@@ -518,5 +547,5 @@ def solve(a, b):
     for pc, prow in pivots.items():
         v = prow.get(aug)
         if v is not None:
-            x[pc] = v
+            x[pc] = a.field(v)
     return x

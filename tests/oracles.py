@@ -556,7 +556,7 @@ def invariant_basis_all_elements(module, degree, action, module_action=None):
         out = {}
         for j, coef in ncol.items():
             for pos, v in basis.columns[j].items():
-                out[pos] = out.get(pos, 0) + coef * v
+                out[pos] = out.get(pos, 0) + field(coef) * field(v)
         inv_columns.append({pos: v for pos, v in out.items() if v})
     inv_free = [basis.free_positions[j] for j in nfree]
     return CochainBasis(degree, basis.dim, basis.mdim, field, inv_columns, inv_free,

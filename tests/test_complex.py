@@ -3,17 +3,18 @@ coboundary against the pointwise formula, preimages against the dense
 solve, and the bases that the deformation layer builds."""
 
 import importlib
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import coboundary_pointwise
+from oracles import coboundary_pointwise, rref_dense
 
 from ltsdeform.cohomology import (CochainComplex, apply_coboundary, coboundary_matrix,
                                   is_coboundary)
 from ltsdeform.deformation import check_equivalence, make_deformation
 from ltsdeform.groups import sign_action
-from ltsdeform.linalg import PrimeField, QQ, solve
+from ltsdeform.linalg import GFElement, PrimeField, QQ, nullspace, solve
 from ltsdeform.lts import StructureTensor, make_system, meson, self_module, skew_lts, sym_lts
 
 BUILDERS = {"meson2": lambda fld: meson(2, fld), "sym2": lambda fld: sym_lts(2, fld),
@@ -131,3 +132,108 @@ def test_preimage_needs_a_degree_above_one():
     cx = plain_complex("meson2", "QQ")
     with pytest.raises(ValueError, match="degree-1"):
         cx.preimage(cx.basis(1).combine({0: 1}))
+
+
+# ---------------------------------------------------------------------------
+# scalars at the boundary of the complex
+
+
+def assert_field_scalars(values, field):
+    """Over GF(p) every value is a GFElement of that p, never a bare int
+    (the two hash differently); over QQ an int or a non-integral Fraction."""
+    for v in values:
+        if field.char:
+            assert type(v) is GFElement and v.p == field.char, repr(v)
+        else:
+            assert type(v) is int or (type(v) is Fraction and v.denominator != 1), repr(v)
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), PrimeField(2), QQ], ids=repr)
+@pytest.mark.parametrize("label", sorted(BUILDERS))
+@pytest.mark.parametrize("degree", [1, 3])
+def test_values_leave_the_complex_as_field_elements(label, field, degree):
+    cx = CochainComplex(self_module(BUILDERS[label](field)))
+    source, target = cx.basis(degree), cx.basis(degree + 2)
+    # bare-int coordinates over GF(p); over QQ halves, whose sums over
+    # shared positions are often integral
+    coords = {j: Fraction(j + 1, 2) if not field.char else j + 8
+              for j in range(0, len(source), 2)}
+    f = source.combine(coords)
+    assert_field_scalars(f.entries.values(), field)
+    assert_field_scalars(source.express(f), field)
+    # a sparse dict of bare ints, as the library takes from its callers
+    assert_field_scalars(source.express({pos: 9 * v for pos, v in source.columns[-1].items()}),
+                         field)
+    df = apply_coboundary(cx.module, f)
+    assert_field_scalars(df.entries.values(), field)
+    pre = cx.preimage(df)
+    assert pre is not None and apply_coboundary(cx.module, pre) == df
+    assert_field_scalars(pre.entries.values(), field)
+    for rep in cx.cohomology(degree).representatives:
+        assert_field_scalars(rep.entries.values(), field)
+    matrix = coboundary_matrix(cx.module, source, target)
+    assert_field_scalars((v for row in matrix.rows for v in row), field)
+    kernel = nullspace(matrix)
+    assert_field_scalars((v for row in kernel.rows for v in row), field)
+    x = solve(matrix, target.express(df))
+    assert_field_scalars(x, field)
+    assert matrix.apply(x) == target.express(df)
+
+
+# ---------------------------------------------------------------------------
+# the coboundary rows in small characteristic
+
+
+@lru_cache(maxsize=None)
+def small_char_complex(label, p):
+    return CochainComplex(self_module(BUILDERS[label](PrimeField(p))))
+
+
+def coboundary_rows_dense(cx, degree):
+    """Reference for CochainComplex.rows: the pointwise coboundary of each
+    source basis column, expressed in the target basis by dense Gauss-Jordan
+    elimination with the images as augmented columns.  The cochain
+    conditions touch only the last three slots, so every target column lies
+    in one block of positions with a common prefix (checked), and each
+    block is eliminated on its own."""
+    field = cx.field
+    source, target = cx.basis(degree), cx.basis(degree + 2)
+    block = source.dim ** 3 * source.mdim
+    images = [coboundary_pointwise(cx.module, source.combine({j: 1}))
+              for j in range(len(source))]
+    columns = {}   # block -> [(target column, {position: scalar})]
+    for j, col in enumerate(target.columns):
+        assert len({pos // block for pos in col}) == 1
+        columns.setdefault(min(col) // block, []).append((j, col))
+    want = {}
+    for b, cols in columns.items():
+        nb = len(cols)
+        rows = {}
+        for k, (_, col) in enumerate(cols):
+            for pos, v in col.items():
+                rows.setdefault(pos, {})[k] = field(v)
+        for t, image in enumerate(images):
+            for pos, v in image.entries.items():
+                if pos // block == b:
+                    rows.setdefault(pos, {})[nb + t] = v
+        pivots = rref_dense(list(rows.values()), nb + len(images), field)
+        # the target columns are independent and every image lies in their span
+        assert sorted(pivots) == list(range(nb))
+        for k, prow in pivots.items():
+            for c, v in prow.items():
+                if c >= nb:
+                    want.setdefault(cols[k][0], {})[c - nb] = v
+    # no image has an entry outside the blocks of the target columns
+    assert all(pos // block in columns for image in images for pos in image.entries)
+    return want
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from([2, 3, 7, 10007]), st.sampled_from(sorted(BUILDERS)),
+       st.sampled_from([1, 3]))
+def test_coboundary_rows_match_the_dense_reference_in_small_characteristic(p, label, degree):
+    # char 2 polarizes the square condition; every characteristic must read
+    # the same rows as the field-element reference, as residues in [0, p)
+    cx = small_char_complex(label, p)
+    want = coboundary_rows_dense(cx, degree)
+    assert cx.rows(degree) == {i: {j: v.val for j, v in row.items()} for i, row in want.items()}

@@ -136,6 +136,9 @@ def test_rref_rows_matches_dense_gauss_jordan(shape, rhs, fld, rnd):
     assert got == want
     assert rref_in_order(rows, fld) == want
     assert rref_rows((r for r in rows), fld) == want
+    # over QQ every stored entry is canonical: an integral value is an int
+    assert not any(isinstance(v, Fraction) and v.denominator == 1
+                   for prow in got.values() for v in prow.values())
     cols, free = nullspace_from_rref(got, ncols, fld)
     assert free == [c for c in range(ncols) if c not in want]
     for col in cols:
@@ -211,6 +214,14 @@ def test_field_from_spec():
         field_from_spec("gf:10")
     with pytest.raises(LinAlgError):
         field_from_spec("real")
+
+
+def test_echelon_rows_demote_integral_fractions_to_int():
+    # the second row's pivot is 1/2 of the first's: eliminating it leaves
+    # integral Fractions, which are stored as ints
+    pivots = rref_rows([{0: 2, 1: 1, 2: 1, 3: 4}, {0: 1, 1: 1, 2: 3, 3: 1}], QQ)
+    assert pivots == {0: {0: 1, 2: -2, 3: 3}, 1: {1: 1, 2: 5, 3: -2}}
+    assert all(type(v) is int for prow in pivots.values() for v in prow.values())
 
 
 def test_rational_scalars_demote_to_int():
