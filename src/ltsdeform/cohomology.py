@@ -329,7 +329,7 @@ def _coboundary_images(module, degree, cochains, caps):
         out = {}
         for pos, v in col.items():
             ybase, w = divmod(pos, m)
-            y = [ybase // p % d for p in place]
+            y = [ybase // step % d for step in place]
             # theta(x_{2n}, x_{2n+1}) f(x_1, ..., x_{2n-1})
             # - theta(x_{2n-1}, x_{2n+1}) f(x_1, ..., x_{2n-2}, x_{2n})
             head, last = divmod(ybase, d)
@@ -459,9 +459,9 @@ class CochainComplex:
             raise LinAlgError("cohomology degree must be odd and >= 1")
         field = self.field
         basis = self.basis(degree)
-        pivots = rref_rows(self.rows(degree).values(), field)
-        zcols, _ = nullspace_from_rref(pivots, len(basis), field)
-        dim_z = len(zcols)
+        cocycles = RrefAccumulator(field)
+        cocycles.extend(self.rows(degree).values())
+        dim_z = len(basis) - cocycles.rank
 
         acc = RrefAccumulator(field)
         if degree > 1:
@@ -470,9 +470,12 @@ class CochainComplex:
 
         # representatives: extend the coboundary span through the cocycle
         # basis, first fit in the canonical cocycle order; the whole span is
-        # in by now, so the fit does not depend on the order it went in
+        # in by now, so the fit does not depend on the order it went in.
+        # The dimensions need ranks alone: only representatives read the
+        # echelon rows out and build the cocycle kernel.
         representatives = []
         if want_representatives:
+            zcols, _ = nullspace_from_rref(cocycles.pivots, len(basis), field)
             for z in zcols:
                 if acc.add(z):
                     representatives.append(basis.combine(z))

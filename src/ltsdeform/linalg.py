@@ -9,17 +9,21 @@ inside: the echelon form (``RrefAccumulator``, ``rref_rows``,
 rows hold plain ints in [0, p).  ``field.raw`` reads a scalar into that
 form (over QQ it is the field itself), every stored value is reduced mod
 p (demoted to ``int`` over QQ), and ``field(v)`` turns a value back into
-the boundary type.  Everything is exact and deterministic: every echelon
-form is the unique reduced row echelon form of its row span (rows enter
-the elimination by ascending nonzero count, which keeps fill-in and
-coefficient growth down without changing the result), nullspace bases
-list free variables in ascending index order, and ``solve`` sets free
-variables to zero.
+the boundary type.  Inside ``RrefAccumulator`` a QQ echelon row is a
+primitive integer row (its RREF row times a positive integer), so the
+elimination runs on ints; wherever the rows are read (``pivots``,
+``rref_rows``) they are canonical int | Fraction.  Everything is exact
+and deterministic: every echelon form is the unique reduced row echelon
+form of its row span (rows enter the elimination by ascending nonzero
+count, which keeps fill-in and coefficient growth down without changing
+the result), nullspace bases list free variables in ascending index
+order, and ``solve`` sets free variables to zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class LinAlgError(ValueError):
@@ -355,12 +359,25 @@ class Matrix:
 # RREF of the row span, as a dict {pivot column: row dict} with pivot entry 1
 # and pivot columns eliminated everywhere else.  Uniqueness of the RREF makes
 # every routine below independent of row ordering and scheduling.  Entries
-# are read through field.raw on the way in, so pivot rows hold raw residues
-# in [0, p) over GF(p) and canonical int | Fraction over QQ.
+# are read through field.raw on the way in, and the rows read out hold raw
+# residues in [0, p) over GF(p) and canonical int | Fraction over QQ.
 
 
 class RrefAccumulator:
     """Incrementally maintained RREF of the rows fed to add().
+
+    The elimination is fraction-free (after Bareiss, Math. Comp. 22, 1968).
+    Over QQ a stored row is the primitive integer multiple of its RREF row
+    with a positive pivot entry: reducing a row clears its denominators
+    once and scales it by the lcm of the non-unit pivot entries it meets,
+    and a new pivot is eliminated from an earlier row by cross-multiplying
+    the two rows and dividing out their gcd, so every subtraction is on
+    ints.  A GF(p) row is monic, the pivot-entry-1 case of the same scheme,
+    and one elimination loop (_subtract) serves both fields.  ``pivots``
+    reads the RREF rows out, dividing a row by its pivot entry only when
+    that entry is not 1; ``rank`` needs no such read.  Remainders stay
+    internal (_reduce): over QQ a remainder is right only up to a nonzero
+    scalar.
 
     A new pivot column must be eliminated from every earlier pivot row that
     holds it, and few rows do: scanning all of them for every new pivot
@@ -371,35 +388,60 @@ class RrefAccumulator:
     row that lost the entry again stays listed and is skipped when the
     column becomes a pivot.  The column's list is then dropped, since no
     row ever gains a pivot column again.  Every row that holds the column
-    is eliminated, as by a full scan, so the pivot rows are the same.  One
-    elimination loop (_subtract) serves both fields, reduce and add.
+    is eliminated, as by a full scan, so the pivot rows are the same.
     """
 
     def __init__(self, field):
         self.field = field
-        self.pivots = {}
+        self._rows = {}
         self._holders = {}
 
-    def reduce(self, row):
-        """Remainder of row after reduction by the current pivot rows.
+    def _reduce(self, row):
+        """Remainder of row after reduction by the current pivot rows, over
+        QQ up to a nonzero integer factor and with int entries only.
 
         The row's entries pass through field.raw first, so a plain int
         multiple of p is a zero of GF(p), not a pivot, and GFElement, int
         and Fraction entries are all accepted.  A pivot row carries no
         other pivot column, so subtracting it never changes the row's entry
         at another pivot: one pass over the row's pivot entries, each
-        subtracting coef * (pivot row), reduces it fully.
+        subtracting a multiple of the pivot row, reduces it fully.
         """
-        pivots = self.pivots
-        raw, p = self.field.raw, self.field.char
+        rows = self._rows
+        field = self.field
+        p = field.char
         out, hits = {}, []
-        for c, v in row.items():
-            if v := raw(v):
-                prow = pivots.get(c)
-                if prow is None:
-                    out[c] = v
-                else:
-                    hits.append((c, v, prow))
+        if p:
+            raw = field.raw
+            for c, v in row.items():
+                if v := raw(v):
+                    prow = rows.get(c)
+                    if prow is None:
+                        out[c] = v
+                    else:
+                        hits.append((c, v, prow))
+        else:
+            # den clears the row's denominators, and the row times den * scale
+            # subtracts coef * den * (scale // piv) times each pivot row it
+            # hits, on ints: scale is the lcm of the pivot entries it meets
+            den = scale = 1
+            for c, v in row.items():
+                if v:
+                    if v.__class__ is not int:
+                        v = field(v)
+                        if v.__class__ is not int:
+                            den = lcm(den, v.denominator)
+                    prow = rows.get(c)
+                    if prow is None:
+                        out[c] = v
+                    else:
+                        hits.append((c, v, prow))
+                        if (piv := prow[c]) != 1:
+                            scale = lcm(scale, piv)
+            if den != 1 or scale != 1:
+                m = den * scale
+                out = {c: _times(v, m) for c, v in out.items()}
+                hits = [(c, _times(v, den) * (scale // prow[c]), prow) for c, v, prow in hits]
         for c, coef, prow in hits:
             _subtract(out, coef, prow, c, p)
         return out
@@ -413,41 +455,75 @@ class RrefAccumulator:
 
     def add(self, row):
         """Insert a row; returns True when it increased the rank."""
-        r = self.reduce(row)
+        r = self._reduce(row)
         if not r:
             return False
         c = min(r)
         piv = r.pop(c)
-        field, p = self.field, self.field.char
+        p = self.field.char
         if p:
-            inv = pow(piv, -1, p)
-            r = {cc: v * inv % p for cc, v in r.items()}
-        else:
-            r = {cc: field.div(v, piv) for cc, v in r.items()}
-        r[c] = 1
+            if piv != 1:
+                inv = pow(piv, -1, p)
+                r = {cc: v * inv % p for cc, v in r.items()}
+                piv = 1
+        elif piv != 1:
+            g = gcd(piv, *r.values())
+            if piv < 0:
+                g = -g
+            r = {cc: v // g for cc, v in r.items()}
+            piv //= g
+        r[c] = piv
         holders = self._holders
-        pivots = self.pivots
+        rows = self._rows
         for pc in holders.pop(c, ()):
-            prow = pivots[pc]
+            prow = rows[pc]
             coef = prow.pop(c, None)
-            if coef is not None:
-                for cc in _subtract(prow, coef, r, c, p):
-                    holders.setdefault(cc, []).append(pc)
+            if coef is None:
+                continue
+            # prow * piv - coef * r: the entry at c cancels (over GF(p) the
+            # pivot entry is 1 and this is prow - coef * r)
+            if piv != 1:
+                for cc in prow:
+                    prow[cc] *= piv
+            for cc in _subtract(prow, coef, r, c, p):
+                holders.setdefault(cc, []).append(pc)
+            if prow[pc] != 1:
+                g = gcd(*prow.values())
+                if g != 1:
+                    for cc in prow:
+                        prow[cc] //= g
         for cc in r:
             if cc != c:
                 holders.setdefault(cc, []).append(c)
-        pivots[c] = r
+        rows[c] = r
         return True
 
     @property
+    def pivots(self):
+        """The RREF rows, {pivot column: row}: raw residues over GF(p) and
+        canonical int | Fraction over QQ.  A snapshot that shares rows with
+        the accumulator: read it before the next add, and do not mutate it."""
+        rows = self._rows
+        if self.field.char:
+            return rows
+        div = self.field.div
+        return {c: r if (piv := r[c]) == 1 else {cc: div(v, piv) for cc, v in r.items()}
+                for c, r in rows.items()}
+
+    @property
     def rank(self):
-        return len(self.pivots)
+        return len(self._rows)
+
+
+def _times(v, m):
+    """The int v * m, for v an int or a Fraction whose denominator divides m."""
+    return v * m if v.__class__ is int else v.numerator * (m // v.denominator)
 
 
 def _subtract(out, coef, prow, skip, p):
     """out -= coef * prow in place, leaving out column skip; returns the
     columns at which out gained an entry.  Each stored entry is reduced mod
-    p, or over QQ (p = 0) demoted to int when its denominator is 1."""
+    p; over QQ (p = 0) every value is an int."""
     gained = []
     for cc, v in prow.items():
         if cc == skip:
@@ -460,8 +536,6 @@ def _subtract(out, coef, prow, skip, p):
             cur -= coef * v
         if p:
             cur %= p
-        elif cur.__class__ is Fraction and cur.denominator == 1:
-            cur = cur.numerator
         if cur:
             out[cc] = cur
         else:
@@ -475,7 +549,8 @@ def rref_rows(rows, field):
     rows is any iterable of sparse row dicts, a generator too; it is
     materialised, and the rows enter the elimination by ascending nonzero
     count, ties in input order (RrefAccumulator.extend).  The result does
-    not depend on the order of the rows.  Its entries are raw (field.raw).
+    not depend on the order of the rows.  Its entries are raw (field.raw):
+    residues in [0, p), or canonical int | Fraction over QQ.
     """
     acc = RrefAccumulator(field)
     acc.extend(rows)
@@ -502,7 +577,7 @@ def nullspace_from_rref(pivots, ncols, field):
 
 
 def _matrix_rows_sparse(m):
-    """Sparse rows of m (RrefAccumulator.reduce normalises the entries)."""
+    """Sparse rows of m (RrefAccumulator reads the entries through the field)."""
     return [{j: v for j, v in enumerate(row) if v} for row in m.rows]
 
 

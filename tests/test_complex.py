@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import coboundary_pointwise, rref_dense
 
+from ltsdeform import bundled_path
 from ltsdeform.cohomology import (CochainComplex, apply_coboundary, coboundary_matrix,
                                   is_coboundary)
 from ltsdeform.deformation import check_equivalence, make_deformation
-from ltsdeform.groups import sign_action
+from ltsdeform.documents import action_elements_from_document, load_document, system_from_document
+from ltsdeform.groups import make_group_action, sign_action
 from ltsdeform.linalg import GFElement, PrimeField, QQ, nullspace, solve
 from ltsdeform.lts import StructureTensor, make_system, meson, self_module, skew_lts, sym_lts
 
@@ -132,6 +134,56 @@ def test_preimage_needs_a_degree_above_one():
     cx = plain_complex("meson2", "QQ")
     with pytest.raises(ValueError, match="degree-1"):
         cx.preimage(cx.basis(1).combine({0: 1}))
+
+
+# ---------------------------------------------------------------------------
+# dimensions without representatives
+
+
+# the bundled systems that have a bundled action, with that action
+BUNDLED_ACTIONS = {"meson2": "meson2_swap", "skew3": "skew3_sign", "rect22": "rect22_transpose"}
+
+
+@lru_cache(maxsize=None)
+def bundled_complex(name, equivariant, field):
+    def doc(stem):
+        return load_document(bundled_path(stem + ".json").read_text())
+
+    system = system_from_document(doc(name), FIELDS[field])
+    action = None
+    if equivariant:
+        action = make_group_action(system, action_elements_from_document(
+            doc(BUNDLED_ACTIONS[name]), system.field))
+    return CochainComplex(self_module(system), action)
+
+
+def dimensions(report):
+    return (report.dim_space, report.dim_cocycles, report.dim_coboundaries, report.dim_h)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("equivariant", [False, True], ids=["plain", "invariant"])
+@pytest.mark.parametrize("name", sorted(BUNDLED_ACTIONS))
+@pytest.mark.parametrize("degree", [1, 3])
+def test_rank_only_cohomology_builds_no_cocycle_kernel(monkeypatch, name, equivariant, field,
+                                                       degree):
+    cx = bundled_complex(name, equivariant, field)
+    with_reps = cx.cohomology(degree)   # builds (and caches) the bases and rows
+    kernels = []
+    original = cohomology_module.nullspace_from_rref
+
+    def counted(*args, **kwargs):
+        kernels.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cohomology_module, "nullspace_from_rref", counted)
+    rank_only = cx.cohomology(degree, want_representatives=False)
+    assert not rank_only.representatives
+    assert dimensions(rank_only) == dimensions(with_reps)
+    assert kernels == []
+    # the counter sees the kernel that representatives need
+    assert dimensions(cx.cohomology(degree)) == dimensions(with_reps)
+    assert kernels == [with_reps.dim_space]
 
 
 # ---------------------------------------------------------------------------

@@ -103,23 +103,42 @@ def test_nullspace_is_deterministic_and_canonical(m):
         assert ones, "free coordinate missing"
 
 
-def sparse_rows(max_rows=8, max_cols=8):
-    """Rows of small integers, mostly zero, as {column: value} dicts."""
-    entry = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
+SMALL_ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
+# over QQ also Fractions and large integers: they reach the echelon form's
+# denominator clearing and its pivot rows whose integer pivot entry is not 1
+QQ_ENTRIES = st.one_of(SMALL_ENTRIES, SMALL_ENTRIES,
+                       st.fractions(min_value=-20, max_value=20, max_denominator=7),
+                       st.integers(-10 ** 6, 10 ** 6))
+
+
+def sparse_rows(max_rows=8, max_cols=8, entry=SMALL_ENTRIES):
+    """Rows of entries (by default small integers, mostly zero), as
+    {column: value} dicts."""
     return st.integers(1, max_cols).flatmap(
         lambda c: st.lists(st.lists(entry, min_size=c, max_size=c),
                            min_size=1, max_size=max_rows).map(
             lambda rows: (c, [{j: v for j, v in enumerate(r) if v} for r in rows])))
 
 
+def field_and_rows(fields, max_rows, max_cols):
+    """A field and sparse rows for it, QQ_ENTRIES over QQ."""
+    return st.sampled_from(fields).flatmap(lambda fld: st.tuples(st.just(fld), sparse_rows(
+        max_rows, max_cols, QQ_ENTRIES if fld == QQ else SMALL_ENTRIES)))
+
+
+def assert_canonical(pivots):
+    # over QQ every value read out is canonical: an integral value is an int
+    assert not any(isinstance(v, Fraction) and v.denominator == 1
+                   for prow in pivots.values() for v in prow.values())
+
+
 @settings(max_examples=120)
-@given(sparse_rows(max_rows=12, max_cols=12), st.lists(st.sampled_from([0, 0, 1, -1, 2]),
-                                                     max_size=14),
-       st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(10007)]), st.randoms())
-def test_rref_rows_matches_dense_gauss_jordan(shape, rhs, fld, rnd):
+@given(field_and_rows([QQ, PrimeField(2), PrimeField(3), PrimeField(10007)], 12, 12),
+       st.lists(st.sampled_from([0, 0, 1, -1, 2]), max_size=14), st.randoms())
+def test_rref_rows_matches_dense_gauss_jordan(case, rhs, rnd):
     # wide enough that new pivots fill in and cancel entries of earlier
     # pivot rows, which the accumulator's column index must follow
-    ncols, rows = shape
+    fld, (ncols, rows) = case
     if rhs:
         # a right-hand side in one more column, as CochainComplex.preimage
         # builds it: rows past the matrix's carry the right-hand side alone
@@ -136,14 +155,47 @@ def test_rref_rows_matches_dense_gauss_jordan(shape, rhs, fld, rnd):
     assert got == want
     assert rref_in_order(rows, fld) == want
     assert rref_rows((r for r in rows), fld) == want
-    # over QQ every stored entry is canonical: an integral value is an int
-    assert not any(isinstance(v, Fraction) and v.denominator == 1
-                   for prow in got.values() for v in prow.values())
+    assert_canonical(got)
     cols, free = nullspace_from_rref(got, ncols, fld)
     assert free == [c for c in range(ncols) if c not in want]
     for col in cols:
         for prow in want.values():
             assert not sum((v * col.get(j, 0) for j, v in prow.items()), fld.zero)
+
+
+@settings(max_examples=80)
+@given(field_and_rows([QQ, PrimeField(7)], 10, 10), st.data())
+def test_accumulator_matches_dense_gauss_jordan_after_every_add(case, data):
+    # rows go in one at a time, as cohomology's representatives loop feeds
+    # them, and the rows fed in are as drawn (Fractions and plain multiples
+    # of p included); the reference reads them through the field
+    fld, (ncols, rows) = case
+    mid = data.draw(st.integers(1, len(rows)))
+    acc = RrefAccumulator(fld)
+    rank_before = 0
+    for i, row in enumerate(rows, 1):
+        want = rref_dense([{j: fld(v) for j, v in r.items()} for r in rows[:i]], ncols, fld)
+        assert acc.add(row) == (len(want) > rank_before)
+        assert acc.rank == len(want)
+        rank_before = len(want)
+        if i in (mid, len(rows)):
+            assert acc.pivots == want
+            assert_canonical(acc.pivots)
+
+
+def test_fraction_free_rows_with_non_unit_pivot_entries():
+    # inside, the first row keeps its integer pivot entry 2; the last row
+    # clears its denominator, meets that pivot and is stored as (0, 3, 11),
+    # and eliminating its pivot from the first row divides out a gcd of 2
+    acc = RrefAccumulator(QQ)
+    assert acc.add({0: 2, 1: 1, 2: 1, 3: 4})
+    assert acc.pivots == {0: {0: 1, 1: Fraction(1, 2), 2: Fraction(1, 2), 3: 2}}
+    assert not acc.add({0: Fraction(1, 3), 1: Fraction(1, 6), 2: Fraction(1, 6),
+                        3: Fraction(2, 3)})
+    assert acc.add({0: Fraction(1, 2), 1: 1, 2: 3, 3: 1})
+    assert acc.rank == 2
+    assert acc.pivots == {0: {0: 1, 2: Fraction(-4, 3), 3: 2}, 1: {1: 1, 2: Fraction(11, 3)}}
+    assert_canonical(acc.pivots)
 
 
 # ---------------------------------------------------------------------------
