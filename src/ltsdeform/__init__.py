@@ -16,7 +16,7 @@ from .deformation import (DeformationError, EquivalenceResult, FormalIsomorphism
 from .groups import (GroupAction, GroupActionError, ModuleAction,
                      make_group_action, make_module_action, self_module_action,
                      sign_action, transpose_action_on_rect, trivial_action)
-from .linalg import (GFElement, LinAlgError, Matrix, PrimeField, QQ,
+from .linalg import (LinAlgError, Matrix, PrimeField, QQ,
                      RationalField, field_from_spec, nullspace, rank, solve)
 from .lts import (AxiomReport, BuildError, LieTripleSystem, LtsModule,
                   StructureTensor, Violation, from_lie_algebra, function_lts,

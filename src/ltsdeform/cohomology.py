@@ -30,7 +30,10 @@ formula, at a cost proportional to nnz * d^2 rather than the d^(k+2)
 output tuples of a degree-k cochain; the images of basis columns are read
 off as sparse coordinates and kept as the sparse rows that the echelon
 form reads.  A solve reduces the right-hand side as the augmented column
-of those rows, with free variables zero.
+of those rows, with free variables zero.  Scalars are the field's own
+(linalg): the bases, the coboundary images and rows sum them exactly and
+reduce each entry once, mod p over GF(p) and to canonical int | Fraction
+over QQ.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class SpanError(ValueError):
 
 
 def _span_sum(columns, coords, p):
-    """sum of coef * columns[j] over the sparse coordinates {j: coef}, raw
+    """sum of coef * columns[j] over the sparse coordinates {j: coef},
     scalars of the field of characteristic p, as a sparse dict without
     zeros: each entry is reduced mod p, or over QQ (p = 0) demoted to int
     when its denominator is 1, once, after the sum."""
@@ -63,23 +66,6 @@ def _span_sum(columns, coords, p):
             out[pos] = out.get(pos, 0) + coef * v
     return {pos: r for pos, v in out.items()
             if (r := v % p if p else (v.numerator if v.denominator == 1 else v))}
-
-
-def _raw_entries(entries, field):
-    """The nonzero entries of a sparse vector of field scalars as raw
-    scalars (field.raw); QQ scalars are their own raw form."""
-    if field.char:
-        raw = field.raw
-        return {k: r for k, v in entries.items() if (r := raw(v))}
-    return {k: v for k, v in entries.items() if v}
-
-
-def _field_entries(entries, field):
-    """A sparse vector of raw scalars as field elements, the type that
-    values carry out of the complex; QQ raw scalars already are."""
-    if field.char:
-        return {k: field(v) for k, v in entries.items()}
-    return entries
 
 
 def _transpose(vectors):
@@ -147,13 +133,12 @@ def _three_slot_kernel(d, m, field):
 class CochainBasis:
     """Basis of a (possibly invariant) cochain space.
 
-    Columns are sparse {ambient position: scalar} dicts of raw scalars
-    (field.raw): plain ints in [0, p) over GF(p), canonical int | Fraction
-    over QQ.  Every column has entry 1 at its own free position and 0 at
-    the free positions of the other columns, so coordinates of a member
-    vector are read directly off the free positions (and verified by exact
-    reconstruction).  express and combine take any scalars and return field
-    elements.
+    Columns are sparse {ambient position: scalar} dicts: ints in [0, p)
+    over GF(p), canonical int | Fraction over QQ.  Every column has entry
+    1 at its own free position and 0 at the free positions of the other
+    columns, so coordinates of a member vector are read directly off the
+    free positions (and verified by exact reconstruction).  express and
+    combine take any int or rational scalars and return field scalars.
     """
 
     degree: int
@@ -177,14 +162,14 @@ class CochainBasis:
         if isinstance(c, StructureTensor):
             if c.dims != (self.dim,) * self.degree or c.dim_out != self.mdim:
                 raise LinAlgError("cochain does not match the basis shape")
-            c = c.entries
-        field = self.field
-        coords = _field_entries(self._coordinates(_raw_entries(c, field)), field)
-        z = field.zero
-        return [coords.get(j, z) for j in range(len(self.columns))]
+            coords = self._coordinates(c.entries)
+        else:
+            field = self.field
+            coords = self._coordinates({k: w for k, v in c.items() if (w := field(v))})
+        return [coords.get(j, 0) for j in range(len(self.columns))]
 
     def _coordinates(self, support):
-        """Sparse raw coordinates {column: scalar} of a sparse vector of raw
+        """Sparse coordinates {column: scalar} of a sparse vector of field
         scalars without zero entries, read off the free positions in its
         support and verified by exact reconstruction."""
         index = self._free_index
@@ -210,10 +195,9 @@ class CochainBasis:
                                   % (len(coords), len(self.columns)))
             coords = dict(enumerate(coords))
         field = self.field
-        coords = {j: field.raw(coef) for j, coef in coords.items()}
-        entries = _span_sum(self.columns, coords, field.char)
-        return StructureTensor((self.dim,) * self.degree, self.mdim,
-                               _field_entries(entries, field), field)
+        entries = _span_sum(self.columns, {j: field(coef) for j, coef in coords.items()},
+                            field.char)
+        return StructureTensor((self.dim,) * self.degree, self.mdim, entries, field)
 
 
 def cochain_space_basis(module, degree, action=None, module_action=None,
@@ -256,13 +240,13 @@ def cochain_space_basis(module, degree, action=None, module_action=None,
 
     if module_action is None:
         module_action = self_module_action(action, module)
-    raw, p = field.raw, field.char
+    p = field.char
     rows = {}
     for g in generators(action):
         moved_columns = apply_group_sparse(action, module_action, g, degree, basis.columns)
         for c, (col, moved) in enumerate(zip(basis.columns, moved_columns)):
             for pos, v in moved.items():
-                v = (raw(v) - col.get(pos, 0)) % p if p else v - col.get(pos, 0)
+                v = (v - col.get(pos, 0)) % p if p else v - col.get(pos, 0)
                 if v:
                     rows.setdefault((g, pos), {})[c] = v
             for pos, w in col.items():
@@ -282,10 +266,8 @@ def cochain_space_basis(module, degree, action=None, module_action=None,
 def _coboundary_images(module, degree, cochains, caps):
     """Sparse coboundary image {ambient position: scalar} of each sparse
     degree-(2n-1) cochain {ambient position: scalar}, yielded one at a time.
-    Cochain and image entries are raw scalars (field.raw): the structure
-    tables are read through field.raw once, the terms of each image entry
-    are summed unreduced, and the sum is reduced mod p (over QQ, demoted to
-    int when integral) once per entry.
+    The terms of each image entry are summed exactly, and the sum is
+    reduced mod p (over QQ, demoted to int when integral) once per entry.
 
     The image is, at every basis tuple (x_1, ..., x_{2n+1}):
 
@@ -306,7 +288,7 @@ def _coboundary_images(module, degree, cochains, caps):
     d = module.system.dim
     m = module.dim
     n = (degree + 1) // 2
-    raw, p = module.system.field.raw, module.system.field.char
+    p = module.system.field.char
     caps.check_degree(degree + 2)
     caps.check_ambient(d ** (degree + 2) * m)
 
@@ -317,12 +299,12 @@ def _coboundary_images(module, degree, cochains, caps):
     for lists, tensor in ((theta, module.right), (dop, theta_module(module).left)):
         for key in sorted(tensor.entries):
             a, c, w, l = slot_indices(key, (d, d, m, m))
-            lists[w].append((a, c, l, raw(tensor.entries[key])))
+            lists[w].append((a, c, l, tensor.entries[key]))
     inverse_bracket = [[] for _ in range(d)]
     mu = module.system.mu.entries
     for key in sorted(mu):
         a, c, e, l = slot_indices(key, (d, d, d, d))
-        inverse_bracket[l].append((a, c, e, raw(mu[key])))
+        inverse_bracket[l].append((a, c, e, mu[key]))
 
     place = [d ** (degree - 1 - s) for s in range(degree)]
     for col in cochains:
@@ -364,10 +346,8 @@ def apply_coboundary(module, f, caps=DEFAULT_CAPS):
     degree = len(f.dims)
     if f.dims != (d,) * degree or f.dim_out != module.dim:
         raise LinAlgError("cochain does not match the module shape")
-    field = module.system.field
-    image, = _coboundary_images(module, degree, [_raw_entries(f.entries, field)], caps)
-    return StructureTensor((d,) * (degree + 2), module.dim, _field_entries(image, field),
-                           field)
+    image, = _coboundary_images(module, degree, [f.entries], caps)
+    return StructureTensor((d,) * (degree + 2), module.dim, image, module.system.field)
 
 
 def is_cocycle(module, c, caps=DEFAULT_CAPS):
@@ -402,7 +382,7 @@ def coboundary_matrix(module, basis_from, basis_to, caps=DEFAULT_CAPS):
     rows = [[field.zero] * len(basis_from) for _ in range(len(basis_to))]
     for j, col in enumerate(_coboundary_columns(module, basis_from, basis_to, caps)):
         for i, v in col.items():
-            rows[i][j] = field(v)
+            rows[i][j] = v
     return Matrix(rows, field, copy=False)
 
 
@@ -446,8 +426,8 @@ class CochainComplex:
 
     def rows(self, degree):
         """The coboundary from degree to degree + 2 in the bases of the two
-        degrees, as sparse rows {row: {column: scalar}} of raw scalars
-        (field.raw), assembled column by column."""
+        degrees, as sparse rows {row: {column: scalar}}, assembled column
+        by column."""
         if degree not in self._rows:
             self._rows[degree] = _transpose(enumerate(_coboundary_columns(
                 self.module, self.basis(degree), self.basis(degree + 2), self.caps)))

@@ -55,12 +55,6 @@ class ModuleAction:
     verified: tuple  # which of the three module actions were checked equivariant
 
 
-def _matrix_key(m, fld):
-    """Hashable form of a matrix: equal matrices get equal keys, also when
-    some entries are plain ints standing for prime-field elements."""
-    return tuple(tuple(fld(v) for v in row) for row in m.rows)
-
-
 def make_group_action(system, elements, caps=DEFAULT_CAPS):
     """Validate (label, matrix) pairs as a group acting on the system.
 
@@ -86,7 +80,7 @@ def make_group_action(system, elements, caps=DEFAULT_CAPS):
         raise GroupActionError("duplicate labels in element list")
     where = {}
     for k, m in enumerate(mats):
-        where.setdefault(_matrix_key(m, fld), []).append(k)
+        where.setdefault(m, []).append(k)
     dups = [ks for ks in where.values() if len(ks) > 1]
     if dups:
         i, j = min(dups)[:2]
@@ -97,10 +91,10 @@ def make_group_action(system, elements, caps=DEFAULT_CAPS):
         if rank(m) != d:
             raise GroupActionError("element %r is not invertible" % (lab,))
 
-    identity_index = index.get(_matrix_key(Matrix.identity(d, fld), fld))
-    table = None if identity_index is None else _closed_table(mats, index, identity_index, fld)
+    identity_index = index.get(Matrix.identity(d, fld))
+    table = None if identity_index is None else _closed_table(mats, index, identity_index)
     if table is None:
-        i, j = _first_non_product(mats, index, fld)
+        i, j = _first_non_product(mats, index)
         raise GroupActionError("not closed under product: %r * %r is not "
                                "an element" % (labels[i], labels[j]))
     inverses = tuple(row.index(identity_index) for row in table)
@@ -116,7 +110,7 @@ def make_group_action(system, elements, caps=DEFAULT_CAPS):
     return action
 
 
-def _closed_table(mats, index, identity, fld):
+def _closed_table(mats, index, identity):
     """Multiplication table of the list, or None when some product falls
     outside it.
 
@@ -136,7 +130,7 @@ def _closed_table(mats, index, identity, fld):
     for s in range(len(mats)):
         if s in parent:
             continue
-        r = [index.get(_matrix_key(m * mats[s], fld)) for m in mats]
+        r = [index.get(m * mats[s]) for m in mats]
         if None in r:
             return None
         rights.append(r)
@@ -157,13 +151,13 @@ def _closed_table(mats, index, identity, fld):
     return tuple(table)
 
 
-def _first_non_product(mats, index, fld):
+def _first_non_product(mats, index):
     """First pair (i, j) in row-major order whose product is not an element
     (there is one: a finite set of invertible matrices closed under
     products is a group, so it holds the identity)."""
     for i, mi in enumerate(mats):
         for j, mj in enumerate(mats):
-            if _matrix_key(mi * mj, fld) not in index:
+            if mi * mj not in index:
                 return i, j
 
 
@@ -174,7 +168,7 @@ def equivariance_witness(tensor, in_mats, out_inv):
     form of T(A_1 x_1, ..., A_k x_k) = B T(x_1, ..., x_k), out_inv = B^{-1}."""
     mats = [a.rows for a in in_mats] + [list(zip(*out_inv.rows))]
     moved, = transform_sparse([tensor.entries], mats)
-    key = first_difference(moved, tensor.entries)
+    key = first_difference(tensor.field.sparse(moved.items()), tensor.entries)
     if key is None:
         return None
     return slot_indices(key // tensor.dim_out, tensor.dims)
@@ -206,6 +200,10 @@ def generators(action):
     index on a tie), until the whole group is reached.  The subgroup at
     least doubles at every step (Lagrange), so there are at most
     log2 |G| generators; the trivial group has none.  Cached on the action.
+
+    A candidate in the subgroup of a candidate evaluated before it in the
+    same step generates no more than that one, which has the lower index,
+    so it cannot win the step and is skipped without a closure.
     """
     cached = action.__dict__.get("_generators")
     if cached is not None:
@@ -214,11 +212,12 @@ def generators(action):
     gens = []
     sub = {ident}
     while len(sub) < n:
-        best = None
+        best, covered = None, set(sub)
         for g in range(n):
-            if g in sub:
+            if g in covered:
                 continue
             cand = _subgroup(table, ident, gens + [g])
+            covered |= cand
             if best is None or len(cand) > len(best[1]):
                 best = (g, cand)
         gens.append(best[0])
@@ -317,13 +316,15 @@ def apply_group_sparse(action, module_action, g, degree, columns):
     in the list, returning the list of moved cochains:
     (g.c)(x_1, ..., x_k) = V(g) c(g^{-1} x_1, ..., g^{-1} x_k).
     One call per element moves a whole basis, so the slot matrices are
-    read (and the monomial move tables of transform_sparse built) once."""
+    read (and the monomial move tables of transform_sparse built) once.
+    The values are transform_sparse's exact sums, unreduced over GF(p)."""
     ginv = action.inverse_matrix(g).rows
     gv = list(zip(*module_action.matrices[g].rows))
     return transform_sparse(columns, [ginv] * degree + [gv])
 
 
 def apply_group_dense(action, module_action, g, degree, data):
-    """apply_group_sparse on one flat coefficient list, as a list."""
+    """apply_group_sparse on one flat coefficient list, as a list of field
+    scalars."""
     moved, = apply_group_sparse(action, module_action, g, degree, [dict(enumerate(data))])
-    return [moved.get(k, 0) for k in range(len(data))]
+    return action.system.field.dense([moved.get(k, 0) for k in range(len(data))])

@@ -1,18 +1,16 @@
 """Exact dense linear algebra over the rationals and prime fields.
 
-Scalars over the rationals are plain ``int`` or ``fractions.Fraction``
-values (always canonical: a Fraction is demoted to ``int`` whenever its
-denominator is 1).  Prime-field scalars are :class:`GFElement` residues
-wherever they leave this module or the cochain complex, and raw residues
-inside: the echelon form (``RrefAccumulator``, ``rref_rows``,
-``nullspace_from_rref``) and the cochain complex's bases and coboundary
-rows hold plain ints in [0, p).  ``field.raw`` reads a scalar into that
-form (over QQ it is the field itself), every stored value is reduced mod
-p (demoted to ``int`` over QQ), and ``field(v)`` turns a value back into
-the boundary type.  Inside ``RrefAccumulator`` a QQ echelon row is a
-primitive integer row (its RREF row times a positive integer), so the
-elimination runs on ints; wherever the rows are read (``pivots``,
-``rref_rows``) they are canonical int | Fraction.  Everything is exact
+Scalars are plain Python numbers: over the rationals ``int`` or
+``fractions.Fraction`` (a Fraction read through the field is demoted to
+``int`` when its denominator is 1), over GF(p) the ints in [0, p).
+``field(v)`` reads any int or rational into that form.  Sums are taken
+exactly and reduced once, at the end, by the field: ``field.sparse`` for
+{key: sum} pairs (mod p and without zeros; over QQ only the zero filter)
+and ``field.dense`` for lists (mod p; over QQ the list itself).  Inside
+``RrefAccumulator`` a QQ echelon row is a primitive integer row (its RREF
+row times a positive integer), so the elimination runs on ints; wherever
+the rows are read (``pivots``, ``rref_rows``) they are canonical
+int | Fraction.  Everything is exact
 and deterministic: every echelon form is the unique reduced row echelon
 form of its row span (rows enter the elimination by ascending nonzero
 count, which keeps fill-in and coefficient growth down without changing
@@ -49,69 +47,12 @@ def _is_prime(n):
     return True
 
 
-class GFElement:
-    """Residue in GF(p), stored as the canonical representative in [0, p)."""
-
-    __slots__ = ("val", "p")
-
-    def __init__(self, val, p):
-        self.val = val % p
-        self.p = p
-
-    def __add__(self, other):
-        if isinstance(other, GFElement):
-            return GFElement(self.val + other.val, self.p)
-        if isinstance(other, int):
-            return GFElement(self.val + other, self.p)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, GFElement):
-            return GFElement(self.val - other.val, self.p)
-        if isinstance(other, int):
-            return GFElement(self.val - other, self.p)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return GFElement(other - self.val, self.p)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, GFElement):
-            return GFElement(self.val * other.val, self.p)
-        if isinstance(other, int):
-            return GFElement(self.val * other, self.p)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GFElement(-self.val, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.p == other.p and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.val, self.p))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return "%d (mod %d)" % (self.val, self.p)
-
-
 class RationalField:
     """The field of rational numbers; scalars are int | Fraction."""
 
     char = 0
+    zero = 0
+    one = 1
 
     def __call__(self, v):
         if isinstance(v, int):
@@ -119,15 +60,15 @@ class RationalField:
         q = v if isinstance(v, Fraction) else Fraction(v)
         return q.numerator if q.denominator == 1 else q
 
-    raw = __call__
+    @staticmethod
+    def sparse(items):
+        """{key: sum} of the nonzero exact sums among the (key, sum) pairs."""
+        return {k: v for k, v in items if v}
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
+    @staticmethod
+    def dense(values):
+        """The list of exact sums as scalars: over QQ, the list itself."""
+        return values
 
     def div(self, a, b):
         if not b:
@@ -152,7 +93,11 @@ class RationalField:
 
 
 class PrimeField:
-    """GF(p) for a prime p, validated at construction."""
+    """GF(p) for a prime p, validated at construction; scalars are the
+    plain ints in [0, p)."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, p):
         if not isinstance(p, int) or not _is_prime(p):
@@ -161,46 +106,37 @@ class PrimeField:
         self.char = p
 
     def __call__(self, v):
-        if isinstance(v, GFElement):
-            if v.p != self.p:
-                raise LinAlgError("mixed prime fields: %d vs %d" % (v.p, self.p))
-            return v
         if isinstance(v, int):
-            return GFElement(v, self.p)
-        q = Fraction(v)
-        return self._from_fraction(q)
-
-    def raw(self, v):
-        """The residue of v in [0, p), as a plain int: self(v).val."""
-        if v.__class__ is int:
             return v % self.p
-        return self(v).val
+        return self._from_fraction(Fraction(v))
+
+    def sparse(self, items):
+        """{key: sum mod p} of the (key, sum) pairs of exact int sums whose
+        residue is not zero."""
+        p = self.p
+        return {k: r for k, v in items if (r := v % p)}
+
+    def dense(self, values):
+        """The list of exact int sums reduced mod p."""
+        p = self.p
+        return [v % p for v in values]
 
     def _from_fraction(self, q):
         if q.denominator % self.p == 0:
             raise LinAlgError("denominator %d not invertible mod %d" % (q.denominator, self.p))
-        inv = pow(q.denominator, self.p - 2, self.p)
-        return GFElement(q.numerator * inv, self.p)
-
-    @property
-    def zero(self):
-        return GFElement(0, self.p)
-
-    @property
-    def one(self):
-        return GFElement(1, self.p)
+        return q.numerator * pow(q.denominator, -1, self.p) % self.p
 
     def div(self, a, b):
         b = self(b)
         if not b:
             raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
-        return self(a) * GFElement(pow(b.val, self.p - 2, self.p), self.p)
+        return self(a) * pow(b, -1, self.p) % self.p
 
     def parse(self, s):
         return self._from_fraction(Fraction(s.strip()))
 
     def format(self, x):
-        return str(self(x).val)
+        return str(self(x))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -237,12 +173,17 @@ def field_spec(field):
 
 
 class Matrix:
-    """Dense row-major matrix over a fixed field."""
+    """Dense row-major matrix over a fixed field.
+
+    The copying constructor reads every entry through the field; with
+    copy=False the rows are kept as given and must hold its scalars.
+    Products, sums and scalings sum exactly and reduce once (field.dense).
+    """
 
     __slots__ = ("nrows", "ncols", "rows", "field")
 
     def __init__(self, rows, field=QQ, copy=True):
-        rows = [list(r) if copy else r for r in rows]
+        rows = [list(map(field, r)) if copy else r for r in rows]
         ncols = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != ncols:
@@ -292,12 +233,12 @@ class Matrix:
                               % (self.ncols, len(vec)))
         out = []
         for row in self.rows:
-            s = self.field.zero
+            s = 0
             for a, x in zip(row, vec):
                 if a and x:
-                    s = s + a * x
+                    s += a * x
             out.append(s)
-        return out
+        return self.field.dense(out)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -305,8 +246,7 @@ class Matrix:
         if self.ncols != other.nrows:
             raise LinAlgError("dimension mismatch in product: %dx%d times %dx%d"
                               % (self.nrows, self.ncols, other.nrows, other.ncols))
-        z = self.field.zero
-        out = [[z] * other.ncols for _ in range(self.nrows)]
+        out = [[0] * other.ncols for _ in range(self.nrows)]
         for i, row in enumerate(self.rows):
             oi = out[i]
             for k, a in enumerate(row):
@@ -315,27 +255,33 @@ class Matrix:
                 brow = other.rows[k]
                 for j, b in enumerate(brow):
                     if b:
-                        oi[j] = oi[j] + a * b
-        return Matrix(out, self.field, copy=False)
+                        oi[j] += a * b
+        return self._reduced(out)
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise LinAlgError("dimension mismatch in sum")
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)], self.field, copy=False)
+        return self._reduced([[a + b for a, b in zip(r1, r2)]
+                              for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise LinAlgError("dimension mismatch in difference")
-        return Matrix([[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)], self.field, copy=False)
+        return self._reduced([[a - b for a, b in zip(r1, r2)]
+                              for r1, r2 in zip(self.rows, other.rows)])
 
     def scale(self, c):
-        return Matrix([[c * a for a in r] for r in self.rows], self.field, copy=False)
+        c = self.field(c)
+        return self._reduced([[c * a for a in r] for r in self.rows])
+
+    def _reduced(self, rows):
+        """The matrix over this field with the given rows of exact sums."""
+        dense = self.field.dense
+        return Matrix([dense(r) for r in rows], self.field, copy=False)
 
     def is_zero(self):
         return all(not a for r in self.rows for a in r)
@@ -359,7 +305,7 @@ class Matrix:
 # RREF of the row span, as a dict {pivot column: row dict} with pivot entry 1
 # and pivot columns eliminated everywhere else.  Uniqueness of the RREF makes
 # every routine below independent of row ordering and scheduling.  Entries
-# are read through field.raw on the way in, and the rows read out hold raw
+# are read through the field on the way in, and the rows read out hold
 # residues in [0, p) over GF(p) and canonical int | Fraction over QQ.
 
 
@@ -400,9 +346,9 @@ class RrefAccumulator:
         """Remainder of row after reduction by the current pivot rows, over
         QQ up to a nonzero integer factor and with int entries only.
 
-        The row's entries pass through field.raw first, so a plain int
-        multiple of p is a zero of GF(p), not a pivot, and GFElement, int
-        and Fraction entries are all accepted.  A pivot row carries no
+        The row's entries are read through the field first, so a plain
+        int multiple of p is a zero of GF(p), not a pivot, and any int or
+        Fraction entry is accepted.  A pivot row carries no
         other pivot column, so subtracting it never changes the row's entry
         at another pivot: one pass over the row's pivot entries, each
         subtracting a multiple of the pivot row, reduces it fully.
@@ -412,9 +358,8 @@ class RrefAccumulator:
         p = field.char
         out, hits = {}, []
         if p:
-            raw = field.raw
             for c, v in row.items():
-                if v := raw(v):
+                if v := v % p if v.__class__ is int else field(v):
                     prow = rows.get(c)
                     if prow is None:
                         out[c] = v
@@ -500,7 +445,7 @@ class RrefAccumulator:
 
     @property
     def pivots(self):
-        """The RREF rows, {pivot column: row}: raw residues over GF(p) and
+        """The RREF rows, {pivot column: row}: residues over GF(p) and
         canonical int | Fraction over QQ.  A snapshot that shares rows with
         the accumulator: read it before the next add, and do not mutate it."""
         rows = self._rows
@@ -549,8 +494,8 @@ def rref_rows(rows, field):
     rows is any iterable of sparse row dicts, a generator too; it is
     materialised, and the rows enter the elimination by ascending nonzero
     count, ties in input order (RrefAccumulator.extend).  The result does
-    not depend on the order of the rows.  Its entries are raw (field.raw):
-    residues in [0, p), or canonical int | Fraction over QQ.
+    not depend on the order of the rows.  Its entries are residues in
+    [0, p), or canonical int | Fraction over QQ.
     """
     acc = RrefAccumulator(field)
     acc.extend(rows)
@@ -562,7 +507,7 @@ def nullspace_from_rref(pivots, ncols, field):
 
     Each basis column carries 1 at its free coordinate, so reading a kernel
     vector's coordinates off the free positions recovers its expansion.
-    Returns (columns, free_positions) with columns as sparse dicts of raw
+    Returns (columns, free_positions) with columns as sparse dicts of
     scalars, like the pivot rows.
     """
     p = field.char
@@ -591,12 +536,11 @@ def nullspace(m):
     pivots = rref_rows(_matrix_rows_sparse(m), m.field)
     field = m.field
     cols, _ = nullspace_from_rref(pivots, m.ncols, field)
-    z = field.zero
     dense = []
     for col in cols:
-        v = [z] * m.ncols
+        v = [field.zero] * m.ncols
         for i, val in col.items():
-            v[i] = field(val)
+            v[i] = val
         dense.append(v)
     return Matrix.from_columns(dense, m.ncols, field)
 
@@ -617,10 +561,9 @@ def solve(a, b):
     pivots = rref_rows(rows, a.field)
     if aug in pivots:
         return None
-    z = a.field.zero
-    x = [z] * a.ncols
+    x = [a.field.zero] * a.ncols
     for pc, prow in pivots.items():
         v = prow.get(aug)
         if v is not None:
-            x[pc] = a.field(v)
+            x[pc] = v
     return x

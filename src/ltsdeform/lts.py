@@ -9,14 +9,16 @@ valid in every characteristic.
 
 Brackets, module actions and deformation terms are StructureTensors that
 store only their nonzero coefficients, as a {flat index: value} dict in
-the tensorops layout.  Each identity is written once, as a table: SKEW and
-CYCLIC are argument permutations whose sum (permuted_sum) vanishes, on
-the bracket, the module actions, the cochains of the cohomology layer and
-their constraint rows; FUNDAMENTAL is the term table of the sparse kernel
-tensorops.nested_sum, checked on the bracket, with the module variable at
-each of its five positions, on the theta operators of a module (Yamaguti's
-relations), and on the series of deformation terms.  Witnesses come
-in flat order, which is lexicographic.
+the tensorops layout, each a scalar of the field (linalg); every sum of
+them is taken exactly and reduced once, by the field.  Each identity is
+written once, as a table: SKEW and CYCLIC are argument permutations whose
+sum (permuted_sum) vanishes, on the bracket, the module actions, the
+cochains of the cohomology layer and their constraint rows; FUNDAMENTAL
+is the term table of the sparse kernel tensorops.nested_sum, checked on
+the bracket, with the module variable at each of its five positions, on
+the theta operators of a module (Yamaguti's relations), and on the series
+of deformation terms.  Witnesses come in flat order, which is
+lexicographic.
 
 Also provides modules over a system (three bilinear actions of T x T on a
 coefficient space) and builders for the standard matrix examples.
@@ -45,9 +47,12 @@ class StructureTensor:
 
     Only the nonzero coefficients are stored: entries maps the flat index
     ((i * n_2 + j) * n_3 + k) * dim_out + l, the tensorops layout, to
-    c[i][j][k][l].  The field supplies zeros and takes no part in
-    comparisons.  A degree-k cochain is the same type with k input slots;
-    dim_in, basis_value and evaluate are for three.
+    c[i][j][k][l], a scalar of the field (over GF(p) an int in [0, p)).
+    The constructor keeps entries as given; from_entries and from_map read
+    values through the field, and sums and scalings reduce through it.
+    The field takes no part in comparisons.  A degree-k cochain is the
+    same type with k input slots; dim_in, basis_value and evaluate are for
+    three.
     """
 
     dims: tuple
@@ -103,8 +108,8 @@ class StructureTensor:
             i, j, k, l = slot_indices(key, self.dims + (self.dim_out,))
             a, b, c = args[0].get(i), args[1].get(j), args[2].get(k)
             if a and b and c:
-                out[l] = out[l] + a * b * c * v
-        return out
+                out[l] += a * b * c * v
+        return self.field.dense(out)
 
     def is_zero(self):
         return not self.entries
@@ -113,14 +118,15 @@ class StructureTensor:
         if (self.dims, self.dim_out) != (other.dims, other.dim_out):
             raise LinAlgError("tensor shape mismatch")
         a, b = self.entries, other.entries
-        out = {k: w for k in a.keys() | b.keys() if (w := a.get(k, 0) + b.get(k, 0))}
+        out = self.field.sparse((k, a.get(k, 0) + b.get(k, 0)) for k in a.keys() | b.keys())
         return StructureTensor(self.dims, self.dim_out, out, self.field)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        out = {k: w for k, v in self.entries.items() if (w := c * v)}
+        c = self.field(c)
+        out = self.field.sparse((k, c * v) for k, v in self.entries.items())
         return StructureTensor(self.dims, self.dim_out, out, self.field)
 
 
@@ -202,8 +208,7 @@ def permuted_sum(terms):
             y = (i, j, k)
             flat = (((pre * n0 + y[inv[0]]) * n1 + y[inv[1]]) * n2 + y[inv[2]]) * m + l
             out[flat] = out.get(flat, 0) + v
-    out = {k: v for k, v in out.items() if v}
-    return StructureTensor(tensor.dims, m, out, tensor.field)
+    return StructureTensor(tensor.dims, m, tensor.field.sparse(out.items()), tensor.field)
 
 
 def permutation_hits(terms):
@@ -353,10 +358,10 @@ def verify_module(module, all_witnesses=False):
         fundamental.append(("module-fundamental-%s" % ("last" if p == 4 else p + 1),
                             list(value_vectors(res, dims, zero))))
     for axiom, p in (("theta-square", 0), ("theta-d", 2)):
-        res = {}
-        for key, v in nested_sum(_module_fundamental_terms(tm, p), dims, 0)[0].items():
-            base, w, l = key // (m * m), key // m % m, key % m
-            res[(base * m + l) * m + w] = -v
+        res = nested_sum(_module_fundamental_terms(tm, p), dims, 0)[0]
+        # the negated residual, row-major over (l, w)
+        res = T.field.sparse(((key // (m * m) * m + key % m) * m + key // m % m, -v)
+                             for key, v in res.items())
         theta.append((axiom, list(value_vectors(res, (d, d, d, d, m * m), zero))))
     return AxiomReport.from_hits([identities, fundamental, theta], all_witnesses)
 
@@ -508,14 +513,13 @@ def from_lie_algebra(brackets, names=None, fld=QQ):
 
 def sl2_brackets(fld=QQ):
     """Structure constants of sl_2 on the basis (e, f, h)."""
-    z, one = fld.zero, fld.one
-    two = one + one
+    z, one, two = fld.zero, fld.one, fld(2)
     b = [[[z, z, z] for _ in range(3)] for _ in range(3)]
     b[0][1] = [z, z, one]          # [e, f] = h
-    b[1][0] = [z, z, -one]
+    b[1][0] = [z, z, fld(-1)]
     b[2][0] = [two, z, z]          # [h, e] = 2e
-    b[0][2] = [-two, z, z]
-    b[2][1] = [z, -two, z]         # [h, f] = -2f
+    b[0][2] = [fld(-2), z, z]
+    b[2][1] = [z, fld(-2), z]      # [h, f] = -2f
     b[1][2] = [z, two, z]
     return b
 

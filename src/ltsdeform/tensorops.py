@@ -35,18 +35,16 @@ def transform_sparse(tensors, mats):
     results, so that one call moves a whole basis.
 
     An input slot given A reads its argument through A (new(x) = old(A x));
-    a map B on the values (new = B old) is passed as its transpose.  An int
-    matrix entry that is a multiple of p is zero in GF(p) but not falsy and
-    can leave a zero value: compare results with zero defaults
-    (first_difference), not by key presence.
+    a map B on the values (new = B old) is passed as its transpose.  Like
+    transform_series, it knows no field: its values are exact sums of
+    products, which the caller reduces over GF(p) (field.sparse).
 
     When every matrix is monomial (one nonzero per row and per column, as
-    for signed and scaled permutations; a truthy int multiple of p counts as
-    nonzero here) every entry moves to exactly one key.  The shapes are then
-    checked and the (target, coefficient) tables built once per call: one
-    table for the trailing slots and one for the rest, so that each entry
-    moves by one lookup in each.  Any other matrix contracts one slot at a
-    time, through transform_series.
+    for signed and scaled permutations) every entry moves to exactly one
+    key.  The shapes are then checked and the (target, coefficient) tables
+    built once per call: one table for the trailing slots and one for the
+    rest, so that each entry moves by one lookup in each.  Any other matrix
+    contracts one slot at a time, through transform_series.
     """
     moves = [_monomial_moves(mat) for mat in mats]
     if None in moves:
@@ -156,7 +154,9 @@ def nested_sum(terms, dims, order):
     arguments are the remaining variables in increasing order, adding into
     coefficient a + b.  Every entry is decoded once per term; the cost is the
     number of (inner entry, outer entry) pairs that meet with a + b <= order.
+    The sums are reduced by the field of the first term's outer tensors.
     """
+    field = terms[0][1][0].field
     strides = [prod(dims[s + 1:]) for s in range(len(dims))]
     out = [{} for _ in range(order + 1)]
     for sign, outer, slot, inner, positions in terms:
@@ -177,7 +177,7 @@ def nested_sum(terms, dims, order):
                     if a + b > order:
                         break
                     out[a + b][base + part] = out[a + b].get(base + part, 0) + u * v
-    return [{k: v for k, v in acc.items() if v} for acc in out]
+    return [field.sparse(acc.items()) for acc in out]
 
 
 def value_vectors(entries, dims, zero):

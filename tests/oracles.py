@@ -5,7 +5,7 @@ from math import prod
 
 from ltsdeform.caps import DEFAULT_CAPS
 from ltsdeform.cohomology import CochainBasis, cochain_space_basis
-from ltsdeform.groups import GroupActionError, self_module_action
+from ltsdeform.groups import GroupActionError, _subgroup, self_module_action
 from ltsdeform.linalg import (QQ, LinAlgError, Matrix, RrefAccumulator, nullspace_from_rref,
                               rref_rows)
 from ltsdeform.lts import AxiomReport, StructureTensor, Violation
@@ -33,11 +33,11 @@ def evaluate_dense(tensor, x, y, z):
                 for l, v in enumerate(w):
                     if v:
                         out[l] = out[l] + abc * v
-    return out
+    return [tensor.field(v) for v in out]
 
 
-def _sparse(data):
-    return {k: v for k, v in enumerate(data) if v}
+def _sparse(data, field):
+    return {k: r for k, v in enumerate(data) if (r := field(v))}
 
 
 def fundamental_residual_loop(pairs, d):
@@ -56,7 +56,7 @@ def fundamental_residual_loop(pairs, d):
             for l in range(d):
                 acc[l] = acc[l] + t1[l] - t2[l] - t3[l] - t4[l]
         data.extend(acc)
-    return _sparse(data)
+    return _sparse(data, pairs[0][0].field)
 
 
 def module_fundamental_loop(module):
@@ -105,7 +105,7 @@ def module_fundamental_loop(module):
             [ev(m2, c, dd, m2.basis_value(a, b, w)),
              ev(m3, b, dd, m2.basis_value(a, c, w)),
              ev(m1, b, c, m2.basis_value(a, dd, w))])
-    return {axiom: _sparse(vals) for axiom, vals in data.items()}
+    return {axiom: _sparse(vals, mu.field) for axiom, vals in data.items()}
 
 
 class Recorder:
@@ -130,7 +130,8 @@ def verify_lts_loop(mu, all_witnesses=False):
     out at every basis triple (skew as the diagonal, then the polarized sum
     at i <= j), then the fundamental identity at every basis 5-tuple."""
     d = mu.dim_in
-    zero = mu.field.zero
+    field = mu.field
+    zero = field.zero
     rec = Recorder(all_witnesses)
     for i, j, k in product(range(d), repeat=3):
         if i == j:
@@ -138,10 +139,10 @@ def verify_lts_loop(mu, all_witnesses=False):
             if any(w):
                 rec.hit("skew", (i, i, k), w)
         if i <= j:
-            w = [a + b for a, b in zip(mu.basis_value(i, j, k), mu.basis_value(j, i, k))]
+            w = [field(a + b) for a, b in zip(mu.basis_value(i, j, k), mu.basis_value(j, i, k))]
             if any(w):
                 rec.hit("skew", (i, j, k), w)
-        w = [a + b + c for a, b, c in zip(mu.basis_value(i, j, k),
+        w = [field(a + b + c) for a, b, c in zip(mu.basis_value(i, j, k),
                                           mu.basis_value(j, k, i),
                                           mu.basis_value(k, i, j))]
         if any(w):
@@ -162,7 +163,8 @@ def verify_module_loop(module, all_witnesses=False):
     T = module.system
     mu = T.mu
     d, m = T.dim, module.dim
-    zero = T.field.zero
+    field = T.field
+    zero = field.zero
     m1, m2, m3 = module.left, module.right, module.middle
     rec = Recorder(all_witnesses)
 
@@ -172,13 +174,13 @@ def verify_module_loop(module, all_witnesses=False):
             if any(r):
                 rec.hit("module-skew", (i, i, w), r)
         if i <= j:
-            r = [a + b for a, b in zip(m1.basis_value(i, j, w), m1.basis_value(j, i, w))]
+            r = [field(a + b) for a, b in zip(m1.basis_value(i, j, w), m1.basis_value(j, i, w))]
             if any(r):
                 rec.hit("module-skew", (i, j, w), r)
-        r = [a + b for a, b in zip(m3.basis_value(i, j, w), m2.basis_value(i, j, w))]
+        r = [field(a + b) for a, b in zip(m3.basis_value(i, j, w), m2.basis_value(i, j, w))]
         if any(r):
             rec.hit("module-skew-mixed", (i, j, w), r)
-        r = [a + b + c for a, b, c in zip(m1.basis_value(i, j, w),
+        r = [field(a + b + c) for a, b, c in zip(m1.basis_value(i, j, w),
                                           m3.basis_value(j, i, w),
                                           m2.basis_value(i, j, w))]
         if any(r):
@@ -345,6 +347,25 @@ def mult_table_row_major(mats, fld):
     return tuple(table), None
 
 
+def generators_every_candidate(action):
+    """Reference for groups.generators: the same greedy choice, with the
+    subgroup of every element outside the current one closed at each step."""
+    table, ident, n = action.mult_table, action.identity_index, action.size
+    gens = []
+    sub = {ident}
+    while len(sub) < n:
+        best = None
+        for g in range(n):
+            if g in sub:
+                continue
+            cand = _subgroup(table, ident, gens + [g])
+            if best is None or len(cand) > len(best[1]):
+                best = (g, cand)
+        gens.append(best[0])
+        sub = best[1]
+    return tuple(gens)
+
+
 # ---------------------------------------------------------------------------
 # ambient actions, invariant subspaces and the Reynolds projector
 
@@ -422,7 +443,7 @@ def reynolds_project(action, module_action, degree, data):
         moved = act_dense(action, module_action, g, degree, data)
         acc = [a + b for a, b in zip(acc, moved)]
     inv = fld.div(fld.one, fld(n))
-    return [inv * a for a in acc]
+    return [fld(inv * a) for a in acc]
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +480,7 @@ def constraint_rows(d, m, degree, field):
                 row = {}
                 for i, j, k in triples:
                     key = p * block + ((i * d + j) * d + k) * m + a
-                    row[key] = row.get(key, field.zero) + field.one
+                    row[key] = field(row.get(key, field.zero) + field.one)
                 row = {key: v for key, v in row.items() if v}
                 if row:
                     rows.append(row)
@@ -482,7 +503,7 @@ def cochain_violations_loop(c, all_witnesses=False):
             for i, j, k in triples:
                 base = (p * d ** 3 + (i * d + j) * d + k) * m
                 for l in range(m):
-                    w[l] = w[l] + data[base + l]
+                    w[l] = c.field(w[l] + data[base + l])
             if any(w):
                 rec.hit(axiom, pre + witness, w)
     return rec.report()
@@ -556,8 +577,8 @@ def invariant_basis_all_elements(module, degree, action, module_action=None):
         out = {}
         for j, coef in ncol.items():
             for pos, v in basis.columns[j].items():
-                out[pos] = out.get(pos, 0) + field(coef) * field(v)
-        inv_columns.append({pos: v for pos, v in out.items() if v})
+                out[pos] = out.get(pos, 0) + coef * v
+        inv_columns.append({pos: r for pos, v in out.items() if (r := field(v))})
     inv_free = [basis.free_positions[j] for j in nfree]
     return CochainBasis(degree, basis.dim, basis.mdim, field, inv_columns, inv_free,
                         invariant=True)
@@ -575,7 +596,7 @@ def rref_in_order(rows, field):
 def rref_dense(rows, ncols, field):
     """Textbook Gauss-Jordan elimination on dense rows, as the {pivot column:
     sparse row} dict that linalg.rref_rows returns."""
-    mat = [[row.get(c, field.zero) for c in range(ncols)] for row in rows]
+    mat = [[field(row.get(c, field.zero)) for c in range(ncols)] for row in rows]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -584,11 +605,11 @@ def rref_dense(rows, ncols, field):
             continue
         mat[r], mat[p] = mat[p], mat[r]
         inv = field.div(field.one, mat[r][c])
-        mat[r] = [inv * v for v in mat[r]]
+        mat[r] = [field(inv * v) for v in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                mat[i] = [field(a - f * b) for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
     return {c: {j: v for j, v in enumerate(mat[i]) if v} for i, c in enumerate(pivots)}

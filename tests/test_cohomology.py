@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,11 +12,12 @@ from ltsdeform.cohomology import (SpanError, _three_slot_kernel, apply_coboundar
                                   coboundary_matrix, cochain_space_basis,
                                   cochain_violations, cohomology, is_coboundary,
                                   is_cocycle)
+from ltsdeform.documents import load_document, system_from_document
 from ltsdeform.groups import (make_group_action, self_module_action, sign_action,
                               transpose_action_on_rect)
 from ltsdeform.linalg import Matrix, PrimeField, QQ, nullspace_from_rref, rref_rows
 from ltsdeform.lts import (StructureTensor, from_lie_algebra, make_system, meson,
-                           self_module, skew_lts, sl2_brackets)
+                           self_module, skew_lts, sl2_brackets, verify_lts)
 
 
 @pytest.fixture(scope="module")
@@ -366,3 +368,19 @@ def test_invariant_members_are_fixed_points(coords):
     ma = self_module_action(action, m2_local)
     for g in range(action.size):
         assert act_dense(action, ma, g, 3, c) == c
+
+
+GOLDEN_DOCS = Path(__file__).parent / "golden" / "docs"
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+@pytest.mark.parametrize("name", ["bad_dense2", "meson3_diagpert", "meson3_skewpert",
+                                  "meson3_cyclicfirst"])
+def test_cohomology_of_a_bracket_that_is_no_lts_raises(name, degree):
+    # the library does not call verify_lts; on these brackets, which fail
+    # it, a coboundary image leaves the target cochain space, and the exact
+    # reconstruction of its coordinates is what rejects them
+    system = system_from_document(load_document((GOLDEN_DOCS / (name + ".json")).read_text()))
+    assert not verify_lts(system.mu).passed
+    with pytest.raises(RuntimeError, match="escaped the target cochain space"):
+        cohomology(self_module(system), degree)

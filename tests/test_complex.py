@@ -13,11 +13,16 @@ from oracles import coboundary_pointwise, rref_dense
 from ltsdeform import bundled_path
 from ltsdeform.cohomology import (CochainComplex, apply_coboundary, coboundary_matrix,
                                   is_coboundary)
-from ltsdeform.deformation import check_equivalence, make_deformation
+from ltsdeform.deformation import (apply_isomorphism, check_equivalence, extend,
+                                   make_deformation, make_formal_isomorphism, obstruction,
+                                   trivialize)
 from ltsdeform.documents import action_elements_from_document, load_document, system_from_document
-from ltsdeform.groups import make_group_action, sign_action
-from ltsdeform.linalg import GFElement, PrimeField, QQ, nullspace, solve
-from ltsdeform.lts import StructureTensor, make_system, meson, self_module, skew_lts, sym_lts
+from ltsdeform.groups import (make_group_action, sign_action, transpose_action_on_rect,
+                              trivial_action)
+from ltsdeform.linalg import Matrix, PrimeField, QQ, nullspace, solve
+from ltsdeform.lts import (StructureTensor, from_lie_algebra, function_lts, make_system,
+                           matrix_lts, meson, rect_lts, self_module, skew_lts, sl2_brackets,
+                           sym_lts, theta_module)
 
 BUILDERS = {"meson2": lambda fld: meson(2, fld), "sym2": lambda fld: sym_lts(2, fld),
             "skew3": lambda fld: skew_lts(3, fld)}
@@ -191,11 +196,11 @@ def test_rank_only_cohomology_builds_no_cocycle_kernel(monkeypatch, name, equiva
 
 
 def assert_field_scalars(values, field):
-    """Over GF(p) every value is a GFElement of that p, never a bare int
-    (the two hash differently); over QQ an int or a non-integral Fraction."""
+    """Over GF(p) every value is an int in [0, p); over QQ an int or a
+    non-integral Fraction."""
     for v in values:
         if field.char:
-            assert type(v) is GFElement and v.p == field.char, repr(v)
+            assert type(v) is int and 0 <= v < field.char, repr(v)
         else:
             assert type(v) is int or (type(v) is Fraction and v.denominator != 1), repr(v)
 
@@ -288,4 +293,77 @@ def test_coboundary_rows_match_the_dense_reference_in_small_characteristic(p, la
     # the same rows as the field-element reference, as residues in [0, p)
     cx = small_char_complex(label, p)
     want = coboundary_rows_dense(cx, degree)
-    assert cx.rows(degree) == {i: {j: v.val for j, v in row.items()} for i, row in want.items()}
+    assert cx.rows(degree) == want
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(7)], ids=repr)
+def test_every_value_the_package_returns_is_a_residue(field):
+    def matrix_values(*mats):
+        return (v for m in mats for row in m.rows for v in row)
+
+    # builders, their self-modules and theta modules, and the sl2 constants
+    systems = [meson(3, field), matrix_lts(2, field), skew_lts(3, field), sym_lts(2, field),
+               rect_lts(2, 2, field), from_lie_algebra(sl2_brackets(field), fld=field),
+               function_lts(meson(2, field), 2)]
+    for system in systems:
+        module = self_module(system)
+        for tensor in (system.mu, module.left, module.right, module.middle,
+                       theta_module(module).left):
+            assert_field_scalars(tensor.entries.values(), field)
+    assert_field_scalars((v for row in sl2_brackets(field) for vec in row for v in vec), field)
+    # documents read with a prime-field override
+    for name in ("matrix2", "meson3", "rect22", "skew3", "sl2", "sym2"):
+        system = system_from_document(load_document(bundled_path(name + ".json").read_text()),
+                                      field)
+        assert_field_scalars(system.mu.entries.values(), field)
+    for name in ("meson2_swap", "rect22_transpose", "skew3_sign"):
+        doc = load_document(bundled_path(name + ".json").read_text())
+        assert_field_scalars(matrix_values(*(m for _, m in action_elements_from_document(
+            doc, field))), field)
+    # group matrices, their products, sums, scalings and images
+    actions = [transpose_action_on_rect(2, field)[1]]
+    if field.char != 2:   # -I is I in characteristic 2
+        actions.append(sign_action(skew_lts(3, field)))
+    for action in actions:
+        mats = action.matrices
+        assert_field_scalars(matrix_values(*mats), field)
+        for a in mats:
+            assert_field_scalars(a.apply(list(range(-2, a.ncols - 2))), field)
+            for b in mats:
+                assert_field_scalars(matrix_values(a * b, a + b, a - b, a.scale(-3)), field)
+    # a gauge-trivial deformation through order 3: its terms, the
+    # obstruction cochain, the extension, the equivalence and trivialize
+    system = meson(3, field)
+    action = trivial_action(system)
+    trivial = make_deformation(system, action, [system.mu])
+    iso = make_formal_isomorphism(action, [
+        Matrix.identity(3, field), Matrix([[1, -2, 0], [3, 0, -1], [0, 1, 1]], field),
+        Matrix([[0, 0, -1], [2, 1, 0], [-1, 0, 3]], field)])
+    assert_field_scalars(matrix_values(*iso.inverse_terms(3)), field)
+    gauged = apply_isomorphism(trivial, iso, 3)
+    assert not gauged.terms[1].is_zero()
+    for term in gauged.terms:
+        assert_field_scalars(term.entries.values(), field)
+    for order in (1, 2, 3):
+        defo = make_deformation(system, action, gauged.terms[:order + 1])
+        ob = obstruction(defo)
+        assert_field_scalars(ob.cochain.entries.values(), field)
+        assert_field_scalars(ob.preimage.entries.values(), field)
+        assert_field_scalars(extend(defo).terms[-1].entries.values(), field)
+    res = check_equivalence(gauged, trivial, 1)
+    assert res.equivalent and not res.isomorphism.terms[1].is_zero()
+    assert_field_scalars(matrix_values(*res.isomorphism.terms), field)
+    # through order 3 the search fixes the canonical order-1 solution, which
+    # over GF(2) does not extend: it reports an obstruction at order 2
+    res = check_equivalence(gauged, trivial, 3)
+    if res.equivalent:
+        assert_field_scalars(matrix_values(*res.isomorphism.terms), field)
+    else:
+        assert field.char == 2 and res.obstructed_order == 2
+        assert_field_scalars(res.witness.entries.values(), field)
+    # likewise trivialize ends at a nonzero order-2 class over GF(2)
+    reduced, log = trivialize(gauged, 3)
+    assert log[0]["status"] == "step"
+    assert log[-1]["status"] == "trivial" or field.char == 2
+    for term in reduced.terms:
+        assert_field_scalars(term.entries.values(), field)

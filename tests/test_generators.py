@@ -6,12 +6,15 @@ import functools
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import oracles
 import pytest
-from oracles import act_dense, invariant_basis_all_elements
+from oracles import act_dense, generators_every_candidate, invariant_basis_all_elements
 from test_cohomology import UNIMODULAR, changed_basis
 
 from ltsdeform.cohomology import cochain_space_basis, cohomology
+from ltsdeform.documents import action_elements_from_document, load_document, system_from_document
 from ltsdeform.groups import (GroupActionError, _subgroup, apply_group_sparse, generators,
                               make_group_action, make_module_action, self_module_action,
                               sign_action, transpose_action_on_rect)
@@ -217,6 +220,49 @@ def test_greedy_choice_takes_the_largest_subgroup_then_the_lowest_index():
     action = make_group_action(system, [("e", Matrix.identity(2)), ("r2", r * r),
                                         ("r", r), ("r3", r * r * r)])
     assert generators(action) == (2,)
+
+
+def test_generators_equal_the_every_candidate_oracle_on_every_group():
+    # skipping the candidates inside a subgroup closed earlier in the step
+    # changes no pick, on every action this file builds
+    c4 = Matrix([[0, -1], [1, 0]])
+    actions = [meson_action(group, fld)[1] for group in sorted(GROUPS) for fld in FIELDS]
+    for fld in FIELDS:
+        actions += [sign_action(skew_lts(3, fld)), transpose_action_on_rect(2, fld)[1]]
+        system, action = meson_action("S3xC2", fld)
+        p, pinv = (Matrix(rows, fld) for rows in UNIMODULAR)
+        actions.append(make_group_action(changed_basis(system, p, pinv), [
+            (lab, pinv * m * p) for lab, m in zip(action.labels, action.matrices)]))
+    actions += [swap_action()[1],
+                make_group_action(meson(2), [("e", Matrix.identity(2))]),
+                make_group_action(meson(2), [("e", Matrix.identity(2)), ("r2", c4 * c4),
+                                             ("r", c4), ("r3", c4 * c4 * c4)])]
+    for action in actions:
+        assert generators(action) == generators_every_candidate(action)
+
+
+GOLDEN_DOCS = Path(__file__).parent / "golden" / "docs"
+
+
+@pytest.mark.parametrize("system_doc,action_doc,picks,closures,oracle_closures", [
+    ("meson3", "meson3_b3", (10, 3), 33, 89), ("meson2", "meson2_b2", (3, 1), 7, 11)])
+def test_generators_close_fewer_subgroups_on_the_golden_actions(
+        monkeypatch, system_doc, action_doc, picks, closures, oracle_closures):
+    calls = []
+
+    def counting(table, identity, gens):
+        calls.append(tuple(gens))
+        return _subgroup(table, identity, gens)
+
+    system = system_from_document(load_document((GOLDEN_DOCS / (system_doc + ".json")).read_text()))
+    elements = action_elements_from_document(
+        load_document((GOLDEN_DOCS / (action_doc + ".json")).read_text()), system.field)
+    monkeypatch.setattr(sys.modules["ltsdeform.groups"], "_subgroup", counting)
+    monkeypatch.setattr(oracles, "_subgroup", counting)
+    action = make_group_action(system, elements)   # chooses the generators
+    assert (generators(action), len(calls)) == (picks, closures)
+    calls.clear()
+    assert (generators_every_candidate(action), len(calls)) == (picks, oracle_closures)
 
 
 def test_non_equivariant_element_that_is_no_generator_is_rejected():

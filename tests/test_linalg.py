@@ -160,7 +160,7 @@ def test_rref_rows_matches_dense_gauss_jordan(case, rhs, rnd):
     assert free == [c for c in range(ncols) if c not in want]
     for col in cols:
         for prow in want.values():
-            assert not sum((v * col.get(j, 0) for j, v in prow.items()), fld.zero)
+            assert not fld(sum((v * col.get(j, 0) for j, v in prow.items()), fld.zero))
 
 
 @settings(max_examples=80)
@@ -212,11 +212,23 @@ def test_prime_field_requires_prime():
 def test_gf_canonical_representatives():
     gf = PrimeField(7)
     x = gf(10)
-    assert x.val == 3
-    assert gf(-1).val == 6
-    assert (gf(3) + gf(5)).val == 1
-    assert (gf(3) * gf(5)).val == 1
+    assert x == 3
+    assert gf(-1) == 6
+    assert gf(gf(3) + gf(5)) == 1
+    assert gf(gf(3) * gf(5)) == 1
     assert gf.div(gf.one, gf(3)) == gf(5)
+
+
+def test_equal_gf_values_are_equal_dict_keys():
+    # one scalar type per field: equal matrices and scalars hash equal,
+    # however they were built
+    gf7 = PrimeField(7)
+    assert len({Matrix([[1, 0], [0, 1]], gf7), Matrix.identity(2, gf7)}) == 1
+    assert len({Matrix([[8, -7], [14, -6]], gf7), Matrix.identity(2, gf7),
+                Matrix.identity(2, gf7).scale(8), Matrix([[Fraction(1, 2)]], gf7).scale(2)}) == 2
+    assert {gf7(3): 1}.get(3) == 1
+    assert {gf7(-4): 1, gf7.div(6, 2): 2}.get(3) == 2
+    assert type(gf7(Fraction(1, 2))) is int and gf7(Fraction(1, 2)) == 4
 
 
 def test_gf_parse_rational_string():
