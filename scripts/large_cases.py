@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Time the large plain-cohomology cases, one fresh process per case.
+"""Time the large cohomology cases, one fresh process per case.
 
     python3 scripts/large_cases.py
 
 The cases are H^5 of matrix_lts(2) and H^3 of matrix_lts(3), each over QQ
-and over GF(10007), computed as cohomology(self_module(system), degree)
-with representatives.  The package is imported from this tree's src/.
+and over GF(10007), plain and invariant under transposition (a group of
+order 2), computed as cohomology(self_module(system), degree, action)
+with representatives; the action is built before the clock starts.  The
+package is imported from this tree's src/.
 Each case runs in its own spawned process, so that no cache or allocation
 of one case carries over to the next, and prints one line: the wall time
 of the cohomology call, the peak resident set size of its process, and
@@ -21,24 +23,33 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-CASES = [(2, 5, 0), (2, 5, 10007), (3, 3, 0), (3, 3, 10007)]
+CASES = [(n, degree, p, transposed) for transposed in (False, True)
+         for n, degree in ((2, 5), (3, 3)) for p in (0, 10007)]
 
 
-def run_case(n, degree, p):
+def run_case(n, degree, p, transposed):
     from ltsdeform.cohomology import cohomology
-    from ltsdeform.linalg import QQ, PrimeField
+    from ltsdeform.groups import make_group_action
+    from ltsdeform.linalg import QQ, Matrix, PrimeField
     from ltsdeform.lts import matrix_lts, self_module
 
     field = PrimeField(p) if p else QQ
-    module = self_module(matrix_lts(n, field))
+    system = matrix_lts(n, field)
+    action = None
+    if transposed:
+        # E_ij -> E_ji, an automorphism of [[A, B], C]
+        d = n * n
+        swap = Matrix([[int(r == c % n * n + c // n) for c in range(d)] for r in range(d)],
+                      field)
+        action = make_group_action(system, [("e", Matrix.identity(d, field)), ("t", swap)])
     start = time.perf_counter()
-    rep = cohomology(module, degree)
+    rep = cohomology(self_module(system), degree, action)
     seconds = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return ("matrix_lts(%d) H^%d %-10s %7.2f s  peak %6.1f MB  "
+    return ("matrix_lts(%d) H^%d %-10s %-9s %7.2f s  peak %6.1f MB  "
             "space %d  cocycles %d  coboundaries %d  H %d"
-            % (n, degree, field, seconds, peak_mb, rep.dim_space, rep.dim_cocycles,
-               rep.dim_coboundaries, rep.dim_h))
+            % (n, degree, field, "transpose" if transposed else "plain", seconds, peak_mb,
+               rep.dim_space, rep.dim_cocycles, rep.dim_coboundaries, rep.dim_h))
 
 
 def main():

@@ -15,11 +15,10 @@ repeated block; its unique reduced-echelon nullspace is assembled from
 the kernel of that single block.
 
 The square condition is imposed in polarized form plus the diagonal, and
-invariant subspaces come from stacked nullspaces, so every computation is
-valid in any characteristic.  An invariant subspace is the fixed space of
-a deterministic generating set of the group (groups.generators), which is
-exact: the group acts through a homomorphism, so whatever every generator
-fixes the whole group fixes.
+an invariant subspace is the kernel of the rows g.c - c, read at the plain
+free positions, for g in a deterministic generating set of the group
+(groups.generators), so every computation is exact in any characteristic:
+no averaging over the group.
 
 CochainComplex holds the plain or invariant complex of one module: it
 validates the self-module action once and builds each degree's basis and
@@ -31,9 +30,7 @@ output tuples of a degree-k cochain; the images of basis columns are read
 off as sparse coordinates and kept as the sparse rows that the echelon
 form reads.  A solve reduces the right-hand side as the augmented column
 of those rows, with free variables zero.  Scalars are the field's own
-(linalg): the bases, the coboundary images and rows sum them exactly and
-reduce each entry once, mod p over GF(p) and to canonical int | Fraction
-over QQ.
+(linalg): every sum here is exact and reduced once, by field.sparse.
 """
 
 from __future__ import annotations
@@ -53,19 +50,16 @@ class SpanError(ValueError):
     """A vector falls outside the span of the basis it is expressed in."""
 
 
-def _span_sum(columns, coords, p):
-    """sum of coef * columns[j] over the sparse coordinates {j: coef},
-    scalars of the field of characteristic p, as a sparse dict without
-    zeros: each entry is reduced mod p, or over QQ (p = 0) demoted to int
-    when its denominator is 1, once, after the sum."""
+def _span_sum(columns, coords, field):
+    """sum of coef * columns[j] over the sparse coordinates {j: coef}, as a
+    sparse dict without zeros, each entry reduced once by the field."""
     out = {}
     for j, coef in coords.items():
         if not coef:
             continue
         for pos, v in columns[j].items():
             out[pos] = out.get(pos, 0) + coef * v
-    return {pos: r for pos, v in out.items()
-            if (r := v % p if p else (v.numerator if v.denominator == 1 else v))}
+    return field.sparse(out.items())
 
 
 def _transpose(vectors):
@@ -173,16 +167,8 @@ class CochainBasis:
         scalars without zero entries, read off the free positions in its
         support and verified by exact reconstruction."""
         index = self._free_index
-        coords = {}
-        for pos, v in support.items():
-            j = index.get(pos)
-            if j is not None:
-                coords[j] = v
-        recon = _span_sum(self.columns, coords, self.field.char)
-        for pos, v in support.items():
-            if recon.pop(pos, None) != v:
-                raise SpanError("vector is not in the span of the basis")
-        if recon:
+        coords = {j: v for pos, v in support.items() if (j := index.get(pos)) is not None}
+        if _span_sum(self.columns, coords, self.field) != support:
             raise SpanError("vector is not in the span of the basis")
         return coords
 
@@ -196,7 +182,7 @@ class CochainBasis:
             coords = dict(enumerate(coords))
         field = self.field
         entries = _span_sum(self.columns, {j: field(coef) for j, coef in coords.items()},
-                            field.char)
+                            field)
         return StructureTensor((self.dim,) * self.degree, self.mdim, entries, field)
 
 
@@ -205,12 +191,17 @@ def cochain_space_basis(module, degree, action=None, module_action=None,
     """Deterministic basis of C^degree(T; V), or of the invariant subspace
     C_G^degree(T; V) when an action is supplied.
 
-    The invariant subspace is the kernel of the stacked rows of (g.c - c)
-    over the basis columns c, for g in the generating set generators(action)
-    only: g -> rho(g) is a homomorphism, so a cochain fixed by every
-    generator is fixed by the whole group.  The rows span the same space as
-    those of all the elements, and the unique reduced echelon form of that
-    span gives the same columns and free positions.
+    The invariant coordinates over the plain columns c_j are cut out by
+    the generating set generators(action): g -> rho(g) is a homomorphism,
+    so what every generator fixes the whole group fixes.  Each g acts by
+    one matrix on every input slot and by V(g) on the values; both commute
+    with the square and cyclic conditions, so g.c - c lies in C^degree.  A
+    vector of C^degree is zero iff its entries at the plain free positions
+    are, as every plain column is 1 at its own free position and 0 at the
+    others.  So one row per (generator g, plain free position f_i), with
+    entries (g.c_j)[f_i] - [i = j], has exactly the invariant coordinates
+    as kernel, in every characteristic and for any action.  The unique
+    reduced echelon form of their span gives the columns and free positions.
     """
     if degree < 1 or degree % 2 == 0:
         raise LinAlgError("cochain degree must be odd and >= 1")
@@ -240,22 +231,22 @@ def cochain_space_basis(module, degree, action=None, module_action=None,
 
     if module_action is None:
         module_action = self_module_action(action, module)
-    p = field.char
-    rows = {}
+    free_index = basis._free_index
+    rows = []
     for g in generators(action):
-        moved_columns = apply_group_sparse(action, module_action, g, degree, basis.columns)
-        for c, (col, moved) in enumerate(zip(basis.columns, moved_columns)):
+        grows = [{i: -1} for i in range(len(free))]
+        for j, moved in enumerate(apply_group_sparse(action, module_action, g, degree,
+                                                     columns)):
             for pos, v in moved.items():
-                v = (v - col.get(pos, 0)) % p if p else v - col.get(pos, 0)
-                if v:
-                    rows.setdefault((g, pos), {})[c] = v
-            for pos, w in col.items():
-                if pos not in moved:
-                    rows.setdefault((g, pos), {})[c] = -w % p if p else -w
-    pivots = rref_rows(rows.values(), field)
-    ncols, nfree = nullspace_from_rref(pivots, len(basis.columns), field)
-    inv_columns = [_span_sum(basis.columns, ncol, p) for ncol in ncols]
-    inv_free = [basis.free_positions[j] for j in nfree]
+                i = free_index.get(pos)
+                if i is not None:
+                    row = grows[i]
+                    row[j] = row.get(j, 0) + v
+        rows.extend(field.sparse(row.items()) for row in grows)
+    pivots = rref_rows(rows, field)
+    ncols, nfree = nullspace_from_rref(pivots, len(columns), field)
+    inv_columns = [_span_sum(columns, ncol, field) for ncol in ncols]
+    inv_free = [free[j] for j in nfree]
     return CochainBasis(degree, d, m, field, inv_columns, inv_free, invariant=True)
 
 
@@ -267,7 +258,7 @@ def _coboundary_images(module, degree, cochains, caps):
     """Sparse coboundary image {ambient position: scalar} of each sparse
     degree-(2n-1) cochain {ambient position: scalar}, yielded one at a time.
     The terms of each image entry are summed exactly, and the sum is
-    reduced mod p (over QQ, demoted to int when integral) once per entry.
+    reduced once by the field (field.sparse).
 
     The image is, at every basis tuple (x_1, ..., x_{2n+1}):
 
@@ -288,7 +279,7 @@ def _coboundary_images(module, degree, cochains, caps):
     d = module.system.dim
     m = module.dim
     n = (degree + 1) // 2
-    p = module.system.field.char
+    field = module.system.field
     caps.check_degree(degree + 2)
     caps.check_ambient(d ** (degree + 2) * m)
 
@@ -335,8 +326,7 @@ def _coboundary_images(module, degree, cochains, caps):
                         key = ((((hi * d + a) * d + c) * tail + lo
                                 + (e - y[s]) * place[s]) * m + w)
                         out[key] = out.get(key, 0) - coef * sv
-        yield {key: r for key, val in out.items()
-               if (r := val % p if p else (val.numerator if val.denominator == 1 else val))}
+        yield field.sparse(out.items())
 
 
 def apply_coboundary(module, f, caps=DEFAULT_CAPS):
@@ -366,17 +356,19 @@ def _coboundary_columns(module, basis_from, basis_to, caps):
         try:
             yield basis_to._coordinates(image)
         except SpanError as exc:
-            raise RuntimeError(
-                "coboundary image escaped the target cochain space; this must "
-                "not happen and indicates an internal inconsistency") from exc
+            raise LinAlgError(
+                "a coboundary image escapes the target cochain space: the bracket "
+                "or the module fails the Lie triple system (module) axioms; check "
+                "them with verify_lts and verify_module") from exc
 
 
 def coboundary_matrix(module, basis_from, basis_to, caps=DEFAULT_CAPS):
     """Matrix of the coboundary in the given bases.
 
-    Both bases must be plain or both invariant; for invariant bases the image
-    of every column is verified to lie in the invariant target span, so a
-    RuntimeError here signals an internal inconsistency.
+    Both bases must be plain or both invariant.  The image of every column
+    is verified to lie in the target span; on a valid module it always
+    does, so a LinAlgError naming the target space means that the bracket
+    or the module fails its axioms (verify_lts, verify_module).
     """
     field = basis_from.field
     rows = [[field.zero] * len(basis_from) for _ in range(len(basis_to))]

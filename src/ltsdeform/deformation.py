@@ -358,6 +358,10 @@ def check_equivalence(defo_a, defo_b, cap_order, caps=DEFAULT_CAPS):
     offending equivariant 3-cocycle as witness (plus a diagnostic flag for
     whether the step would have been solvable without equivariance).
     Reads a, then b, modulo t^(cap_order+1) (_modulo) before comparing them.
+    Over GF(p) with p <= cap_order an obstruction is no proof of
+    inequivalence: only the canonical psi_k is tried, and exp(tD), which
+    over QQ absorbs a difference by a derivation D, needs D^k / k! (a
+    gauge-trivial meson(3) deformation over GF(2) reads obstructed).
     """
     defo_a, defo_b = _modulo(defo_a, cap_order), _modulo(defo_b, cap_order)
     if defo_a.system is not defo_b.system and defo_a.system != defo_b.system:
@@ -403,7 +407,9 @@ def trivialize(defo, cap_order, caps=DEFAULT_CAPS):
 
     Stops when every term through cap_order vanishes (trivial deformation)
     or when the current infinitesimal's class is nonzero (the gauge-reduced
-    normal form).  Returns the reduced deformation and a step log.
+    normal form).  Returns the reduced deformation and a step log.  Over
+    GF(p) with p <= cap_order "reduced" is no proof of nontriviality: only
+    the canonical psi is tried (see check_equivalence).
     """
     cur = _modulo(defo, cap_order)
     system = defo.system

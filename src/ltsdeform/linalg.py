@@ -5,8 +5,9 @@ Scalars are plain Python numbers: over the rationals ``int`` or
 ``int`` when its denominator is 1), over GF(p) the ints in [0, p).
 ``field(v)`` reads any int or rational into that form.  Sums are taken
 exactly and reduced once, at the end, by the field: ``field.sparse`` for
-{key: sum} pairs (mod p and without zeros; over QQ only the zero filter)
-and ``field.dense`` for lists (mod p; over QQ the list itself).  Inside
+{key: sum} pairs (without zeros) and ``field.dense`` for lists, each sum
+taken mod p over GF(p) and an integral Fraction demoted to int over QQ,
+so every value returned is in canonical form.  Inside
 ``RrefAccumulator`` a QQ echelon row is a primitive integer row (its RREF
 row times a positive integer), so the elimination runs on ints; wherever
 the rows are read (``pivots``, ``rref_rows``) they are canonical
@@ -25,7 +26,8 @@ from math import gcd, lcm
 
 
 class LinAlgError(ValueError):
-    """Shape mismatch or invalid field setup."""
+    """Shape mismatch, invalid field setup, or an input that fails its
+    axioms (a coboundary on a bracket that is no Lie triple system)."""
 
 
 # ---------------------------------------------------------------------------
@@ -62,19 +64,21 @@ class RationalField:
 
     @staticmethod
     def sparse(items):
-        """{key: sum} of the nonzero exact sums among the (key, sum) pairs."""
-        return {k: v for k, v in items if v}
+        """{key: sum} of the nonzero exact sums among the (key, sum) pairs,
+        an integral Fraction demoted to int."""
+        return {k: v if v.__class__ is int or v.denominator != 1 else v.numerator
+                for k, v in items if v}
 
     @staticmethod
     def dense(values):
-        """The list of exact sums as scalars: over QQ, the list itself."""
-        return values
+        """The list of exact sums, each integral Fraction demoted to int."""
+        return [v if v.__class__ is int or v.denominator != 1 else v.numerator
+                for v in values]
 
     def div(self, a, b):
         if not b:
             raise ZeroDivisionError("division by zero")
-        q = Fraction(a) / Fraction(b)
-        return q.numerator if q.denominator == 1 else q
+        return self(Fraction(a) / Fraction(b))
 
     def parse(self, s):
         return self(Fraction(s.strip()))
@@ -536,13 +540,8 @@ def nullspace(m):
     pivots = rref_rows(_matrix_rows_sparse(m), m.field)
     field = m.field
     cols, _ = nullspace_from_rref(pivots, m.ncols, field)
-    dense = []
-    for col in cols:
-        v = [field.zero] * m.ncols
-        for i, val in col.items():
-            v[i] = val
-        dense.append(v)
-    return Matrix.from_columns(dense, m.ncols, field)
+    return Matrix.from_columns([[col.get(i, field.zero) for i in range(m.ncols)]
+                                for col in cols], m.ncols, field)
 
 
 def solve(a, b):

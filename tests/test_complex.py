@@ -9,20 +9,21 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import coboundary_pointwise, rref_dense
+from test_cohomology import changed_basis
 
 from ltsdeform import bundled_path
 from ltsdeform.cohomology import (CochainComplex, apply_coboundary, coboundary_matrix,
                                   is_coboundary)
-from ltsdeform.deformation import (apply_isomorphism, check_equivalence, extend,
-                                   make_deformation, make_formal_isomorphism, obstruction,
-                                   trivialize)
+from ltsdeform.deformation import (apply_isomorphism, check_deformation_equations,
+                                   check_equivalence, extend, make_deformation,
+                                   make_formal_isomorphism, obstruction, trivialize)
 from ltsdeform.documents import action_elements_from_document, load_document, system_from_document
 from ltsdeform.groups import (make_group_action, sign_action, transpose_action_on_rect,
                               trivial_action)
 from ltsdeform.linalg import Matrix, PrimeField, QQ, nullspace, solve
-from ltsdeform.lts import (StructureTensor, from_lie_algebra, function_lts, make_system,
-                           matrix_lts, meson, rect_lts, self_module, skew_lts, sl2_brackets,
-                           sym_lts, theta_module)
+from ltsdeform.lts import (SKEW, StructureTensor, from_lie_algebra, function_lts,
+                           make_system, matrix_lts, meson, permuted_sum, rect_lts, self_module,
+                           skew_lts, sl2_brackets, sym_lts, theta_module)
 
 BUILDERS = {"meson2": lambda fld: meson(2, fld), "sym2": lambda fld: sym_lts(2, fld),
             "skew3": lambda fld: skew_lts(3, fld)}
@@ -367,3 +368,61 @@ def test_every_value_the_package_returns_is_a_residue(field):
     assert log[-1]["status"] == "trivial" or field.char == 2
     for term in reduced.terms:
         assert_field_scalars(term.entries.values(), field)
+
+
+def test_every_value_the_package_returns_over_qq_is_canonical():
+    # QQ inputs with halves, whose sums are often integral: every value
+    # that comes back is an int or a non-integral Fraction
+    def matrix_values(*mats):
+        return (v for m in mats for row in m.rows for v in row)
+
+    half = Fraction(1, 2)
+    p = Matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    pinv = Matrix([[half, -half, half], [half, half, -half], [-half, half, half]])
+    swap = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert_field_scalars(matrix_values(p * pinv, pinv + pinv, pinv - p, pinv.scale(2),
+                                       pinv * swap * p), QQ)
+    assert_field_scalars(pinv.apply([1, 1, 1]), QQ)
+    # a basis change with 1/2 entries, its tensors, sums and scalings
+    system = changed_basis(meson(3), p, pinv)
+    mu = system.mu
+    halved = mu.scale(half)
+    for tensor in (mu, halved + halved, mu - halved, halved.scale(2),
+                   permuted_sum([(halved, perm) for perm in SKEW]),
+                   theta_module(self_module(system)).left):
+        assert_field_scalars(tensor.entries.values(), QQ)
+    assert_field_scalars(halved.evaluate([half, 1, 0], [0, 2, half], 1), QQ)
+    # order-equation residuals of a deformation that fails them
+    action = trivial_action(system)
+    plain = CochainComplex(self_module(system))
+    c = plain.basis(3).combine({j: Fraction(j + 1, 2)
+                                for j in range(0, len(plain.basis(3)), 3)})
+    report = check_deformation_equations(
+        make_deformation(system, action, [mu, c, c.scale(Fraction(2, 3))]))
+    assert not report.passed
+    for check in report.orders:
+        assert_field_scalars(check.residual or (), QQ)
+    # gauge terms, the inverse series and the equivalence back
+    trivial = make_deformation(system, action, [mu])
+    iso = make_formal_isomorphism(action, [Matrix.identity(3), pinv, pinv.scale(Fraction(2, 3))])
+    assert_field_scalars(matrix_values(*iso.inverse_terms(3)), QQ)
+    gauged = apply_isomorphism(trivial, iso, 3)
+    for term in gauged.terms:
+        assert_field_scalars(term.entries.values(), QQ)
+    res = check_equivalence(gauged, trivial, 3)
+    assert res.equivalent
+    assert_field_scalars(matrix_values(*res.isomorphism.terms), QQ)
+    # plain and invariant bases, representatives and preimages
+    swapped = make_group_action(system, [("e", Matrix.identity(3)), ("s", pinv * swap * p)])
+    for cx in (plain, CochainComplex(self_module(system), swapped)):
+        for degree in (1, 3, 5):
+            assert_field_scalars((v for col in cx.basis(degree).columns
+                                  for v in col.values()), QQ)
+        for rep in cx.cohomology(3).representatives:
+            assert_field_scalars(rep.entries.values(), QQ)
+        f = cx.basis(3).combine([Fraction(j + 1, 2) for j in range(len(cx.basis(3)))])
+        df = apply_coboundary(cx.module, f)
+        assert_field_scalars(df.entries.values(), QQ)
+        pre = cx.preimage(df)
+        assert pre is not None and apply_coboundary(cx.module, pre) == df
+        assert_field_scalars(pre.entries.values(), QQ)

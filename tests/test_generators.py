@@ -59,8 +59,11 @@ GROUPS = {
                   ([0, 1, 2], [-1, -1, -1])]),
     "B3": (3, [([1, 0, 2], [1, 1, 1]), ([1, 2, 0], [1, 1, 1]),
                ([0, 1, 2], [-1, 1, 1])]),
+    # coordinate permutations, which stay distinct over GF(2)
+    "S2": (2, [([1, 0], [1, 1])]),
+    "S3": (3, [([1, 0, 2], [1, 1, 1]), ([1, 2, 0], [1, 1, 1])]),
 }
-ORDERS = {"B2": 8, "C4": 4, "V4": 4, "D4": 8, "S3xC2": 12, "B3": 48}
+ORDERS = {"B2": 8, "C4": 4, "V4": 4, "D4": 8, "S3xC2": 12, "B3": 48, "S2": 2, "S3": 6}
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,12 +82,18 @@ def assert_same_basis(got, want):
     assert got.columns == want.columns
 
 
-CASES = ([(g, d) for g in ("B2", "C4", "V4") for d in (1, 3, 5)]
-         + [(g, d) for g in ("D4", "S3xC2", "B3") for d in (1, 3)])
+# the coordinate permutations also over GF(2) and GF(3), where the
+# characteristic divides the group order (all but S2 over GF(3)), so that
+# averaging over the group would not give the invariants; the signed
+# permutations collapse to duplicate elements over GF(2)
+CASES = ([(g, d, f) for g in ("B2", "C4", "V4") for d in (1, 3, 5) for f in FIELDS]
+         + [(g, d, f) for g in ("D4", "S3xC2", "B3") for d in (1, 3) for f in FIELDS]
+         + [(g, d, PrimeField(p)) for g, degrees in (("S2", (1, 3, 5)), ("S3", (1, 3)))
+            for d in degrees for p in (2, 3)])
 
 
-@pytest.mark.parametrize("fld", FIELDS, ids=repr)
-@pytest.mark.parametrize("group,degree", CASES)
+@pytest.mark.parametrize("group,degree,fld", CASES,
+                         ids=lambda v: repr(v) if hasattr(v, "char") else None)
 def test_invariant_basis_equals_all_elements_oracle(group, degree, fld):
     system, action = meson_action(group, fld)
     module = self_module(system)
