@@ -27,16 +27,17 @@ of the deformation layer all go through one complex.  The coboundary is
 applied by pushing each nonzero entry of a cochain forward through its
 formula, at a cost proportional to nnz * d^2 rather than the d^(k+2)
 output tuples of a degree-k cochain; the images of basis columns are read
-off as sparse coordinates and kept as the sparse rows that the echelon
-form reads.  A solve reduces the right-hand side as the augmented column
-of those rows, with free variables zero.  Scalars are the field's own
-(linalg): every sum here is exact and reduced once, by field.sparse.
+at the target's free positions, after one cochain_violations check of the
+bracket, and kept as the sparse rows that the echelon form reads.  A solve
+reduces the right-hand side as the augmented column of those rows, with
+free variables zero.  Scalars are the field's own (linalg): every sum
+here is exact and reduced once, by field.sparse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .caps import DEFAULT_CAPS
 from .groups import apply_group_sparse, generators, self_module_action
@@ -110,17 +111,10 @@ def cochain_violations(c, all_witnesses=False):
 # cochain space bases
 
 
-_three_slot_cache = {}
-
-
+@cache
 def _three_slot_kernel(d, m, field):
-    key = (d, m, field)
-    hit = _three_slot_cache.get(key)
-    if hit is None:
-        pivots = rref_rows(three_slot_constraint_rows(d, m, field), field)
-        hit = nullspace_from_rref(pivots, d ** 3 * m, field)
-        _three_slot_cache[key] = hit
-    return hit
+    pivots = rref_rows(three_slot_constraint_rows(d, m, field), field)
+    return nullspace_from_rref(pivots, d ** 3 * m, field)
 
 
 @dataclass
@@ -130,9 +124,10 @@ class CochainBasis:
     Columns are sparse {ambient position: scalar} dicts: ints in [0, p)
     over GF(p), canonical int | Fraction over QQ.  Every column has entry
     1 at its own free position and 0 at the free positions of the other
-    columns, so coordinates of a member vector are read directly off the
-    free positions (and verified by exact reconstruction).  express and
-    combine take any int or rational scalars and return field scalars.
+    columns, so the coordinates of a member vector are its entries at the
+    free positions: express verifies them by exact reconstruction, the
+    coboundary reads them unchecked.  express and combine take any int or
+    rational scalars and return field scalars.
     """
 
     degree: int
@@ -153,33 +148,31 @@ class CochainBasis:
     def express(self, c):
         """Coordinates of a cochain, or of a sparse {ambient position:
         scalar} dict, in this basis; SpanError if outside."""
+        field = self.field
         if isinstance(c, StructureTensor):
             if c.dims != (self.dim,) * self.degree or c.dim_out != self.mdim:
                 raise LinAlgError("cochain does not match the basis shape")
-            coords = self._coordinates(c.entries)
+            support = c.entries
         else:
-            field = self.field
-            coords = self._coordinates({k: w for k, v in c.items() if (w := field(v))})
-        return [coords.get(j, 0) for j in range(len(self.columns))]
-
-    def _coordinates(self, support):
-        """Sparse coordinates {column: scalar} of a sparse vector of field
-        scalars without zero entries, read off the free positions in its
-        support and verified by exact reconstruction."""
+            support = {k: w for k, v in c.items() if (w := field(v))}
         index = self._free_index
         coords = {j: v for pos, v in support.items() if (j := index.get(pos)) is not None}
-        if _span_sum(self.columns, coords, self.field) != support:
+        if _span_sum(self.columns, coords, field) != support:
             raise SpanError("vector is not in the span of the basis")
-        return coords
+        return [coords.get(j, 0) for j in range(len(self.columns))]
 
     def combine(self, coords):
         """The cochain with the given coordinates: a sequence over the
-        columns or a sparse {column: scalar} dict."""
+        columns or a sparse {column: scalar} dict, whose keys must be
+        column indices."""
         if not isinstance(coords, dict):
             if len(coords) != len(self.columns):
                 raise LinAlgError("coordinate vector of length %d, expected %d"
                                   % (len(coords), len(self.columns)))
             coords = dict(enumerate(coords))
+        elif any(j not in range(len(self.columns)) for j in coords):
+            raise LinAlgError("coordinate keys must be column indices below %d"
+                              % len(self.columns))
         field = self.field
         entries = _span_sum(self.columns, {j: field(coef) for j, coef in coords.items()},
                             field)
@@ -345,30 +338,36 @@ def is_cocycle(module, c, caps=DEFAULT_CAPS):
 
 
 def _coboundary_columns(module, basis_from, basis_to, caps):
-    """Sparse coordinate columns {row: scalar} of the coboundary matrix."""
-    if basis_from.dim != module.system.dim or basis_from.mdim != module.dim:
-        raise LinAlgError("cochain does not match the module shape")
+    """Sparse coordinate columns {row: scalar} of the coboundary matrix:
+    each image's entries at the target's free positions.  An image lies in
+    C^(k+2), and in C_G^(k+2) under a validated action, whenever the bracket
+    passes the square and cyclic conditions, whatever the module: in its
+    last three slots the theta terms and the last D term cancel (D is read
+    off theta), the rest keep f's conditions, but for -f(.., [a b c])."""
+    for basis in (basis_from, basis_to):
+        if basis.dim != module.system.dim or basis.mdim != module.dim:
+            raise LinAlgError("cochain does not match the module shape")
     if basis_to.degree != basis_from.degree + 2:
         raise LinAlgError("bases must sit in consecutive odd degrees")
     if basis_from.invariant != basis_to.invariant:
         raise LinAlgError("bases must be both plain or both invariant")
+    if not cochain_violations(module.system.mu).passed:
+        raise LinAlgError(
+            "a coboundary image escapes the target cochain space: the bracket "
+            "or the module fails the Lie triple system (module) axioms; check "
+            "them with verify_lts and verify_module")
+    index = basis_to._free_index
     for image in _coboundary_images(module, basis_from.degree, basis_from.columns, caps):
-        try:
-            yield basis_to._coordinates(image)
-        except SpanError as exc:
-            raise LinAlgError(
-                "a coboundary image escapes the target cochain space: the bracket "
-                "or the module fails the Lie triple system (module) axioms; check "
-                "them with verify_lts and verify_module") from exc
+        yield {j: v for pos, v in image.items() if (j := index.get(pos)) is not None}
 
 
 def coboundary_matrix(module, basis_from, basis_to, caps=DEFAULT_CAPS):
     """Matrix of the coboundary in the given bases.
 
-    Both bases must be plain or both invariant.  The image of every column
-    is verified to lie in the target span; on a valid module it always
-    does, so a LinAlgError naming the target space means that the bracket
-    or the module fails its axioms (verify_lts, verify_module).
+    Both bases must be plain, or invariant under the same action: an
+    invariant basis does not record its group, so this is not checked
+    (CochainComplex pairs its bases).  A bracket that fails the square or
+    cyclic condition, whose images leave the target, raises LinAlgError.
     """
     field = basis_from.field
     rows = [[field.zero] * len(basis_from) for _ in range(len(basis_to))]

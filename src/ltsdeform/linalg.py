@@ -27,7 +27,7 @@ from math import gcd, lcm
 
 class LinAlgError(ValueError):
     """Shape mismatch, invalid field setup, or an input that fails its
-    axioms (a coboundary on a bracket that is no Lie triple system)."""
+    axioms: a coboundary on a bracket that fails cochain_violations."""
 
 
 # ---------------------------------------------------------------------------

@@ -634,6 +634,20 @@ def dense(c):
     return [c.entries.get(k, z) for k in range(prod(c.dims) * c.dim_out)]
 
 
+def reconstruct_dense(basis, coords):
+    """The member of the basis's span with the sparse coordinates {column:
+    scalar}, as a flat list over the ambient space: every column scaled and
+    added in turn, each entry reduced by the field at the end.  A vector
+    lies in the span exactly when it equals this list for its entries at
+    the free positions."""
+    fld = basis.field
+    out = [0] * (basis.dim ** basis.degree * basis.mdim)
+    for j, coef in coords.items():
+        for pos, v in basis.columns[j].items():
+            out[pos] += coef * v
+    return [fld(v) for v in out]
+
+
 def coboundary_pointwise(module, f):
     """Reference for cohomology.apply_coboundary: the coboundary formula
     evaluated at every basis tuple (x_1, ..., x_{2n+1}),

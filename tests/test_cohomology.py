@@ -17,7 +17,7 @@ from ltsdeform.groups import (make_group_action, self_module_action, sign_action
                               transpose_action_on_rect)
 from ltsdeform.linalg import (LinAlgError, Matrix, PrimeField, QQ, nullspace_from_rref,
                               rref_rows)
-from ltsdeform.lts import (StructureTensor, from_lie_algebra, make_system, meson,
+from ltsdeform.lts import (LtsModule, StructureTensor, from_lie_algebra, make_system, meson,
                            self_module, skew_lts, sl2_brackets, verify_lts)
 
 
@@ -147,6 +147,13 @@ def test_express_rejects_outside_vectors(m2):
         basis.express({0: 1})
 
 
+def test_combine_rejects_keys_that_are_no_column_index(m2):
+    basis = cochain_space_basis(m2, 3)
+    for key in (-1, len(basis)):
+        with pytest.raises(LinAlgError, match="column indices"):
+            basis.combine({key: 1})
+
+
 def test_caps_are_enforced(m2):
     tight = Caps(max_degree=3, max_ambient=100, max_group=64)
     with pytest.raises(CapExceeded):
@@ -263,6 +270,16 @@ def test_coboundary_matrix_matches_pointwise_application():
                         (fld, label, degree, j)
                     assert apply_coboundary(module, column) == expected, \
                         (fld, label, degree, j)
+
+
+def test_coboundary_rejects_a_target_basis_of_another_module_shape(m2):
+    # the coordinates are read at the target's free positions unchecked, so
+    # a target over another system or module must be caught by its shape
+    source = cochain_space_basis(m2, 1)
+    zero = StructureTensor.zero((2, 2, 1), 1)
+    for other in (self_module(meson(3)), LtsModule(m2.system, 1, zero, zero, zero)):
+        with pytest.raises(LinAlgError, match="does not match the module shape"):
+            coboundary_matrix(m2, source, cochain_space_basis(other, 3))
 
 
 def test_complex_property_d_squared_zero(m2, swap_action):
