@@ -21,17 +21,17 @@ free positions, for g in a deterministic generating set of the group
 no averaging over the group.
 
 CochainComplex holds the plain or invariant complex of one module: it
-validates the self-module action once and builds each degree's basis and
-sparse coboundary on first use.  cohomology, is_coboundary and the solves
-of the deformation layer all go through one complex.  The coboundary is
-applied by pushing each nonzero entry of a cochain forward through its
-formula, at a cost proportional to nnz * d^2 rather than the d^(k+2)
-output tuples of a degree-k cochain; the images of basis columns are read
-at the target's free positions, after one cochain_violations check of the
-bracket, and kept as the sparse rows that the echelon form reads.  A solve
-reduces the right-hand side as the augmented column of those rows, with
-free variables zero.  Scalars are the field's own (linalg): every sum
-here is exact and reduced once, by field.sparse.
+validates the self-module action and the bracket (one cochain_violations
+check) once and builds each degree's basis and sparse coboundary on first
+use.  cohomology, is_coboundary and the solves of the deformation layer
+all go through one complex.  The coboundary is applied by pushing each
+nonzero entry of a cochain forward through its formula, at a cost
+proportional to nnz * d^2 rather than the d^(k+2) output tuples of a
+degree-k cochain; the images of basis columns are read at the target's
+free positions and kept as the sparse columns they are built in.  A solve
+(linalg.solve_rows) reduces the right-hand side as the augmented column
+of their rows, with free variables zero.  Scalars are the field's own
+(linalg): every sum here is exact and reduced once, by field.sparse.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from functools import cache, cached_property
 
 from .caps import DEFAULT_CAPS
 from .groups import apply_group_sparse, generators, self_module_action
-from .linalg import LinAlgError, Matrix, RrefAccumulator, nullspace_from_rref, rref_rows
+from .linalg import (LinAlgError, Matrix, RrefAccumulator, nullspace_from_rref, rref_rows,
+                     solve_rows)
 from .lts import (CYCLIC, AxiomReport, StructureTensor, permutation_hits, skew_hits,
                   theta_module)
 from .tensorops import slot_indices
@@ -337,13 +338,23 @@ def is_cocycle(module, c, caps=DEFAULT_CAPS):
     return apply_coboundary(module, c, caps).is_zero()
 
 
+def _check_bracket(module):
+    """Raise LinAlgError unless the bracket passes the square and cyclic
+    conditions.  Then every coboundary image lies in C^(k+2), and in
+    C_G^(k+2) under a validated action, whatever the module: in its last
+    three slots the theta terms and the last D term cancel (D is read off
+    theta), the rest keep f's conditions, but for -f(.., [a b c])."""
+    if not cochain_violations(module.system.mu).passed:
+        raise LinAlgError(
+            "a coboundary image escapes the target cochain space: the bracket "
+            "or the module fails the Lie triple system (module) axioms; check "
+            "them with verify_lts and verify_module")
+
+
 def _coboundary_columns(module, basis_from, basis_to, caps):
     """Sparse coordinate columns {row: scalar} of the coboundary matrix:
-    each image's entries at the target's free positions.  An image lies in
-    C^(k+2), and in C_G^(k+2) under a validated action, whenever the bracket
-    passes the square and cyclic conditions, whatever the module: in its
-    last three slots the theta terms and the last D term cancel (D is read
-    off theta), the rest keep f's conditions, but for -f(.., [a b c])."""
+    each image's entries at the target's free positions, read unchecked,
+    so the bracket must have passed _check_bracket."""
     for basis in (basis_from, basis_to):
         if basis.dim != module.system.dim or basis.mdim != module.dim:
             raise LinAlgError("cochain does not match the module shape")
@@ -351,11 +362,6 @@ def _coboundary_columns(module, basis_from, basis_to, caps):
         raise LinAlgError("bases must sit in consecutive odd degrees")
     if basis_from.invariant != basis_to.invariant:
         raise LinAlgError("bases must be both plain or both invariant")
-    if not cochain_violations(module.system.mu).passed:
-        raise LinAlgError(
-            "a coboundary image escapes the target cochain space: the bracket "
-            "or the module fails the Lie triple system (module) axioms; check "
-            "them with verify_lts and verify_module")
     index = basis_to._free_index
     for image in _coboundary_images(module, basis_from.degree, basis_from.columns, caps):
         yield {j: v for pos, v in image.items() if (j := index.get(pos)) is not None}
@@ -369,6 +375,7 @@ def coboundary_matrix(module, basis_from, basis_to, caps=DEFAULT_CAPS):
     (CochainComplex pairs its bases).  A bracket that fails the square or
     cyclic condition, whose images leave the target, raises LinAlgError.
     """
+    _check_bracket(module)
     field = basis_from.field
     rows = [[field.zero] * len(basis_from) for _ in range(len(basis_to))]
     for j, col in enumerate(_coboundary_columns(module, basis_from, basis_to, caps)):
@@ -394,20 +401,21 @@ class CohomologyReport:
 
 class CochainComplex:
     """The plain complex of a module, or its invariant subcomplex when an
-    action is given.  Each degree's basis and coboundary (as sparse rows)
-    are built on first use and kept; the self-module action is validated
-    once, here, when none is passed."""
+    action is given.  Each degree's basis and coboundary (as the sparse
+    columns it is built in) are built on first use and kept; the self-module
+    action, when none is passed, and the bracket are validated once, here."""
 
     def __init__(self, module, action=None, module_action=None, caps=DEFAULT_CAPS):
         if action is not None and module_action is None:
             module_action = self_module_action(action, module)
+        _check_bracket(module)
         self.module = module
         self.action = action
         self.module_action = module_action
         self.caps = caps
         self.field = module.system.field
         self._bases = {}
-        self._rows = {}
+        self._columns = {}
 
     def basis(self, degree):
         if degree not in self._bases:
@@ -415,14 +423,17 @@ class CochainComplex:
                 self.module, degree, self.action, self.module_action, self.caps)
         return self._bases[degree]
 
-    def rows(self, degree):
+    def columns(self, degree):
         """The coboundary from degree to degree + 2 in the bases of the two
-        degrees, as sparse rows {row: {column: scalar}}, assembled column
-        by column."""
-        if degree not in self._rows:
-            self._rows[degree] = _transpose(enumerate(_coboundary_columns(
-                self.module, self.basis(degree), self.basis(degree + 2), self.caps)))
-        return self._rows[degree]
+        degrees, as the list of its sparse columns {row: scalar}."""
+        if degree not in self._columns:
+            self._columns[degree] = list(_coboundary_columns(
+                self.module, self.basis(degree), self.basis(degree + 2), self.caps))
+        return self._columns[degree]
+
+    def rows(self, degree):
+        """The same coboundary as sparse rows {row: {column: scalar}}."""
+        return _transpose(enumerate(self.columns(degree)))
 
     def cohomology(self, degree, want_representatives=True):
         """Dimensions (and representatives) of the degree-th cohomology."""
@@ -436,7 +447,7 @@ class CochainComplex:
 
         acc = RrefAccumulator(field)
         if degree > 1:
-            acc.extend(_transpose(self.rows(degree - 2).items()).values())
+            acc.extend(filter(None, self.columns(degree - 2)))
         dim_b = acc.rank
 
         # representatives: extend the coboundary span through the cocycle
@@ -457,21 +468,16 @@ class CochainComplex:
         """The canonical preimage of the cochain c under the coboundary
         (free variables zero), or None when c is not a coboundary.
 
-        The right-hand side is the augmented column of the coboundary's
-        sparse rows; SpanError when c lies outside the complex.
+        One sparse solve (linalg.solve_rows) on the coboundary's rows;
+        SpanError when c lies outside the complex.
         """
         degree = len(c.dims)
         if degree < 3:
             raise LinAlgError("degree-1 cochains have no incoming coboundary")
-        rows = self.rows(degree - 2)
-        aug = len(self.basis(degree - 2))
+        source = self.basis(degree - 2)
         rhs = {i: v for i, v in enumerate(self.basis(degree).express(c)) if v}
-        pivots = rref_rows(({**rows.get(i, {}), aug: rhs[i]} if i in rhs else rows[i]
-                            for i in rows.keys() | rhs.keys()), self.field)
-        if aug in pivots:
-            return None
-        return self.basis(degree - 2).combine(
-            {pc: prow[aug] for pc, prow in pivots.items() if aug in prow})
+        x = solve_rows(self.rows(degree - 2), rhs, len(source), self.field)
+        return None if x is None else source.combine(x)
 
 
 def cohomology(module, degree, action=None, module_action=None,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 from .caps import DEFAULT_CAPS, CapExceeded
 from .cohomology import CochainComplex, apply_coboundary, cochain_violations, cohomology
-from .groups import equivariance_witness, generators
+from .groups import equivariance_failure
 from .linalg import Matrix
 from .lts import StructureTensor, fundamental_terms, self_module
 from .tensorops import nested_sum, transform_series, value_vectors
@@ -157,16 +157,6 @@ def _check_term_is_cochain(tensor, index):
             % (index, v.axiom, v.witness))
 
 
-def _check_term_equivariant(action, tensor, index):
-    for g in generators(action):
-        m = action.matrices[g]
-        t = equivariance_witness(tensor, (m, m, m), action.inverse_matrix(g))
-        if t is not None:
-            raise DeformationError(
-                "term %d is not equivariant under element %r at basis "
-                "triple (%d, %d, %d)" % ((index, action.labels[g]) + t))
-
-
 def make_deformation(system, action, terms):
     """Validate the term list as an order-(len-1) deformation candidate.
 
@@ -187,7 +177,11 @@ def make_deformation(system, action, terms):
                                    % (i, (t.dims, t.dim_out)))
         if i > 0:
             _check_term_is_cochain(t, i)
-        _check_term_equivariant(action, t, i)
+        failure = equivariance_failure(action, t)
+        if failure is not None:
+            raise DeformationError(
+                "term %d is not equivariant under element %r at basis "
+                "triple (%d, %d, %d)" % ((i, action.labels[failure[0]]) + failure[1]))
     return TruncatedDeformation(system, action, terms)
 
 
@@ -277,11 +271,9 @@ def obstruction(defo, caps=DEFAULT_CAPS):
                            "this must not happen")
     action = defo.action
     cochains = CochainComplex(self_module(system), action, caps=caps)
-    for g in generators(action):
-        if equivariance_witness(cochain, (action.matrices[g],) * 5,
-                                action.inverse_matrix(g)) is not None:
-            raise RuntimeError("obstruction cochain is not invariant; "
-                               "this must not happen for equivariant terms")
+    if equivariance_failure(action, cochain) is not None:
+        raise RuntimeError("obstruction cochain is not invariant; "
+                           "this must not happen for equivariant terms")
 
     try:
         cocycle_flag = apply_coboundary(cochains.module, cochain, caps).is_zero()
@@ -309,23 +301,24 @@ def extend(defo, caps=DEFAULT_CAPS):
 
 
 def make_formal_isomorphism(action, matrices):
-    """Validate psi_0 = id and equivariance of every coefficient."""
+    """Validate psi_0 = id and equivariance of every coefficient, read as a
+    degree-1 cochain: a fixed point of the action commutes with every element."""
     mats = tuple(matrices)
     if not mats:
         raise DeformationError("a formal isomorphism needs at least psi_0")
-    d = action.system.dim
-    ident = Matrix.identity(d, action.system.field)
-    if mats[0] != ident:
+    d, field = action.system.dim, action.system.field
+    if mats[0] != Matrix.identity(d, field):
         raise DeformationError("psi_0 must be the identity")
-    for i, m in enumerate(mats):
+    for i, m in enumerate(mats[1:], 1):
         if m.nrows != d or m.ncols != d:
             raise DeformationError("psi_%d has shape %dx%d, expected %dx%d"
                                    % (i, m.nrows, m.ncols, d, d))
-        for g in generators(action):
-            gm = action.matrices[g]
-            if m * gm != gm * m:
-                raise DeformationError("psi_%d does not commute with element %r"
-                                       % (i, action.labels[g]))
+        psi = StructureTensor((d,), d, field.sparse((j * d + l, v) for l, row in enumerate(m.rows)
+                                                    for j, v in enumerate(row)), field)
+        failure = equivariance_failure(action, psi)
+        if failure is not None:
+            raise DeformationError("psi_%d does not commute with element %r"
+                                   % (i, action.labels[failure[0]]))
     return FormalIsomorphism(mats)
 
 

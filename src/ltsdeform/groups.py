@@ -8,8 +8,8 @@ them by integer lookups.  A multilinear map (the bracket, a module action, a
 deformation term, a cochain) is equivariant exactly when it is a fixed
 point of the group action on maps, g.T = V(g) o T o (g^{-1} x ... x g^{-1})
 with V(g^{-1}) on a module slot, so one fixed-point test
-(equivariance_witness) on the one slot transform
-(tensorops.transform_sparse) checks them all.  It is run for a
+(equivariance_failure) on the one slot transform (tensorops.transform_sparse)
+checks them all, gauge terms (degree-1 cochains) too.  It is run for a
 deterministic generating set (generators) only.  That is exact: the group
 acts through a homomorphism, so a property preserved under composition
 that holds for every generator holds for every element, and the fixed
@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS
-from .linalg import Matrix, rank
+from .linalg import QQ, Matrix, rank
+from .lts import rect_lts
 from .tensorops import first_difference, slot_indices, transform_sparse
 
 
@@ -100,13 +101,11 @@ def make_group_action(system, elements, caps=DEFAULT_CAPS):
     inverses = tuple(row.index(identity_index) for row in table)
 
     action = GroupAction(system, labels, mats, identity_index, table, inverses)
-    for g in generators(action):
-        m = mats[g]
-        t = equivariance_witness(system.mu, (m, m, m), action.inverse_matrix(g))
-        if t is not None:
-            raise GroupActionError(
-                "bracket is not equivariant under element %r at basis triple "
-                "(%d, %d, %d)" % ((labels[g],) + t))
+    failure = equivariance_failure(action, system.mu)
+    if failure is not None:
+        raise GroupActionError(
+            "bracket is not equivariant under element %r at basis triple "
+            "(%d, %d, %d)" % ((labels[failure[0]],) + failure[1]))
     return action
 
 
@@ -174,6 +173,21 @@ def equivariance_witness(tensor, in_mats, out_inv):
     return slot_indices(key // tensor.dim_out, tensor.dims)
 
 
+def equivariance_failure(action, tensor, values=None):
+    """(g, equivariance_witness's tuple) for the first generator g that moves
+    the tensor, or None.  The input slots read through g, but the last
+    through V(g), and the values through V(g^{-1}); V is values (aligned
+    with the element list), or the element matrices when values is None."""
+    values = action.matrices if values is None else values
+    head = len(tensor.dims) - 1
+    for g in generators(action):
+        t = equivariance_witness(tensor, (action.matrices[g],) * head + (values[g],),
+                                 values[action.inverses[g]])
+        if t is not None:
+            return g, t
+    return None
+
+
 def _subgroup(table, identity, gens):
     """Element indices of the subgroup generated by gens."""
     seen = {identity}
@@ -238,20 +252,12 @@ def sign_action(system):
     return make_group_action(system, [("0", one), ("1", one.scale(-system.field.one))])
 
 
-def transpose_action_on_rect(p, fld=None):
+def transpose_action_on_rect(p, fld=QQ):
     """The two-element action on square-matrix rect_lts(p, p) by transposition."""
-    from .lts import rect_lts
-    from .linalg import QQ
-
-    fld = QQ if fld is None else fld
     system = rect_lts(p, p, fld)
     d = p * p
-    z, one = fld.zero, fld.one
-    rows = [[z] * d for _ in range(d)]
-    for i in range(p):
-        for j in range(p):
-            rows[j * p + i][i * p + j] = one
-    swap = Matrix(rows, fld, copy=False)
+    # row j p + i has its one at column i p + j
+    swap = Matrix([[int(c == r % p * p + r // p) for c in range(d)] for r in range(d)], fld)
     action = make_group_action(system, [("0", Matrix.identity(d, fld)), ("1", swap)])
     return system, action
 
@@ -283,10 +289,9 @@ def make_module_action(action, module, matrices):
     if mats[e] != Matrix.identity(m, action.system.field):
         raise GroupActionError("module matrix for the identity %r is not the identity"
                                % (action.labels[e],))
-    gens = generators(action)
     # the element matrices themselves need no check: the table holds their products
     if mats != action.matrices:
-        for s in gens:
+        for s in generators(action):
             row = action.mult_table[s]
             for g in range(action.size):
                 if mats[s] * mats[g] != mats[row[g]]:
@@ -296,13 +301,11 @@ def make_module_action(action, module, matrices):
     checked = []
     for name, tensor in (("left", module.left), ("right", module.right),
                          ("middle", module.middle)):
-        for g in gens:
-            gm = action.matrices[g]
-            t = equivariance_witness(tensor, (gm, gm, mats[g]), mats[action.inverses[g]])
-            if t is not None:
-                raise GroupActionError(
-                    "module action %s is not equivariant under %r at (%d, %d, %d)"
-                    % ((name, action.labels[g]) + t))
+        failure = equivariance_failure(action, tensor, mats)
+        if failure is not None:
+            raise GroupActionError(
+                "module action %s is not equivariant under %r at (%d, %d, %d)"
+                % ((name, action.labels[failure[0]]) + failure[1]))
         checked.append(name)
     return ModuleAction(module, mats, tuple(checked))
 

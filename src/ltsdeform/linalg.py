@@ -16,7 +16,7 @@ and deterministic: every echelon form is the unique reduced row echelon
 form of its row span (rows enter the elimination by ascending nonzero
 count, which keeps fill-in and coefficient growth down without changing
 the result), nullspace bases list free variables in ascending index
-order, and ``solve`` sets free variables to zero.
+order, and ``solve_rows`` sets free variables to zero.
 """
 
 from __future__ import annotations
@@ -216,9 +216,6 @@ class Matrix:
             for i, v in enumerate(col):
                 rows[i][j] = v
         return cls(rows, field, copy=False)
-
-    def entry(self, i, j):
-        return self.rows[i][j]
 
     def column(self, j):
         return [r[j] for r in self.rows]
@@ -544,6 +541,18 @@ def nullspace(m):
                                 for col in cols], m.ncols, field)
 
 
+def solve_rows(rows, rhs, ncols, field):
+    """The canonical solution {column: scalar} (free variables zero) of the
+    sparse rows {row index: {column < ncols: scalar}} against the right-hand
+    side {row index: scalar}, as augmented column ncols, a row missing from
+    either reading as zero; None when the system is inconsistent."""
+    pivots = rref_rows(({**rows.get(i, {}), ncols: rhs[i]} if i in rhs else rows[i]
+                        for i in rows.keys() | rhs.keys()), field)
+    if ncols in pivots:
+        return None
+    return {pc: prow[ncols] for pc, prow in pivots.items() if ncols in prow}
+
+
 def solve(a, b):
     """One particular solution of a x = b, or None when inconsistent.
 
@@ -552,17 +561,6 @@ def solve(a, b):
     if len(b) != a.nrows:
         raise LinAlgError("dimension mismatch: %d rows vs rhs of length %d"
                           % (a.nrows, len(b)))
-    aug = a.ncols
-    rows = _matrix_rows_sparse(a)
-    for r, rhs in zip(rows, b):
-        if rhs:
-            r[aug] = rhs
-    pivots = rref_rows(rows, a.field)
-    if aug in pivots:
-        return None
-    x = [a.field.zero] * a.ncols
-    for pc, prow in pivots.items():
-        v = prow.get(aug)
-        if v is not None:
-            x[pc] = v
-    return x
+    x = solve_rows(dict(enumerate(_matrix_rows_sparse(a))),
+                   {i: v for i, v in enumerate(b) if v}, a.ncols, a.field)
+    return None if x is None else [x.get(j, a.field.zero) for j in range(a.ncols)]

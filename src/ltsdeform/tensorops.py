@@ -117,11 +117,10 @@ def transform_series(series, mats, order):
     return out
 
 
-def _contract(entries, stride, mat, out=None):
+def _contract(entries, stride, mat, out):
     """Contract the slot of the given stride with mat (see transform_sparse),
-    adding into out when it is given."""
+    adding into out."""
     dim = len(mat)
-    out = {} if out is None else out
     for flat, v in entries.items():
         if not v:
             continue
@@ -140,7 +139,6 @@ def _contract(entries, stride, mat, out=None):
                     out[key] = cur
                 else:
                     del out[key]
-    return out
 
 
 def nested_sum(terms, dims, order):

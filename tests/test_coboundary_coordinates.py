@@ -4,8 +4,9 @@ Every image of a basis column reconstructs exactly in the target span
 (oracles.reconstruct_dense) on plain and invariant complexes, including a
 non-monomial action; a bracket is rejected exactly when it fails the square
 or cyclic condition (cochain_violations), whatever the module, also when
-it fails the fundamental identity alone; and a dims-only cohomology of a
-plain complex reconstructs nothing."""
+it fails the fundamental identity alone; the bracket is checked once per
+complex and once per coboundary_matrix call; and a dims-only cohomology
+of a plain complex reconstructs nothing."""
 
 import random
 import sys
@@ -18,7 +19,7 @@ from test_cohomology import UNIMODULAR, changed_basis
 from test_generators import meson_action
 
 from ltsdeform.caps import DEFAULT_CAPS
-from ltsdeform.cohomology import (_coboundary_columns, _coboundary_images,
+from ltsdeform.cohomology import (_coboundary_columns, _coboundary_images, coboundary_matrix,
                                   cochain_space_basis, cochain_violations, cohomology)
 from ltsdeform.groups import make_group_action, sign_action, transpose_action_on_rect
 from ltsdeform.linalg import LinAlgError, Matrix, PrimeField, QQ
@@ -132,3 +133,22 @@ def test_dims_only_cohomology_of_a_plain_complex_reconstructs_nothing(monkeypatc
         rep = cohomology(self_module(system), 3, want_representatives=False)
         assert rep.dim_space > 0
     assert calls == []
+
+
+def test_the_bracket_is_checked_once_per_complex_and_per_matrix(monkeypatch):
+    # cohomology(3) builds the coboundaries out of degrees 3 and 1
+    module = sys.modules["ltsdeform.cohomology"]
+    check, checked = module.cochain_violations, []
+
+    def counting(c, *args):
+        checked.append(c)
+        return check(c, *args)
+
+    monkeypatch.setattr(module, "cochain_violations", counting)
+    target = self_module(meson(3))
+    cohomology(target, 3)
+    assert [c is target.system.mu for c in checked] == [True]
+    b1, b3 = (cochain_space_basis(target, k) for k in (1, 3))
+    coboundary_matrix(target, b1, b3)
+    coboundary_matrix(target, b1, b3)
+    assert [c is target.system.mu for c in checked] == [True] * 3

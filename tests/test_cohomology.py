@@ -395,9 +395,9 @@ GOLDEN_DOCS = Path(__file__).parent / "golden" / "docs"
 @pytest.mark.parametrize("name", ["bad_dense2", "meson3_diagpert", "meson3_skewpert",
                                   "meson3_cyclicfirst"])
 def test_cohomology_of_a_bracket_that_is_no_lts_raises(name, degree):
-    # the library does not call verify_lts; on these brackets, which fail
-    # it, a coboundary image leaves the target cochain space, and the exact
-    # reconstruction of its coordinates is what rejects them
+    # the library does not call verify_lts; these brackets fail it, and the
+    # square and cyclic conditions too, so the cochain_violations check of
+    # the bracket that CochainComplex makes once, on construction, rejects them
     system = system_from_document(load_document((GOLDEN_DOCS / (name + ".json")).read_text()))
     assert not verify_lts(system.mu).passed
     with pytest.raises(LinAlgError, match="fails the Lie triple system .module. axioms"):

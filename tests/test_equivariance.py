@@ -2,14 +2,21 @@
 their loop and dense references in tests/oracles.py, on generated tensors
 and invertible matrices that are not permutations, or monomial ones (the
 move-table path of the slot transform), over QQ and GF(p), with matrix
-entries that are plain ints (some of them multiples of p)."""
+entries that are plain ints (some of them multiples of p); and the one
+equivariance test of every caller (equivariance_failure) against the loop
+over the generators, gauge terms against matrix commutation."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import equivariance_witness_loop, transform_dense
+from test_cohomology import UNIMODULAR, changed_basis
+from test_generators import meson_action
 
-from ltsdeform.groups import equivariance_witness
+from ltsdeform.deformation import DeformationError, make_formal_isomorphism
+from ltsdeform.groups import (equivariance_failure, equivariance_witness, generators,
+                              make_group_action, make_module_action)
 from ltsdeform.linalg import Matrix, PrimeField, QQ
-from ltsdeform.lts import StructureTensor
+from ltsdeform.lts import StructureTensor, self_module
 from ltsdeform.tensorops import transform_sparse
 
 FIELDS = [QQ, PrimeField(7), PrimeField(10007)]
@@ -153,3 +160,107 @@ def test_transform_sparse_matches_dense_reference_per_slot(case):
     for data, sparse in zip(datas, moved):
         dense = transform_dense(data, in_mats, out_mat)
         assert [sparse.get(k, 0) for k in range(len(data))] == dense
+
+
+def _actions(fld):
+    """B3 on meson(3), whose matrices are monomial (the move-table path of
+    the slot transform), and D4 conjugated into a unimodular change of
+    basis, whose matrices are not (the general path)."""
+    system, d4 = meson_action("D4", fld)
+    p, pinv = (Matrix(rows, fld) for rows in UNIMODULAR)
+    conj = make_group_action(changed_basis(system, p, pinv),
+                             [(lab, pinv * m * p) for lab, m in zip(d4.labels, d4.matrices)])
+    return [meson_action("B3", fld)[1], conj]
+
+
+def _failure_loop(action, tensor, values):
+    for g in generators(action):
+        gm = action.matrices[g]
+        t = equivariance_witness_loop(tensor, (gm, gm, values[g]), values[g])
+        if t is not None:
+            return g, t
+    return None
+
+
+def _commutation_failure(action, psi):
+    for g in generators(action):
+        gm = action.matrices[g]
+        lhs, rhs = psi * gm, gm * psi
+        if lhs != rhs:
+            return g, (next(j for j in range(psi.ncols) if lhs.column(j) != rhs.column(j)),)
+    return None
+
+
+def _det3(m):
+    (a, b, c), (d, e, f), (g, h, i) = m.rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _perturbed(tensor, keys):
+    entries = dict(tensor.entries)
+    for k in keys:
+        entries[k] = entries.get(k, 0) + 1
+    return StructureTensor.from_entries(entries, tensor.dims, tensor.dim_out, tensor.field)
+
+
+def _fixed_by(action, g, tensor, values):
+    """The sum of h.T over the powers h of g, which g fixes."""
+    total, h = {}, action.identity_index
+    while True:
+        hinv = action.inverses[h]
+        mats = ([action.matrices[hinv].rows] * (len(tensor.dims) - 1)
+                + [values[hinv].rows, [list(c) for c in zip(*values[h].rows)]])
+        moved, = transform_sparse([tensor.entries], mats)
+        for k, v in moved.items():
+            total[k] = total.get(k, 0) + v
+        h = action.mult_table[h][g]
+        if h == action.identity_index:
+            return StructureTensor.from_entries(total, tensor.dims, tensor.dim_out,
+                                                tensor.field)
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(3)], ids=repr)
+def test_equivariance_failure_matches_the_loop_over_the_generators(fld):
+    for action in _actions(fld):
+        system, labels = action.system, action.labels
+        module = self_module(system)
+        # the element matrices, and the twist g -> det(g) g, another
+        # representation under which the self-module actions are equivariant
+        twisted = [m.scale(_det3(m)) for m in action.matrices]
+        make_module_action(action, module, twisted)
+        terms = [system.mu] + [_perturbed(system.mu, [k]) for k in (0, 5, 40, 80)]
+        terms.append(_perturbed(system.mu, range(0, 81, 7)))
+        gens, failed = generators(action), []
+        for values in (None, action.matrices, twisted):
+            tensors = terms if values is None else [
+                t for tensor in (module.left, module.right, module.middle)
+                for t in (tensor, _perturbed(tensor, [3]), _perturbed(tensor, [26, 70]))]
+            # moved by the second generator only
+            tensors += [_fixed_by(action, gens[0], t, values or action.matrices)
+                        for t in tensors]
+            for tensor in tensors:
+                want = _failure_loop(action, tensor, values or action.matrices)
+                assert equivariance_failure(action, tensor, values) == want
+                failed.append(want and want[0])
+        assert gens[0] in failed and gens[1] in failed
+        assert equivariance_failure(action, system.mu) is None
+        assert all(equivariance_failure(action, t, twisted) is None
+                   for t in (module.left, module.right, module.middle))
+
+        assert len(gens) == 2
+        # the first generator commutes with itself but not with the second,
+        # since the group is not abelian
+        first = action.matrices[gens[0]]
+        ident = Matrix.identity(3, fld)
+        for psi in (ident, ident.scale(2), first, first + ident,
+                    Matrix([[1, 2, 0], [0, 1, 0], [1, 0, 1]], fld), Matrix.zero(3, 3, fld)):
+            tensor = StructureTensor.from_map(psi.column, (3,), 3, fld)
+            want = _commutation_failure(action, psi)
+            assert equivariance_failure(action, tensor) == want
+            if want is None:
+                make_formal_isomorphism(action, [ident, psi])
+                continue
+            with pytest.raises(DeformationError) as err:
+                make_formal_isomorphism(action, [ident, psi])
+            assert str(err.value) == "psi_1 does not commute with element %r" % labels[want[0]]
+        assert _commutation_failure(action, first)[0] == gens[1]

@@ -7,7 +7,7 @@ from oracles import rref_dense, rref_in_order
 
 from ltsdeform.linalg import (LinAlgError, Matrix, PrimeField, QQ, RrefAccumulator,
                               field_from_spec, nullspace, nullspace_from_rref, rank,
-                              rref_rows, solve)
+                              rref_rows, solve, solve_rows)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -161,6 +161,38 @@ def test_rref_rows_matches_dense_gauss_jordan(case, rhs, rnd):
     for col in cols:
         for prow in want.values():
             assert not fld(sum((v * col.get(j, 0) for j, v in prow.items()), fld.zero))
+
+
+@settings(max_examples=100)
+@given(field_and_rows([QQ, PrimeField(7)], 8, 6),
+       st.lists(st.sampled_from([None, 0, 1, -1, 2]), max_size=10), st.sets(st.integers(0, 9)))
+def test_solve_rows_matches_the_dense_solve(case, rhs, absent):
+    # rows dropped from the system, right-hand sides past its rows and on
+    # rows it leaves empty (inconsistent unless zero), zeros given explicitly
+    fld, (ncols, dense_rows) = case
+    rows = {i: r for i, r in enumerate(dense_rows) if i not in absent}
+    b = {i: v for i, v in enumerate(rhs) if v is not None}
+    nrows = max(len(dense_rows), len(rhs))
+    matrix = Matrix([[rows.get(i, {}).get(j, 0) for j in range(ncols)] for i in range(nrows)],
+                    fld)
+    x = solve_rows(rows, b, ncols, fld)
+    want = solve(matrix, [b.get(i, 0) for i in range(nrows)])
+    assert x == (None if want is None else {j: v for j, v in enumerate(want) if v})
+    # checked apart from solve: the echelon form of the augmented rows
+    pivots = rref_dense([{**dict(enumerate(r)), ncols: b.get(i, 0)}
+                         for i, r in enumerate(matrix.rows)], ncols + 1, fld)
+    assert (x is None) == (ncols in pivots)
+    if x is not None:
+        assert all(fld(sum(v * x.get(j, 0) for j, v in enumerate(r)) - b.get(i, 0)) == 0
+                   for i, r in enumerate(matrix.rows))
+
+
+def test_solve_rows_on_rows_the_right_hand_side_misses_or_the_matrix_leaves_empty():
+    rows = {0: {0: 2}, 2: {1: 1}}
+    assert solve_rows(rows, {0: 4}, 2, QQ) == {0: 2}
+    assert solve_rows(rows, {0: 4, 1: 1}, 2, QQ) is None
+    assert solve_rows(rows, {0: 4, 1: 7}, 2, PrimeField(7)) == {0: 2}
+    assert solve_rows({}, {}, 3, QQ) == {}
 
 
 @settings(max_examples=80)
