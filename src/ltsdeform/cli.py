@@ -23,11 +23,10 @@ from .deformation import (DeformationError, check_deformation_equations, check_e
 from .documents import (DocumentError, action_elements_from_document,
                         deformation_from_document, deformation_terms,
                         deformation_to_document, dump_document, load_document,
-                        module_matrices_from_document, system_from_document)
+                        module_matrices_from_document, quadruples, system_from_document)
 from .groups import GroupActionError, make_group_action, make_module_action, trivial_action
 from .linalg import LinAlgError, field_from_spec
 from .lts import BuildError, self_module, verify_lts, verify_module
-from .tensorops import value_vectors
 
 
 class UsageError(ValueError):
@@ -91,12 +90,7 @@ def _violations_json(report, fld):
 
 
 def _cochain_entries(c, fld):
-    out = []
-    for idx, vec in value_vectors(c.entries, c.dims + (c.dim_out,), fld.zero):
-        cmap = {str(l): fld.format(v) for l, v in enumerate(vec) if v}
-        if cmap:
-            out.append([list(idx), cmap])
-    return out
+    return [[q[:-1], q[-1]] for q in quadruples(c, fld)]
 
 
 def _emit(args, report, human_lines):

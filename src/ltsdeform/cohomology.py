@@ -28,10 +28,10 @@ all go through one complex.  The coboundary is applied by pushing each
 nonzero entry of a cochain forward through its formula, at a cost
 proportional to nnz * d^2 rather than the d^(k+2) output tuples of a
 degree-k cochain; the images of basis columns are read at the target's
-free positions and kept as the sparse columns they are built in.  A solve
-(linalg.solve_rows) reduces the right-hand side as the augmented column
-of their rows, with free variables zero.  Scalars are the field's own
-(linalg): every sum here is exact and reduced once, by field.sparse.
+free positions and kept once, as sparse rows.  A solve (linalg.solve_rows)
+reduces the right-hand side as the augmented column of those rows, with
+free variables zero.  Scalars are the field's own (linalg): every sum here
+is exact and reduced once, by field.sparse.
 """
 
 from __future__ import annotations
@@ -401,9 +401,9 @@ class CohomologyReport:
 
 class CochainComplex:
     """The plain complex of a module, or its invariant subcomplex when an
-    action is given.  Each degree's basis and coboundary (as the sparse
-    columns it is built in) are built on first use and kept; the self-module
-    action, when none is passed, and the bracket are validated once, here."""
+    action is given.  Each degree's basis and coboundary (as sparse rows)
+    are built on first use and kept; the self-module action, when none is
+    passed, and the bracket are validated once, here."""
 
     def __init__(self, module, action=None, module_action=None, caps=DEFAULT_CAPS):
         if action is not None and module_action is None:
@@ -415,7 +415,7 @@ class CochainComplex:
         self.caps = caps
         self.field = module.system.field
         self._bases = {}
-        self._columns = {}
+        self._rows = {}
 
     def basis(self, degree):
         if degree not in self._bases:
@@ -423,17 +423,13 @@ class CochainComplex:
                 self.module, degree, self.action, self.module_action, self.caps)
         return self._bases[degree]
 
-    def columns(self, degree):
-        """The coboundary from degree to degree + 2 in the bases of the two
-        degrees, as the list of its sparse columns {row: scalar}."""
-        if degree not in self._columns:
-            self._columns[degree] = list(_coboundary_columns(
-                self.module, self.basis(degree), self.basis(degree + 2), self.caps))
-        return self._columns[degree]
-
     def rows(self, degree):
-        """The same coboundary as sparse rows {row: {column: scalar}}."""
-        return _transpose(enumerate(self.columns(degree)))
+        """The coboundary from degree to degree + 2 in the bases of the two
+        degrees, as sparse rows {row: {column: scalar}}."""
+        if degree not in self._rows:
+            self._rows[degree] = _transpose(enumerate(_coboundary_columns(
+                self.module, self.basis(degree), self.basis(degree + 2), self.caps)))
+        return self._rows[degree]
 
     def cohomology(self, degree, want_representatives=True):
         """Dimensions (and representatives) of the degree-th cohomology."""
@@ -447,7 +443,7 @@ class CochainComplex:
 
         acc = RrefAccumulator(field)
         if degree > 1:
-            acc.extend(filter(None, self.columns(degree - 2)))
+            acc.extend(_transpose(self.rows(degree - 2).items()).values())
         dim_b = acc.rank
 
         # representatives: extend the coboundary span through the cocycle

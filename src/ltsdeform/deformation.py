@@ -160,8 +160,9 @@ def _check_term_is_cochain(tensor, index):
 def make_deformation(system, action, terms):
     """Validate the term list as an order-(len-1) deformation candidate.
 
-    Checks the leading term, the degree-3 cochain conditions and
-    equivariance of every term.  The order-r compatibility equations are
+    Checks the leading term and the shape of every term, then term by term
+    the degree-3 cochain conditions and equivariance (one equivariance_failure
+    call for the whole list).  The order-r compatibility equations are
     checked separately (check_deformation_equations) so that invalid
     candidates can still be constructed and inspected.
     """
@@ -175,9 +176,9 @@ def make_deformation(system, action, terms):
         if t.dims != (d, d, d) or t.dim_out != d:
             raise DeformationError("term %d has shape %r, expected the bracket shape"
                                    % (i, (t.dims, t.dim_out)))
+    for i, (t, failure) in enumerate(zip(terms, equivariance_failure(action, terms))):
         if i > 0:
             _check_term_is_cochain(t, i)
-        failure = equivariance_failure(action, t)
         if failure is not None:
             raise DeformationError(
                 "term %d is not equivariant under element %r at basis "
@@ -271,7 +272,7 @@ def obstruction(defo, caps=DEFAULT_CAPS):
                            "this must not happen")
     action = defo.action
     cochains = CochainComplex(self_module(system), action, caps=caps)
-    if equivariance_failure(action, cochain) is not None:
+    if equivariance_failure(action, [cochain]) != [None]:
         raise RuntimeError("obstruction cochain is not invariant; "
                            "this must not happen for equivariant terms")
 
@@ -313,9 +314,8 @@ def make_formal_isomorphism(action, matrices):
         if m.nrows != d or m.ncols != d:
             raise DeformationError("psi_%d has shape %dx%d, expected %dx%d"
                                    % (i, m.nrows, m.ncols, d, d))
-        psi = StructureTensor((d,), d, field.sparse((j * d + l, v) for l, row in enumerate(m.rows)
-                                                    for j, v in enumerate(row)), field)
-        failure = equivariance_failure(action, psi)
+    psis = [StructureTensor.from_map(m.column, (d,), d, field) for m in mats[1:]]
+    for i, failure in enumerate(equivariance_failure(action, psis), 1):
         if failure is not None:
             raise DeformationError("psi_%d does not commute with element %r"
                                    % (i, action.labels[failure[0]]))

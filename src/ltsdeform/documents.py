@@ -104,7 +104,9 @@ def _parse_quadruples(raw, dim, dim_out, fld, what):
     return StructureTensor((dim, dim, dim), dim_out, entries, fld)
 
 
-def _quadruples(tensor, fld):
+def quadruples(tensor, fld):
+    """[i_1, ..., i_k, {l: coefficient}] for every input tuple at which the
+    sparse tensor is nonzero, in flat order: the one writer of tensors."""
     by_tuple = {}
     for key in sorted(tensor.entries):
         base, l = divmod(key, tensor.dim_out)
@@ -123,7 +125,7 @@ def system_to_document(system):
         "field": field_spec(system.field),
         "dim": system.dim,
         "basis": list(system.basis_names),
-        "bracket": _quadruples(system.mu, system.field),
+        "bracket": quadruples(system.mu, system.field),
     }
 
 
@@ -233,7 +235,7 @@ def deformation_to_document(system_ref, action_ref, terms, fld):
     doc = {
         "schema": DEFORMATION_SCHEMA,
         "system": system_ref,
-        "terms": [{"order": order, "entries": _quadruples(tensor, fld)}
+        "terms": [{"order": order, "entries": quadruples(tensor, fld)}
                   for order, tensor in terms],
     }
     if action_ref is not None:

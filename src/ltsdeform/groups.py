@@ -9,7 +9,8 @@ deformation term, a cochain) is equivariant exactly when it is a fixed
 point of the group action on maps, g.T = V(g) o T o (g^{-1} x ... x g^{-1})
 with V(g^{-1}) on a module slot, so one fixed-point test
 (equivariance_failure) on the one slot transform (tensorops.transform_sparse)
-checks them all, gauge terms (degree-1 cochains) too.  It is run for a
+checks them all, gauge terms (degree-1 cochains) too, a whole list of maps
+of one shape per transform.  It is run for a
 deterministic generating set (generators) only.  That is exact: the group
 acts through a homomorphism, so a property preserved under composition
 that holds for every generator holds for every element, and the fixed
@@ -101,7 +102,7 @@ def make_group_action(system, elements, caps=DEFAULT_CAPS):
     inverses = tuple(row.index(identity_index) for row in table)
 
     action = GroupAction(system, labels, mats, identity_index, table, inverses)
-    failure = equivariance_failure(action, system.mu)
+    failure, = equivariance_failure(action, [system.mu])
     if failure is not None:
         raise GroupActionError(
             "bracket is not equivariant under element %r at basis triple "
@@ -160,32 +161,41 @@ def _first_non_product(mats, index):
                 return i, j
 
 
-def equivariance_witness(tensor, in_mats, out_inv):
-    """First basis tuple t, in lexicographic order, with
-    out_inv T(A_1 e_t1, ..., A_k e_tk) != T(e_t1, ..., e_tk) for the tensor
-    T with k input slots and A_s = in_mats[s], or None: the fixed-point
-    form of T(A_1 x_1, ..., A_k x_k) = B T(x_1, ..., x_k), out_inv = B^{-1}."""
+def equivariance_witness(tensors, in_mats, out_inv):
+    """For each tensor T of the list, all of one shape with k input slots,
+    the first basis tuple t, in lexicographic order, with
+    out_inv T(A_1 e_t1, ..., A_k e_tk) != T(e_t1, ..., e_tk), A_s = in_mats[s],
+    or None: the fixed-point form of T(A_1 x_1, ..., A_k x_k) = B T(x_1,
+    ..., x_k), out_inv = B^{-1}.  One transform_sparse call moves them all."""
     mats = [a.rows for a in in_mats] + [list(zip(*out_inv.rows))]
-    moved, = transform_sparse([tensor.entries], mats)
-    key = first_difference(tensor.field.sparse(moved.items()), tensor.entries)
-    if key is None:
-        return None
-    return slot_indices(key // tensor.dim_out, tensor.dims)
+    out = []
+    for tensor, moved in zip(tensors, transform_sparse([t.entries for t in tensors], mats)):
+        key = first_difference(tensor.field.sparse(moved.items()), tensor.entries)
+        out.append(None if key is None else slot_indices(key // tensor.dim_out, tensor.dims))
+    return out
 
 
-def equivariance_failure(action, tensor, values=None):
-    """(g, equivariance_witness's tuple) for the first generator g that moves
-    the tensor, or None.  The input slots read through g, but the last
-    through V(g), and the values through V(g^{-1}); V is values (aligned
-    with the element list), or the element matrices when values is None."""
+def equivariance_failure(action, tensors, values=None):
+    """For each tensor of the list, all of one shape, (g, equivariance_witness's
+    tuple) for the first generator g that moves it, or None.  The input
+    slots read through g, but the last through V(g), and the values through
+    V(g^{-1}); V is values (aligned with the element list), or the element
+    matrices when values is None.  One equivariance_witness call per
+    generator moves every tensor that no earlier generator moved."""
     values = action.matrices if values is None else values
-    head = len(tensor.dims) - 1
+    out = [None] * len(tensors)
     for g in generators(action):
-        t = equivariance_witness(tensor, (action.matrices[g],) * head + (values[g],),
-                                 values[action.inverses[g]])
-        if t is not None:
-            return g, t
-    return None
+        pending = [i for i, failure in enumerate(out) if failure is None]
+        if not pending:
+            break
+        head = len(tensors[0].dims) - 1
+        witnesses = equivariance_witness([tensors[i] for i in pending],
+                                         (action.matrices[g],) * head + (values[g],),
+                                         values[action.inverses[g]])
+        for i, t in zip(pending, witnesses):
+            if t is not None:
+                out[i] = (g, t)
+    return out
 
 
 def _subgroup(table, identity, gens):
@@ -298,16 +308,14 @@ def make_module_action(action, module, matrices):
                     raise GroupActionError(
                         "module matrices are not a representation: V(%r) V(%r) != V(%r)"
                         % (action.labels[s], action.labels[g], action.labels[row[g]]))
-    checked = []
-    for name, tensor in (("left", module.left), ("right", module.right),
-                         ("middle", module.middle)):
-        failure = equivariance_failure(action, tensor, mats)
+    names = ("left", "right", "middle")
+    failures = equivariance_failure(action, [module.left, module.right, module.middle], mats)
+    for name, failure in zip(names, failures):
         if failure is not None:
             raise GroupActionError(
                 "module action %s is not equivariant under %r at (%d, %d, %d)"
                 % ((name, action.labels[failure[0]]) + failure[1]))
-        checked.append(name)
-    return ModuleAction(module, mats, tuple(checked))
+    return ModuleAction(module, mats, names)
 
 
 # ---------------------------------------------------------------------------

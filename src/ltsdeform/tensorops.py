@@ -37,7 +37,8 @@ def transform_sparse(tensors, mats):
     An input slot given A reads its argument through A (new(x) = old(A x));
     a map B on the values (new = B old) is passed as its transpose.  Like
     transform_series, it knows no field: its values are exact sums of
-    products, which the caller reduces over GF(p) (field.sparse).
+    products, zero sums among them, which the caller reduces over GF(p) and
+    drops (field.sparse).
 
     When every matrix is monomial (one nonzero per row and per column, as
     for signed and scaled permutations) every entry moves to exactly one
@@ -105,7 +106,8 @@ def transform_series(series, mats, order):
     of transform_sparse(series[a_0], [mats[0][a_1], ..., mats[-1][a_k]])
     over a_0 + ... + a_k = r.  Every list reads as zero past its end (a
     matrix series needs its term 0), index 0 is like any other, and each
-    slot in turn is a truncated convolution of one-slot contractions."""
+    slot in turn is a truncated convolution of one-slot contractions.  The
+    values are exact sums, zero sums kept, as in transform_sparse."""
     out = [series[r] if r < len(series) else {} for r in range(order + 1)]
     stride = 1
     for slot in reversed(mats):
@@ -127,18 +129,9 @@ def _contract(entries, stride, mat, out):
         i = (flat // stride) % dim
         base = flat - i * stride
         for j, c in enumerate(mat[i]):
-            if not c:
-                continue
-            key = base + j * stride
-            cur = out.get(key)
-            if cur is None:
-                out[key] = c * v
-            else:
-                cur = cur + c * v
-                if cur:
-                    out[key] = cur
-                else:
-                    del out[key]
+            if c:
+                key = base + j * stride
+                out[key] = out.get(key, 0) + c * v
 
 
 def nested_sum(terms, dims, order):

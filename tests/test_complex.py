@@ -95,12 +95,31 @@ def test_the_complex_caches_bases_and_coboundaries(monkeypatch):
         calls.append(degree)
         return original(module, degree, *args, **kwargs)
 
+    assembled, transposed = [], []
+    columns, transpose = cohomology_module._coboundary_columns, cohomology_module._transpose
+
+    def assembling(module, basis_from, *args):
+        assembled.append(basis_from.degree)
+        return columns(module, basis_from, *args)
+
+    def transposing(vectors):
+        transposed.append(1)
+        return transpose(vectors)
+
     monkeypatch.setattr(cohomology_module, "cochain_space_basis", counted)
+    monkeypatch.setattr(cohomology_module, "_coboundary_columns", assembling)
     cx = CochainComplex(self_module(meson(3)))
     cx.cohomology(3)
     cx.cohomology(3)
     assert cx.preimage(apply_coboundary(cx.module, cx.basis(1).combine({0: 1}))) is not None
     assert sorted(calls) == [1, 3, 5]
+    assert sorted(assembled) == [1, 3]
+    # two solves on a fresh complex transpose once, as its coboundary is built
+    monkeypatch.setattr(cohomology_module, "_transpose", transposing)
+    cx = CochainComplex(cx.module)
+    image = apply_coboundary(cx.module, cx.basis(1).combine({1: 1}))
+    assert cx.preimage(image) is not None and cx.preimage(image.scale(2)) is not None
+    assert len(transposed) == 1 and sorted(assembled) == [1, 1, 3]
 
 
 def record_bases(monkeypatch):

@@ -3,8 +3,10 @@ their loop and dense references in tests/oracles.py, on generated tensors
 and invertible matrices that are not permutations, or monomial ones (the
 move-table path of the slot transform), over QQ and GF(p), with matrix
 entries that are plain ints (some of them multiples of p); and the one
-equivariance test of every caller (equivariance_failure) against the loop
-over the generators, gauge terms against matrix commutation."""
+equivariance test of every caller (equivariance_failure), one tensor and a
+whole family per call, against the loop over the generators, gauge terms
+against matrix commutation: one slot transform per generator, and the
+order in which the validations report their first failure."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,11 +14,13 @@ from oracles import equivariance_witness_loop, transform_dense
 from test_cohomology import UNIMODULAR, changed_basis
 from test_generators import meson_action
 
-from ltsdeform.deformation import DeformationError, make_formal_isomorphism
+from ltsdeform import groups as groups_module
+from ltsdeform.deformation import DeformationError, make_deformation, make_formal_isomorphism
 from ltsdeform.groups import (equivariance_failure, equivariance_witness, generators,
-                              make_group_action, make_module_action)
+                              make_group_action, make_module_action, sign_action,
+                              trivial_action)
 from ltsdeform.linalg import Matrix, PrimeField, QQ
-from ltsdeform.lts import StructureTensor, self_module
+from ltsdeform.lts import StructureTensor, meson, self_module
 from ltsdeform.tensorops import transform_sparse
 
 FIELDS = [QQ, PrimeField(7), PrimeField(10007)]
@@ -100,8 +104,8 @@ def witness_cases(draw):
 @given(witness_cases())
 def test_witness_matches_the_evaluate_loop(case):
     tensor, in_mats, out_mat, out_inv = case
-    assert (equivariance_witness(tensor, in_mats, out_inv)
-            == equivariance_witness_loop(tensor, in_mats, out_mat))
+    assert (equivariance_witness([tensor], in_mats, out_inv)
+            == [equivariance_witness_loop(tensor, in_mats, out_mat)])
 
 
 def _monomial_rows(draw, n, fld):
@@ -238,25 +242,32 @@ def test_equivariance_failure_matches_the_loop_over_the_generators(fld):
             # moved by the second generator only
             tensors += [_fixed_by(action, gens[0], t, values or action.matrices)
                         for t in tensors]
+            wants = []
             for tensor in tensors:
                 want = _failure_loop(action, tensor, values or action.matrices)
-                assert equivariance_failure(action, tensor, values) == want
+                assert equivariance_failure(action, [tensor], values) == [want]
                 failed.append(want and want[0])
+                wants.append(want)
+            # the whole family in one call reads like the loop over each tensor
+            assert equivariance_failure(action, tensors, values) == wants
         assert gens[0] in failed and gens[1] in failed
-        assert equivariance_failure(action, system.mu) is None
-        assert all(equivariance_failure(action, t, twisted) is None
-                   for t in (module.left, module.right, module.middle))
+        assert equivariance_failure(action, [system.mu]) == [None]
+        assert equivariance_failure(action, [module.left, module.right, module.middle],
+                                    twisted) == [None] * 3
 
         assert len(gens) == 2
         # the first generator commutes with itself but not with the second,
         # since the group is not abelian
         first = action.matrices[gens[0]]
         ident = Matrix.identity(3, fld)
-        for psi in (ident, ident.scale(2), first, first + ident,
-                    Matrix([[1, 2, 0], [0, 1, 0], [1, 0, 1]], fld), Matrix.zero(3, 3, fld)):
-            tensor = StructureTensor.from_map(psi.column, (3,), 3, fld)
+        psis = (ident, ident.scale(2), first, first + ident,
+                Matrix([[1, 2, 0], [0, 1, 0], [1, 0, 1]], fld), Matrix.zero(3, 3, fld))
+        gauge = [StructureTensor.from_map(psi.column, (3,), 3, fld) for psi in psis]
+        assert (equivariance_failure(action, gauge)
+                == [_commutation_failure(action, psi) for psi in psis])
+        for psi, tensor in zip(psis, gauge):
             want = _commutation_failure(action, psi)
-            assert equivariance_failure(action, tensor) == want
+            assert equivariance_failure(action, [tensor]) == [want]
             if want is None:
                 make_formal_isomorphism(action, [ident, psi])
                 continue
@@ -264,3 +275,92 @@ def test_equivariance_failure_matches_the_loop_over_the_generators(fld):
                 make_formal_isomorphism(action, [ident, psi])
             assert str(err.value) == "psi_1 does not commute with element %r" % labels[want[0]]
         assert _commutation_failure(action, first)[0] == gens[1]
+
+
+def _moved_by(action, g, tensors, values):
+    """The tensors whose first moving generator, by the loop, is g."""
+    return [t for t in tensors if (_failure_loop(action, t, values) or (None,))[0] == g]
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(3)], ids=repr)
+def test_a_family_is_read_one_generator_at_a_time(fld):
+    for action in _actions(fld):
+        system, gens = action.system, generators(action)
+        terms = [_perturbed(system.mu, [k]) for k in (0, 5, 40, 80)]
+        terms += [_fixed_by(action, gens[0], t, action.matrices) for t in terms]
+        # tensor 0 fails only on the second generator, tensor 1 on the first
+        second = _moved_by(action, gens[1], terms, action.matrices)[0]
+        first = _moved_by(action, gens[0], terms, action.matrices)[0]
+        got = equivariance_failure(action, [second, first, system.mu])
+        assert [f and f[0] for f in got] == [gens[1], gens[0], None]
+        assert got == [_failure_loop(action, t, action.matrices)
+                       for t in (second, first, system.mu)]
+        assert equivariance_failure(action, []) == []
+        ident = Matrix.identity(3, fld)
+        assert equivariance_witness([], (ident,) * 3, ident) == []
+        trivial = trivial_action(system)
+        assert generators(trivial) == ()
+        assert equivariance_failure(trivial, terms) == [None] * len(terms)
+
+
+def test_one_slot_transform_per_generator_moves_a_whole_family(monkeypatch):
+    calls = []
+
+    def counted(tensors, mats):
+        calls.append(len(tensors))
+        return transform_sparse(tensors, mats)
+
+    monkeypatch.setattr(groups_module, "transform_sparse", counted)
+    t3 = meson(3)
+    action = sign_action(t3)
+    terms = [t3.mu] + [t3.mu.scale(i) for i in range(1, 9)]
+    del calls[:]
+    assert make_deformation(t3, action, terms).order == 8
+    assert calls == [9]
+
+    system, b3 = meson_action("B3", QQ)
+    gens = generators(b3)
+    del calls[:]
+    make_module_action(b3, self_module(system), list(b3.matrices))
+    assert calls == [3, 3]
+    # a generator moves only the tensors that no earlier one moved
+    moved = _moved_by(b3, gens[0], [_perturbed(system.mu, [0])], b3.matrices)
+    assert moved
+    del calls[:]
+    assert equivariance_failure(b3, moved + [system.mu])[0][0] == gens[0]
+    assert calls == [2, 1]
+
+
+def test_the_lowest_failing_term_wins_cochain_conditions_first():
+    t2 = meson(2)
+    swap = make_group_action(t2, [("0", Matrix.identity(2)), ("1", Matrix([[0, 1], [1, 0]]))])
+
+    # alternating and cyclic, but not swap-equivariant
+    def coeffs(i, j, p):
+        sign = 1 if (i, j) == (0, 1) else (-1 if (i, j) == (1, 0) else 0)
+        return [sign, 0] if p == 0 else [0, 0]
+
+    not_equivariant = StructureTensor.from_map(coeffs, (2, 2, 2), 2)
+    # equivariant, but f(x, x, y) != 0
+    not_cochain = StructureTensor.from_map(lambda i, j, k: [1, 1], (2, 2, 2), 2)
+    # neither
+    neither = StructureTensor.from_map(lambda i, j, k: [1, 0], (2, 2, 2), 2)
+    assert equivariance_failure(swap, [not_equivariant, not_cochain, neither]) == [
+        (1, (0, 1, 0)), None, (1, (0, 0, 0))]
+    equivariance = "term 1 is not equivariant under element '1'"
+    cochain = "term 1 violates the degree-3 cochain conditions"
+    for terms, message in (([not_equivariant, not_cochain], equivariance),
+                           ([not_cochain, not_equivariant], cochain),
+                           ([neither], cochain),
+                           ([t2.mu, neither], "term 2 violates")):
+        with pytest.raises(DeformationError, match=message):
+            make_deformation(t2, swap, [t2.mu] + terms)
+    # every shape is checked before any other condition
+    with pytest.raises(DeformationError, match="term 2 has shape"):
+        make_deformation(t2, swap, [t2.mu, not_equivariant,
+                                    StructureTensor.zero((2, 2, 2), 3)])
+    ident, flip = Matrix.identity(2), Matrix([[1, 0], [0, -1]])
+    with pytest.raises(DeformationError, match="psi_2 has shape 3x3"):
+        make_formal_isomorphism(swap, [ident, flip, Matrix.identity(3)])
+    with pytest.raises(DeformationError, match="psi_2 does not commute with element '1'"):
+        make_formal_isomorphism(swap, [ident, Matrix([[1, 2], [2, 1]]), flip, flip])
