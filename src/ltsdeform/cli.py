@@ -158,9 +158,9 @@ def cmd_verify(args):
                                 "labels": list(action.labels)}
             lines.append("action %s: ok (order %d group)" % (args.action, action.size))
             if module_action is not None:
-                report["action"]["module_verified"] = list(module_action.verified)
-                lines.append("  module action: ok (%s equivariant)"
-                             % ", ".join(module_action.verified))
+                # make_module_action raises unless all three are equivariant
+                report["action"]["module_verified"] = ["left", "right", "middle"]
+                lines.append("  module action: ok (left, right, middle equivariant)")
         except GroupActionError as exc:
             report["action"] = {"path": args.action, "passed": False,
                                 "error": str(exc)}

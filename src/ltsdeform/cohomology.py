@@ -27,11 +27,13 @@ use.  cohomology, is_coboundary and the solves of the deformation layer
 all go through one complex.  The coboundary is applied by pushing each
 nonzero entry of a cochain forward through its formula, at a cost
 proportional to nnz * d^2 rather than the d^(k+2) output tuples of a
-degree-k cochain; the images of basis columns are read at the target's
-free positions and kept once, as sparse rows.  A solve (linalg.solve_rows)
-reduces the right-hand side as the augmented column of those rows, with
-free variables zero.  Scalars are the field's own (linalg): every sum here
-is exact and reduced once, by field.sparse.
+degree-k cochain; the images of basis columns are read at the plain free
+positions of C^(k+2), which the three-slot kernel gives without a basis,
+and kept once, as sparse rows, for the plain and the invariant complex
+alike.  A solve (linalg.solve_rows) reduces the right-hand side as the
+augmented column of those rows, with free variables zero.  Scalars are
+the field's own (linalg): every sum here is exact and reduced once, by
+field.sparse.
 """
 
 from __future__ import annotations
@@ -266,13 +268,13 @@ def _coboundary_images(module, degree, cochains, caps):
     evaluating all d^(k+2) output tuples: the theta and D terms insert a
     pair (a, c) into y, and the substitution terms replace an argument
     y_s = l by each e with [e_a e_c e_e] having an l-component, found
-    through the inverse bracket index l -> [(a, c, e, coef)].
+    through the inverse bracket index l -> [(a, c, e, coef)].  The degree
+    and the caps are checked on the call, before anything else is built.
     """
     if degree < 1 or degree % 2 == 0:
         raise LinAlgError("cochain degree must be odd and >= 1")
     d = module.system.dim
     m = module.dim
-    n = (degree + 1) // 2
     field = module.system.field
     caps.check_degree(degree + 2)
     caps.check_ambient(d ** (degree + 2) * m)
@@ -290,7 +292,12 @@ def _coboundary_images(module, degree, cochains, caps):
     for key in sorted(mu):
         a, c, e, l = slot_indices(key, (d, d, d, d))
         inverse_bracket[l].append((a, c, e, mu[key]))
+    return _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, field)
 
+
+def _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, field):
+    """The images of _coboundary_images, from its tables, one at a time."""
+    n = (degree + 1) // 2
     place = [d ** (degree - 1 - s) for s in range(degree)]
     for col in cochains:
         out = {}
@@ -351,24 +358,9 @@ def _check_bracket(module):
             "them with verify_lts and verify_module")
 
 
-def _coboundary_columns(module, basis_from, basis_to, caps):
-    """Sparse coordinate columns {row: scalar} of the coboundary matrix:
-    each image's entries at the target's free positions, read unchecked,
-    so the bracket must have passed _check_bracket."""
-    for basis in (basis_from, basis_to):
-        if basis.dim != module.system.dim or basis.mdim != module.dim:
-            raise LinAlgError("cochain does not match the module shape")
-    if basis_to.degree != basis_from.degree + 2:
-        raise LinAlgError("bases must sit in consecutive odd degrees")
-    if basis_from.invariant != basis_to.invariant:
-        raise LinAlgError("bases must be both plain or both invariant")
-    index = basis_to._free_index
-    for image in _coboundary_images(module, basis_from.degree, basis_from.columns, caps):
-        yield {j: v for pos, v in image.items() if (j := index.get(pos)) is not None}
-
-
 def coboundary_matrix(module, basis_from, basis_to, caps=DEFAULT_CAPS):
-    """Matrix of the coboundary in the given bases.
+    """Matrix of the coboundary in the given bases: each image's entries at
+    the target's free positions.
 
     Both bases must be plain, or invariant under the same action: an
     invariant basis does not record its group, so this is not checked
@@ -376,11 +368,22 @@ def coboundary_matrix(module, basis_from, basis_to, caps=DEFAULT_CAPS):
     cyclic condition, whose images leave the target, raises LinAlgError.
     """
     _check_bracket(module)
+    for basis in (basis_from, basis_to):
+        if basis.dim != module.system.dim or basis.mdim != module.dim:
+            raise LinAlgError("cochain does not match the module shape")
+    if basis_to.degree != basis_from.degree + 2:
+        raise LinAlgError("bases must sit in consecutive odd degrees")
+    if basis_from.invariant != basis_to.invariant:
+        raise LinAlgError("bases must be both plain or both invariant")
     field = basis_from.field
+    index = basis_to._free_index
     rows = [[field.zero] * len(basis_from) for _ in range(len(basis_to))]
-    for j, col in enumerate(_coboundary_columns(module, basis_from, basis_to, caps)):
-        for i, v in col.items():
-            rows[i][j] = v
+    for j, image in enumerate(_coboundary_images(module, basis_from.degree,
+                                                 basis_from.columns, caps)):
+        for pos, v in image.items():
+            i = index.get(pos)
+            if i is not None:
+                rows[i][j] = v
     return Matrix(rows, field, copy=False)
 
 
@@ -401,9 +404,15 @@ class CohomologyReport:
 
 class CochainComplex:
     """The plain complex of a module, or its invariant subcomplex when an
-    action is given.  Each degree's basis and coboundary (as sparse rows)
-    are built on first use and kept; the self-module action, when none is
-    passed, and the bracket are validated once, here."""
+    action is given.  Each degree's basis and coboundary are built on first
+    use and kept; the self-module action, when none is passed, and the
+    bracket are validated once, here.
+
+    The coboundary out of degree k is kept as rows at the free positions
+    of the plain basis of C^(k+2), plain and invariant alike: the bracket
+    check puts every image in C^(k+2), where a vector is zero iff its
+    entries there are, so their kernel is Z^k, and no basis of C^(k+2) is
+    built."""
 
     def __init__(self, module, action=None, module_action=None, caps=DEFAULT_CAPS):
         if action is not None and module_action is None:
@@ -423,12 +432,28 @@ class CochainComplex:
                 self.module, degree, self.action, self.module_action, self.caps)
         return self._bases[degree]
 
+    def _at_plain_free(self, vectors):
+        """Each sparse vector of C^k, k >= 3, read at the free positions of
+        the plain basis, as {plain row: scalar}.  C^k is d^(k-3) prefix
+        copies of one three-slot block, so pos is free iff pos % block is
+        free in the block's kernel, and its row is pos // block times the
+        block's free count plus the place of pos % block among them."""
+        d, m = self.module.system.dim, self.module.dim
+        _, wfree = _three_slot_kernel(d, m, self.field)
+        block, nw = d ** 3 * m, len(wfree)
+        windex = {pos: i for i, pos in enumerate(wfree)}
+        for vec in vectors:
+            yield {pos // block * nw + i: v for pos, v in vec.items()
+                   if (i := windex.get(pos % block)) is not None}
+
     def rows(self, degree):
-        """The coboundary from degree to degree + 2 in the bases of the two
-        degrees, as sparse rows {row: {column: scalar}}."""
+        """The coboundary from degree to degree + 2 as sparse rows {plain
+        row: {column: scalar}}: columns are the basis of degree, rows the
+        plain free positions of C^(degree + 2) in plain basis order."""
         if degree not in self._rows:
-            self._rows[degree] = _transpose(enumerate(_coboundary_columns(
-                self.module, self.basis(degree), self.basis(degree + 2), self.caps)))
+            images = _coboundary_images(self.module, degree, self.basis(degree).columns,
+                                        self.caps)
+            self._rows[degree] = _transpose(enumerate(self._at_plain_free(images)))
         return self._rows[degree]
 
     def cohomology(self, degree, want_representatives=True):
@@ -441,9 +466,17 @@ class CochainComplex:
         cocycles.extend(self.rows(degree).values())
         dim_z = len(basis) - cocycles.rank
 
+        # the coboundary span in the coordinates of basis: the plain rows
+        # are those of the plain basis; an invariant basis takes the rows at
+        # its free positions, which are plain free positions, as each of its
+        # columns is 1 at its own free position and 0 at the others
         acc = RrefAccumulator(field)
         if degree > 1:
-            acc.extend(_transpose(self.rows(degree - 2).items()).values())
+            rows = self.rows(degree - 2)
+            if basis.invariant:
+                place, = self._at_plain_free([basis._free_index])
+                rows = {place[r]: row for r, row in rows.items() if r in place}
+            acc.extend(_transpose(rows.items()).values())
         dim_b = acc.rank
 
         # representatives: extend the coboundary span through the cocycle
@@ -464,14 +497,18 @@ class CochainComplex:
         """The canonical preimage of the cochain c under the coboundary
         (free variables zero), or None when c is not a coboundary.
 
-        One sparse solve (linalg.solve_rows) on the coboundary's rows;
-        SpanError when c lies outside the complex.
+        express in the basis of c's degree checks that c lies in the
+        complex (SpanError otherwise); then one sparse solve
+        (linalg.solve_rows) on the coboundary's rows against c's entries at
+        the plain free positions.  Those rows have the kernel and so the
+        canonical solution of the rows read in any basis of the target.
         """
         degree = len(c.dims)
         if degree < 3:
             raise LinAlgError("degree-1 cochains have no incoming coboundary")
         source = self.basis(degree - 2)
-        rhs = {i: v for i, v in enumerate(self.basis(degree).express(c)) if v}
+        self.basis(degree).express(c)
+        rhs, = self._at_plain_free([c.entries])
         x = solve_rows(self.rows(degree - 2), rhs, len(source), self.field)
         return None if x is None else source.combine(x)
 

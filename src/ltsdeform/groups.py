@@ -54,7 +54,6 @@ class ModuleAction:
 
     module: object
     matrices: tuple
-    verified: tuple  # which of the three module actions were checked equivariant
 
 
 def make_group_action(system, elements, caps=DEFAULT_CAPS):
@@ -308,14 +307,13 @@ def make_module_action(action, module, matrices):
                     raise GroupActionError(
                         "module matrices are not a representation: V(%r) V(%r) != V(%r)"
                         % (action.labels[s], action.labels[g], action.labels[row[g]]))
-    names = ("left", "right", "middle")
     failures = equivariance_failure(action, [module.left, module.right, module.middle], mats)
-    for name, failure in zip(names, failures):
+    for name, failure in zip(("left", "right", "middle"), failures):
         if failure is not None:
             raise GroupActionError(
                 "module action %s is not equivariant under %r at (%d, %d, %d)"
                 % ((name, action.labels[failure[0]]) + failure[1]))
-    return ModuleAction(module, mats, names)
+    return ModuleAction(module, mats)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Coboundary coordinates read at the target's free positions, unchecked.
+"""Coboundary coordinates read at the plain free positions of the target,
+unchecked.
 
-Every image of a basis column reconstructs exactly in the target span
-(oracles.reconstruct_dense) on plain and invariant complexes, including a
-non-monomial action; a bracket is rejected exactly when it fails the square
+The rows that CochainComplex.rows keeps for the images of a basis column
+rebuild each image exactly in the plain basis of C^(k+2)
+(oracles.reconstruct_dense), on plain and invariant complexes, including
+a non-monomial action; a bracket is rejected exactly when it fails the square
 or cyclic condition (cochain_violations), whatever the module, also when
 it fails the fundamental identity alone; the bracket is checked once per
 complex and once per coboundary_matrix call; and a dims-only cohomology
@@ -19,7 +21,7 @@ from test_cohomology import UNIMODULAR, changed_basis
 from test_generators import meson_action
 
 from ltsdeform.caps import DEFAULT_CAPS
-from ltsdeform.cohomology import (_coboundary_columns, _coboundary_images, coboundary_matrix,
+from ltsdeform.cohomology import (CochainComplex, _coboundary_images, coboundary_matrix,
                                   cochain_space_basis, cochain_violations, cohomology)
 from ltsdeform.groups import make_group_action, sign_action, transpose_action_on_rect
 from ltsdeform.linalg import LinAlgError, Matrix, PrimeField, QQ
@@ -31,13 +33,19 @@ FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7)]
 
 def unreconstructed_images(module, degree, action=None):
     """Indices of the source columns whose coboundary image differs from
-    the reconstruction of the coordinates read for it."""
-    source = cochain_space_basis(module, degree, action)
-    target = cochain_space_basis(module, degree + 2, action)
+    the plain C^(degree + 2) member with the coordinates that the complex
+    keeps for it in its rows."""
+    cx = CochainComplex(module, action)
+    source = cx.basis(degree)
+    target = cochain_space_basis(module, degree + 2)
     ambient = module.system.dim ** (degree + 2) * module.dim
     images = list(_coboundary_images(module, degree, source.columns, DEFAULT_CAPS))
-    columns = list(_coboundary_columns(module, source, target, DEFAULT_CAPS))
-    assert len(images) == len(columns) == len(source)
+    columns = [{} for _ in images]
+    for i, row in cx.rows(degree).items():
+        assert i in range(len(target))
+        for j, v in row.items():
+            columns[j][i] = v
+    assert len(images) == len(source)
     return [j for j, (image, coords) in enumerate(zip(images, columns))
             if reconstruct_dense(target, coords) != [image.get(pos, 0)
                                                      for pos in range(ambient)]]

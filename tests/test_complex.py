@@ -1,6 +1,8 @@
 """The sparse cochain complex against the dense references: the sparse
 coboundary against the pointwise formula, preimages against the dense
-solve, and the bases that the deformation layer builds."""
+solve, plain and invariant, equivariant cohomology against the group
+average of the plain cocycles and coboundaries, and the bases that the
+deformation layer builds."""
 
 import importlib
 from fractions import Fraction
@@ -8,19 +10,20 @@ from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import coboundary_pointwise, rref_dense
+from oracles import coboundary_pointwise, dense, reynolds_project, rref_dense
+from test_coboundary_coordinates import complexes
 from test_cohomology import changed_basis
 
 from ltsdeform import bundled_path
-from ltsdeform.cohomology import (CochainComplex, apply_coboundary, coboundary_matrix,
-                                  is_coboundary)
+from ltsdeform.cohomology import (CochainComplex, SpanError, apply_coboundary, coboundary_matrix,
+                                  cochain_space_basis, is_coboundary)
 from ltsdeform.deformation import (apply_isomorphism, check_deformation_equations,
                                    check_equivalence, extend, make_deformation,
                                    make_formal_isomorphism, obstruction, trivialize)
 from ltsdeform.documents import action_elements_from_document, load_document, system_from_document
-from ltsdeform.groups import (make_group_action, sign_action, transpose_action_on_rect,
-                              trivial_action)
-from ltsdeform.linalg import Matrix, PrimeField, QQ, nullspace, solve
+from ltsdeform.groups import (make_group_action, self_module_action, sign_action,
+                              transpose_action_on_rect, trivial_action)
+from ltsdeform.linalg import Matrix, PrimeField, QQ, nullspace, rref_rows, solve
 from ltsdeform.lts import (SKEW, StructureTensor, from_lie_algebra, function_lts,
                            make_system, matrix_lts, meson, permuted_sum, rect_lts, self_module,
                            skew_lts, sl2_brackets, sym_lts, theta_module)
@@ -70,10 +73,28 @@ def test_preimage_of_a_coboundary_has_the_same_image(case, degree, data):
     assert apply_coboundary(cx.module, pre) == df
 
 
-@settings(max_examples=30, deadline=None)
-@given(cases, st.sampled_from([1, 3]), st.booleans(), st.data())
-def test_augmented_solve_matches_the_dense_solve(case, degree, inside, data):
-    cx = plain_complex(*case)
+@lru_cache(maxsize=None)
+def invariant_complex(label, field):
+    """The invariant complex of a case of test_coboundary_coordinates.complexes."""
+    for name, system, action, _ in complexes(FIELDS[field]):
+        if name == label:
+            return CochainComplex(self_module(system), action)
+    raise KeyError(label)
+
+
+# sign on skew(3) fixes every odd-degree cochain; D4 in a changed basis of
+# meson(3) acts by matrices that are not monomial
+INVARIANT = ("skew3/sign", "meson3 changed basis/D4")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BUILDERS) + list(INVARIANT)), st.sampled_from(sorted(FIELDS)),
+       st.sampled_from([1, 3]), st.booleans(), st.data())
+def test_augmented_solve_matches_the_dense_solve(label, field, degree, inside, data):
+    # the complex solves on rows read at the plain free positions; the dense
+    # solve reads the matrix at the free positions of the target basis,
+    # plain or invariant
+    cx = invariant_complex(label, field) if label in INVARIANT else plain_complex(label, field)
     source, target = cx.basis(degree), cx.basis(degree + 2)
     if inside:
         rhs = apply_coboundary(cx.module, random_cochain(data, cx, degree))
@@ -87,39 +108,86 @@ def test_augmented_solve_matches_the_dense_solve(case, degree, inside, data):
         assert pre == source.combine(x)
 
 
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_invariant_preimage_rejects_a_cochain_outside_the_complex(field):
+    cx = invariant_complex("meson3 changed basis/D4", field)
+    module_action = self_module_action(cx.action, cx.module)
+    plain = cochain_space_basis(cx.module, 3)
+    # the first plain column that the group average moves is not invariant
+    moved = next(c for c in map(plain.combine, ({j: 1} for j in range(len(plain))))
+                 if reynolds_project(cx.action, module_action, 3, dense(c)) != dense(c))
+    with pytest.raises(SpanError):
+        cx.preimage(moved)
+
+
+def projected_rank(action, module_action, degree, vectors, field):
+    """Dimension of the span of the group averages of dense vectors."""
+    averaged = (reynolds_project(action, module_action, degree, v) for v in vectors)
+    return len(rref_rows([{i: x for i, x in enumerate(v) if x} for v in averaged], field))
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_equivariant_cohomology_is_the_invariant_part_of_the_cohomology(field):
+    # the characteristic divides no group order here, so the group average
+    # projects onto the invariants and commutes with the coboundary:
+    # Z_G^k = (Z^k)^G and B_G^k = (B^k)^G, and dim H_G^k = dim (H^k)^G
+    fld = FIELDS[field]
+    for label, system, action, degrees in complexes(fld):
+        module = self_module(system)
+        module_action = self_module_action(action, module)
+        for degree in degrees:
+            basis, target = (cochain_space_basis(module, k) for k in (degree, degree + 2))
+            kernel = nullspace(coboundary_matrix(module, basis, target))
+            cocycles = [dense(basis.combine(kernel.column(j))) for j in range(kernel.ncols)]
+            coboundaries = []
+            if degree > 1:
+                source = cochain_space_basis(module, degree - 2)
+                coboundaries = [dense(apply_coboundary(module, source.combine({j: 1})))
+                                for j in range(len(source))]
+            dim_z, dim_b = (projected_rank(action, module_action, degree, vectors, fld)
+                            for vectors in (cocycles, coboundaries))
+            report = CochainComplex(module, action).cohomology(degree, want_representatives=False)
+            assert (report.dim_cocycles, report.dim_coboundaries, report.dim_h) == \
+                (dim_z, dim_b, dim_z - dim_b), (label, degree)
+
+
 def test_the_complex_caches_bases_and_coboundaries(monkeypatch):
-    calls = []
-    original = cohomology_module.cochain_space_basis
+    calls, assembled, transposed = [], [], []
+    basis, images, transpose = (cohomology_module.cochain_space_basis,
+                                cohomology_module._coboundary_images, cohomology_module._transpose)
 
     def counted(module, degree, *args, **kwargs):
         calls.append(degree)
-        return original(module, degree, *args, **kwargs)
+        return basis(module, degree, *args, **kwargs)
 
-    assembled, transposed = [], []
-    columns, transpose = cohomology_module._coboundary_columns, cohomology_module._transpose
-
-    def assembling(module, basis_from, *args):
-        assembled.append(basis_from.degree)
-        return columns(module, basis_from, *args)
+    def assembling(module, degree, *args):
+        assembled.append(degree)
+        return images(module, degree, *args)
 
     def transposing(vectors):
         transposed.append(1)
         return transpose(vectors)
 
-    monkeypatch.setattr(cohomology_module, "cochain_space_basis", counted)
-    monkeypatch.setattr(cohomology_module, "_coboundary_columns", assembling)
-    cx = CochainComplex(self_module(meson(3)))
-    cx.cohomology(3)
-    cx.cohomology(3)
-    assert cx.preimage(apply_coboundary(cx.module, cx.basis(1).combine({0: 1}))) is not None
-    assert sorted(calls) == [1, 3, 5]
-    assert sorted(assembled) == [1, 3]
-    # two solves on a fresh complex transpose once, as its coboundary is built
-    monkeypatch.setattr(cohomology_module, "_transpose", transposing)
-    cx = CochainComplex(cx.module)
-    image = apply_coboundary(cx.module, cx.basis(1).combine({1: 1}))
-    assert cx.preimage(image) is not None and cx.preimage(image.scale(2)) is not None
-    assert len(transposed) == 1 and sorted(assembled) == [1, 1, 3]
+    system = meson(3)
+    for action in (None, sign_action(system)):
+        module = self_module(system)
+        image = apply_coboundary(module, CochainComplex(module, action).basis(1).combine({1: 1}))
+        del calls[:], assembled[:], transposed[:]
+        monkeypatch.setattr(cohomology_module, "cochain_space_basis", counted)
+        monkeypatch.setattr(cohomology_module, "_coboundary_images", assembling)
+        cx = CochainComplex(module, action)
+        cx.cohomology(3)
+        cx.cohomology(3)
+        assert cx.preimage(image) is not None
+        # the images are read at the plain free positions: no basis of degree 5
+        assert sorted(calls) == [1, 3]
+        assert sorted(assembled) == [1, 3]
+        # two solves on a fresh complex transpose once, as its coboundary is built
+        monkeypatch.setattr(cohomology_module, "_transpose", transposing)
+        cx = CochainComplex(module, action)
+        assert cx.preimage(image) is not None and cx.preimage(image.scale(2)) is not None
+        assert len(transposed) == 1 and sorted(assembled) == [1, 1, 3]
+        monkeypatch.undo()
 
 
 def record_bases(monkeypatch):

@@ -311,8 +311,9 @@ def test_module_matrices_must_be_a_representation():
 
 def test_self_module_matrices_are_accepted():
     system, action = meson_action("B3", QQ)
-    ma = make_module_action(action, self_module(system), list(action.matrices))
-    assert ma.verified == ("left", "right", "middle")
+    module = self_module(system)
+    ma = make_module_action(action, module, list(action.matrices))
+    assert ma.module is module and ma.matrices == action.matrices
 
 
 def test_singular_module_matrix_is_rejected():
