@@ -35,9 +35,16 @@ class UsageError(ValueError):
 
 def _read(path):
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError("cannot read %s: %s" % (path, exc))
+
+
+def _write(path, text):
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DocumentError("cannot write %s: %s" % (path, exc))
 
 
 def _load_system(path, field_override, caps):
@@ -279,7 +286,7 @@ def cmd_deform_extend(args):
                                   defo.system.field)
     text = dump_document(doc)
     if args.output:
-        Path(args.output).write_text(text)
+        _write(args.output, text)
         _emit(args, {"extended": True, "order": extended.order, "output": args.output},
               ["extended to order %d -> %s" % (extended.order, args.output)])
     else:
@@ -341,7 +348,7 @@ def cmd_deform_trivialize(args):
     for step in log:
         lines.append("  %s: %s" % (step["status"], step["detail"]))
     if args.output:
-        Path(args.output).write_text(dump_document(doc))
+        _write(args.output, dump_document(doc))
         lines.append("reduced document -> %s" % args.output)
     _emit(args, report, lines)
     return 0

@@ -21,15 +21,18 @@ infinitesimals, the degree-5 obstruction cochain, order-by-order
 extension, gauge transformations by truncated formal isomorphisms,
 equivalence testing, trivialization, and the rigidity certificate.
 
-Terms and cochains are sparse StructureTensors.  Gauge transformations,
-equivalence and trivialization read a deformation modulo t^(cap+1): its
-terms through the cap, zero-padded above its own order.  Gauge composition
-is one series transform (tensorops.transform_series).  All linear solves for
-gauge terms and extensions are restricted to the invariant subcomplex,
-with the canonical echelon solution (free variables zero), so results are
-deterministic.  Each call solves on one cohomology.CochainComplex, which
-builds its bases and coboundary once; check_equivalence builds the plain
-complex for its diagnostic only when a step is obstructed.
+Terms and cochains are sparse StructureTensors; a term list is validated
+by one cochain_violations and one equivariance_failure call.  Gauge
+transformations, equivalence and trivialization read a deformation modulo
+t^(cap+1): its terms through the cap, zero-padded above its own order.
+Gauge composition is one series transform (tensorops.transform_series),
+and check_equivalence reads its order-k cochains off the same transform.
+All linear solves for gauge terms and extensions are restricted to the
+invariant subcomplex, with the canonical echelon solution (free variables
+zero), so results are deterministic.  Each call solves on one
+cohomology.CochainComplex, which builds its bases and coboundary once;
+check_equivalence builds the plain complex for its diagnostic only when a
+step is obstructed.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .caps import DEFAULT_CAPS, CapExceeded
-from .cohomology import CochainComplex, apply_coboundary, cochain_violations, cohomology
+from .cohomology import CochainComplex, cochain_violations, cohomology, is_cocycle
 from .groups import equivariance_failure
 from .linalg import Matrix
 from .lts import StructureTensor, fundamental_terms, self_module
@@ -82,11 +85,12 @@ class FormalIsomorphism:
         n = self.terms[0].nrows
         return Matrix.zero(n, n, self.terms[0].field)
 
-    def inverse_terms(self, through):
+    def inverse_terms(self, through, head=()):
         """Coefficients of the inverse series: phi_0 = id,
-        phi_k = -sum_{i=1..k} psi_i phi_{k-i}."""
-        phis = [self.terms[0]]
-        for k in range(1, through + 1):
+        phi_k = -sum_{i=1..k} psi_i phi_{k-i}, continued from head, its
+        first coefficients, when given."""
+        phis = list(head) or [self.terms[0]]
+        for k in range(len(phis), through + 1):
             acc = Matrix.zero(self.terms[0].nrows, self.terms[0].nrows,
                               self.terms[0].field)
             for i in range(1, k + 1):
@@ -148,21 +152,15 @@ class RigidityReport:
 # construction and validation
 
 
-def _check_term_is_cochain(tensor, index):
-    report = cochain_violations(tensor)
-    if not report.passed:
-        v = report.violations[0]
-        raise DeformationError(
-            "term %d violates the degree-3 cochain conditions: %s at %r"
-            % (index, v.axiom, v.witness))
-
-
 def make_deformation(system, action, terms):
     """Validate the term list as an order-(len-1) deformation candidate.
 
-    Checks the leading term and the shape of every term, then term by term
-    the degree-3 cochain conditions and equivariance (one equivariance_failure
-    call for the whole list).  The order-r compatibility equations are
+    Checks the leading term and the shape of every term, then the degree-3
+    cochain conditions of terms 1..n in one cochain_violations call on
+    their stack, whose first slot is the order (the conditions touch only
+    the last three slots), and equivariance in one equivariance_failure
+    call.  The lowest failing term is reported, its cochain conditions
+    before its equivariance.  The order-r compatibility equations are
     checked separately (check_deformation_equations) so that invalid
     candidates can still be constructed and inspected.
     """
@@ -176,13 +174,19 @@ def make_deformation(system, action, terms):
         if t.dims != (d, d, d) or t.dim_out != d:
             raise DeformationError("term %d has shape %r, expected the bracket shape"
                                    % (i, (t.dims, t.dim_out)))
-    for i, (t, failure) in enumerate(zip(terms, equivariance_failure(action, terms))):
-        if i > 0:
-            _check_term_is_cochain(t, i)
-        if failure is not None:
-            raise DeformationError(
-                "term %d is not equivariant under element %r at basis "
-                "triple (%d, %d, %d)" % ((i, action.labels[failure[0]]) + failure[1]))
+    stack = StructureTensor((len(terms) - 1, d, d, d), d, {
+        i * d ** 4 + k: v for i, t in enumerate(terms[1:]) for k, v in t.entries.items()},
+        system.field)
+    bad = next(iter(cochain_violations(stack).violations), None)
+    failures = equivariance_failure(action, terms)
+    moved = next((i for i, f in enumerate(failures) if f is not None), len(terms))
+    if bad is not None and bad.witness[0] < moved:
+        raise DeformationError("term %d violates the degree-3 cochain conditions: %s at %r"
+                               % (bad.witness[0] + 1, bad.axiom, bad.witness[1:]))
+    if moved < len(terms):
+        g, triple = failures[moved]
+        raise DeformationError("term %d is not equivariant under element %r at basis "
+                               "triple (%d, %d, %d)" % ((moved, action.labels[g]) + triple))
     return TruncatedDeformation(system, action, terms)
 
 
@@ -255,32 +259,21 @@ def obstruction(defo, caps=DEFAULT_CAPS):
     reads as zero, so the pairs (0, n+1) and (n+1, 0) drop out.  Its
     coefficients 0..n must vanish (DeformationError otherwise).
 
-    The result is checked invariant; its cocycle property is checked
-    exactly when the degree-7 ambient fits the caps (is_cocycle is None
-    otherwise).  The preimage is the canonical equivariant solution of
-    coboundary(x) = F when one exists.
+    Its cocycle property is checked exactly when the degree-7 ambient fits
+    the caps (is_cocycle is None otherwise).  The preimage is the canonical
+    equivariant solution of coboundary(x) = F when one exists; finding it
+    checks that F lies in C_G^5 (SpanError otherwise).
     """
     system = defo.system
     d, n = system.dim, defo.order
     residuals = _residuals(defo, n + 1)
     _require_equations(system, residuals[:n + 1])
     cochain = StructureTensor((d,) * 5, d, residuals[n + 1], system.field)
-
-    report = cochain_violations(cochain)
-    if not report.passed:
-        raise RuntimeError("obstruction cochain violates the degree-5 constraints; "
-                           "this must not happen")
-    action = defo.action
-    cochains = CochainComplex(self_module(system), action, caps=caps)
-    if equivariance_failure(action, [cochain]) != [None]:
-        raise RuntimeError("obstruction cochain is not invariant; "
-                           "this must not happen for equivariant terms")
-
+    cochains = CochainComplex(self_module(system), defo.action, caps=caps)
     try:
-        cocycle_flag = apply_coboundary(cochains.module, cochain, caps).is_zero()
+        cocycle_flag = is_cocycle(cochains.module, cochain, caps)
     except CapExceeded:
         cocycle_flag = None
-
     return ObstructionResult(cochain, cocycle_flag, cochains.preimage(cochain))
 
 
@@ -322,23 +315,24 @@ def make_formal_isomorphism(action, matrices):
     return FormalIsomorphism(mats)
 
 
-def apply_isomorphism(defo, iso, cap_order):
-    """Gauge transform: Psi o mu_t o (Psi^{-1})^(x3), read modulo
-    t^(cap_order+1).
-
-    One series transform with slots (Phi, Phi, Phi, Psi^T), Phi the
-    inverse series; terms above cap_order are dropped and missing ones read
-    as zero, so the result always has order cap_order.  Equivariance of
-    every new term is preserved and revalidated.
-    """
+def _gauge(defo, iso, phis, order):
+    """Terms 0..order of Psi o mu_t o (Psi^{-1})^(x3): one series transform
+    with slots (Phi, Phi, Phi, Psi^T), phis the inverse series through the
+    order; terms above it are dropped and missing ones read as zero."""
     d = defo.system.dim
-    phis = [m.rows for m in iso.inverse_terms(cap_order)]
+    phis = [m.rows for m in phis]
     psis_t = [list(zip(*m.rows)) for m in iso.terms]
     series = transform_series([t.entries for t in defo.terms],
-                              [phis, phis, phis, psis_t], cap_order)
+                              [phis, phis, phis, psis_t], order)
+    return [StructureTensor.from_entries(e, (d, d, d), d, defo.system.field) for e in series]
+
+
+def apply_isomorphism(defo, iso, cap_order):
+    """Gauge transform: Psi o mu_t o (Psi^{-1})^(x3), read modulo
+    t^(cap_order+1), so the result always has order cap_order (_gauge).
+    Equivariance of every new term is preserved and revalidated."""
     return make_deformation(defo.system, defo.action,
-                            [StructureTensor.from_entries(e, (d, d, d), d, defo.system.field)
-                             for e in series])
+                            _gauge(defo, iso, iso.inverse_terms(cap_order), cap_order))
 
 
 def check_equivalence(defo_a, defo_b, cap_order, caps=DEFAULT_CAPS):
@@ -346,7 +340,8 @@ def check_equivalence(defo_a, defo_b, cap_order, caps=DEFAULT_CAPS):
     defo_a to defo_b through cap_order.
 
     At order k the unknown psi_k enters the coefficient equation linearly
-    through its coboundary; each step is a canonical equivariant solve.
+    through its coboundary; each step is a canonical equivariant solve
+    against g_k = [t^k](a gauged by psi_0..psi_(k-1)) - b_k (_gauge).
     Returns the isomorphism, or the first obstructed order with the
     offending equivariant 3-cocycle as witness (plus a diagnostic flag for
     whether the step would have been solvable without equivariance).
@@ -361,21 +356,16 @@ def check_equivalence(defo_a, defo_b, cap_order, caps=DEFAULT_CAPS):
         raise DeformationError("deformations live on different systems")
     if defo_a.action is not defo_b.action and defo_a.action != defo_b.action:
         raise DeformationError("deformations carry different actions")
-    system = defo_a.system
-    action = defo_a.action
-    d = system.dim
-    field = system.field
+    system, action, field = defo_a.system, defo_a.action, defo_a.system.field
     cochains = CochainComplex(self_module(system), action, caps=caps)
-    mu_a, mu_b = [t.entries for t in defo_a.terms], [t.entries for t in defo_b.terms]
-    ident = [Matrix.identity(d, field).rows]
-    psis = [Matrix.identity(d, field)]
+    psis, phis = [Matrix.identity(system.dim, field)], []
     for k in range(1, cap_order + 1):
-        # g_k = [t^k](Psi_{<k} o mu^a) - [t^k](mu^b o Psi_{<k}^(x3))
-        rows = [m.rows for m in psis]
-        lhs = transform_series(mu_a, [ident] * 3 + [[list(zip(*r)) for r in rows]], k)[k]
-        rhs = transform_series(mu_b, [rows] * 3 + [ident], k)[k]
-        g_k = (StructureTensor.from_entries(lhs, (d, d, d), d, field)
-               - StructureTensor.from_entries(rhs, (d, d, d), d, field))
+        # g_k is [t^k] of Psi_{<k} mu^a - mu^b Psi_{<k}^(x3) = (mu' - mu^b)
+        # Psi_{<k}^(x3), mu' = a gauged by Psi_{<k}, which agrees with b below
+        # t^k; psi_(k-1) changes the inverse series from phi_(k-1) on only
+        iso = FormalIsomorphism(tuple(psis))
+        phis = iso.inverse_terms(k, phis[:k - 1])
+        g_k = _gauge(defo_a, iso, phis, k)[k] - defo_b.terms[k]
         x = cochains.preimage(g_k)
         if x is None:
             plain = CochainComplex(cochains.module, caps=caps).preimage(g_k) is not None

@@ -35,7 +35,8 @@ def dump_document(doc):
 def load_document(text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past Python's digit limit, deep nesting
         raise DocumentError("invalid JSON: %s" % exc) from exc
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")

@@ -34,19 +34,20 @@ class LinAlgError(ValueError):
 # fields
 
 
+# The least strong pseudoprime to all the prime bases 2..41 (Sorenson and
+# Webster, Math. Comp. 86, 2017): below it Miller-Rabin on them is exact.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic Miller-Rabin on the bases _PRIME_BASES, for n < _PRIME_BOUND."""
+    if n < 2 or any(n % a == 0 for a in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in _PRIME_BASES)
 
 
 class RationalField:
@@ -104,6 +105,8 @@ class PrimeField:
     one = 1
 
     def __init__(self, p):
+        if isinstance(p, int) and p >= _PRIME_BOUND:
+            raise LinAlgError("prime field modulus must be below %d" % _PRIME_BOUND)
         if not isinstance(p, int) or not _is_prime(p):
             raise LinAlgError("prime field modulus must be prime, got %r" % (p,))
         self.p = p

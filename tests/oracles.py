@@ -4,11 +4,14 @@ from itertools import product
 from math import prod
 
 from ltsdeform.caps import DEFAULT_CAPS
-from ltsdeform.cohomology import CochainBasis, cochain_space_basis
-from ltsdeform.groups import GroupActionError, _subgroup, self_module_action
+from ltsdeform.cohomology import CochainBasis, cochain_space_basis, cochain_violations
+from ltsdeform.deformation import DeformationError
+from ltsdeform.groups import (GroupActionError, _subgroup, equivariance_failure,
+                              self_module_action)
 from ltsdeform.linalg import (QQ, LinAlgError, Matrix, RrefAccumulator, nullspace_from_rref,
                               rref_rows)
 from ltsdeform.lts import AxiomReport, StructureTensor, Violation
+from ltsdeform.tensorops import transform_series
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +246,55 @@ def gauge_dense(defo, iso, cap):
                 terms[r] = terms[r] + compose_tensor_dense(
                     defo.term(i), iso.term(p), phis[a], phis[b], phis[r - p - i - a - b])
     return terms
+
+
+def equivalence_gap_two_series(defo_a, defo_b, psis, k):
+    """Reference for the order-k cochain of deformation.check_equivalence:
+    [t^k](Psi o mu^a) - [t^k](mu^b o Psi^(x3)), Psi the series of the
+    matrices psis, in two transform_series calls."""
+    d, field = defo_a.system.dim, defo_a.system.field
+    ident = [Matrix.identity(d, field).rows]
+    rows = [m.rows for m in psis]
+    lhs = transform_series([t.entries for t in defo_a.terms],
+                           [ident] * 3 + [[list(zip(*r)) for r in rows]], k)[k]
+    rhs = transform_series([t.entries for t in defo_b.terms], [rows] * 3 + [ident], k)[k]
+    return (StructureTensor.from_entries(lhs, (d, d, d), d, field)
+            - StructureTensor.from_entries(rhs, (d, d, d), d, field))
+
+
+def check_terms_loop(action, terms):
+    """Reference for the cochain and equivariance checks of
+    deformation.make_deformation: term by term, the cochain conditions of
+    terms 1..n before equivariance, one cochain_violations and one
+    equivariance_failure call per term."""
+    for i, t in enumerate(terms):
+        if i > 0 and not (report := cochain_violations(t)).passed:
+            v = report.violations[0]
+            raise DeformationError("term %d violates the degree-3 cochain conditions: %s at %r"
+                                   % (i, v.axiom, v.witness))
+        failure, = equivariance_failure(action, [t])
+        if failure is not None:
+            raise DeformationError(
+                "term %d is not equivariant under element %r at basis "
+                "triple (%d, %d, %d)" % ((i, action.labels[failure[0]]) + failure[1]))
+
+
+# ---------------------------------------------------------------------------
+# primality
+
+
+def is_prime_trial_division(n):
+    """Reference for linalg._is_prime: trial division by 2 and the odd numbers."""
+    if n < 4:
+        return n >= 2
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
 
 
 # ---------------------------------------------------------------------------

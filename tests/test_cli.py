@@ -191,6 +191,21 @@ def test_malformed_field_flag_is_usage_error(capsys):
         assert_one_line_error(capsys, "usage error:")
 
 
+def test_prime_moduli_from_the_primality_bound_up_are_rejected(tmp_path, capsys):
+    # trial division spent over a minute on this prime before any cap check
+    assert run_cli("verify", data("meson2.json"), "--field", "gf:1000000000000000003") == 0
+    capsys.readouterr()
+    too_large = "gf:3317044064679887385961981"
+    assert run_cli("verify", data("meson2.json"), "--field", too_large) == 2
+    assert_one_line_error(capsys, "usage error:")
+    doc = load_document(bundled_path("meson2.json").read_text())
+    doc["field"] = too_large
+    bad = tmp_path / "big_field.json"
+    bad.write_text(dump_document(doc))
+    assert run_cli("verify", str(bad)) == 2
+    assert_one_line_error(capsys, "document error:")
+
+
 def test_malformed_document_field_is_document_error(tmp_path, capsys):
     doc = load_document(bundled_path("meson2.json").read_text())
     doc["field"] = "gf:abc"
@@ -226,6 +241,31 @@ def test_module_block_that_is_no_representation_exits_one(tmp_path, capsys):
     assert_one_line_error(capsys, "error:")
     assert run_cli("verify", data("meson2.json"), str(bad)) == 1
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_the_module_block_is_read_by_verify_and_cohomology_only(tmp_path, capsys):
+    # abelian2 under {I, -I}, with the module matrices I, I: verify accepts
+    # the block and cohomology --equivariant uses it; rigidity, like every
+    # deform-* command, acts on the values through the element matrices
+    system = tmp_path / "abelian2.json"
+    system.write_text(dump_document({"schema": "lts-system/1", "field": "rational",
+                                     "dim": 2, "basis": ["x", "y"], "bracket": []}))
+    one, minus = [["1", "0"], ["0", "1"]], [["-1", "0"], ["0", "-1"]]
+    doc = {"schema": "lts-action/1",
+           "elements": [{"label": "e", "matrix": one}, {"label": "s", "matrix": minus}]}
+    plain = tmp_path / "abelian2_sign.json"
+    plain.write_text(dump_document(doc))
+    doc["module"] = {"elements": [one, one]}
+    with_module = tmp_path / "abelian2_sign_module.json"
+    with_module.write_text(dump_document(doc))
+    assert run_cli("verify", str(system), str(with_module)) == 0
+    capsys.readouterr()
+    for action, dim_h in ((plain, 4), (with_module, 0)):
+        assert run_cli("cohomology", str(system), "--degree", "3", "--equivariant",
+                       str(action), "--json") == 0
+        assert json.loads(capsys.readouterr().out)["dim_h"] == dim_h
+        assert run_cli("rigidity", str(system), "--equivariant", str(action), "--json") == 1
+        assert json.loads(capsys.readouterr().out)["dim_h3_equivariant"] == 4
 
 
 def test_oversized_bracket_is_capped_before_allocation(tmp_path, capsys):

@@ -122,3 +122,30 @@ def test_mutated_documents_exit_with_a_contract_code(tmp_path, capsys):
             assert code in (0, 1, 2, 3), (seed, name, argv, code)
         (tmp_path / name).write_text(TEXTS[name])
         capsys.readouterr()
+
+
+def test_undecodable_documents_and_unwritable_outputs_exit_two(tmp_path, capsys):
+    """Byte-level faults that no edit of a parsed document makes, and -o
+    paths that cannot be written: each exits 2 with one stderr line."""
+    for name in NAMES:
+        (tmp_path / name).write_text(TEXTS[name])
+    system, defo = str(tmp_path / "meson2.json"), str(tmp_path / DEFORMATIONS[0])
+    faults = {"invalid_utf8.json": b'{"schema": "lts-system/1\xff"}',
+              "long_integer.json": b'{"schema": "lts-system/1", "dim": ' + b"7" * 5000 + b"}",
+              "deep_nesting.json": b"[" * 100000}
+    argvs = []
+    for name, content in faults.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        argvs += [["verify", str(path)], ["verify", system, str(path)],
+                  ["deform-check", str(path)]]
+    for out in (tmp_path / "missing" / "out.json", tmp_path):
+        argvs += [["deform-extend", defo, "-o", str(out)],
+                  ["deform-trivialize", defo, "-o", str(out)]]
+    for argv in argvs:
+        try:
+            code = main(argv + CAPS)
+        except Exception as exc:  # any exception escaping main is the failure
+            pytest.fail("%r escaped main on %r" % (exc, argv))
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1, (argv, code, err)

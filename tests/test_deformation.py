@@ -6,18 +6,20 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import cochain, evaluate_dense, fundamental_residual_loop, gauge_dense
+from oracles import (check_terms_loop, cochain, equivalence_gap_two_series, evaluate_dense,
+                     fundamental_residual_loop, gauge_dense)
 
-from ltsdeform import bundled_path
+from ltsdeform import bundled_path, deformation
 from ltsdeform.cohomology import apply_coboundary, coboundary_matrix, cochain_space_basis
-from ltsdeform.deformation import (DeformationError, apply_isomorphism,
-                                   check_deformation_equations, check_equivalence,
-                                   extend, infinitesimal, make_deformation,
-                                   make_formal_isomorphism, obstruction,
+from ltsdeform.deformation import (DeformationError, FormalIsomorphism, _gauge,
+                                   apply_isomorphism, check_deformation_equations,
+                                   check_equivalence, extend, infinitesimal,
+                                   make_deformation, make_formal_isomorphism, obstruction,
                                    pad_deformation, rigidity_certificate, trivialize)
 from ltsdeform.documents import (action_elements_from_document, deformation_from_document,
                                   deformation_terms, load_document, system_from_document)
-from ltsdeform.groups import make_group_action, sign_action, trivial_action
+from ltsdeform.groups import (make_group_action, sign_action, transpose_action_on_rect,
+                              trivial_action)
 from ltsdeform.linalg import Matrix, PrimeField, QQ, nullspace_from_rref, rref_rows
 from ltsdeform.lts import (StructureTensor, make_system, meson, self_module, skew_lts,
                            sym_lts)
@@ -126,6 +128,82 @@ def test_non_equivariant_term_is_rejected(t2, swap_action):
     bad = StructureTensor.from_map(coeffs, (2, 2, 2), 2)
     with pytest.raises(DeformationError, match="equivariant"):
         make_deformation(t2, swap_action, [t2.mu, bad])
+
+
+def counting(monkeypatch, *names):
+    """Count the calls that deformation makes through each of its names."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, _name=name, _orig=getattr(deformation, name), **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(deformation, name, wrapper)
+    return calls
+
+
+@cache
+def rect22_setting():
+    system, action = transpose_action_on_rect(2)
+    module = self_module(system)
+    return system, action, cochain_space_basis(module, 3), cochain_space_basis(module, 3, action)
+
+
+def planted_term(kind, rng):
+    """A degree-3 term of rect22 under transposition: an invariant cochain,
+    a plain one (most are not equivariant), or an invariant one with a
+    square fault, a cyclic fault or both at random indices."""
+    _, _, plain, invariant = rect22_setting()
+    basis = plain if kind == "plain" else invariant
+    term = basis.combine([rng.randint(-1, 1) for _ in basis.columns])
+    a, b, c = rng.sample(range(4), 3)
+    l = rng.randrange(4)
+    fault = {}
+    if kind in ("square", "both"):
+        fault[((a * 4 + a) * 4 + b) * 4 + l] = 1
+    if kind in ("cyclic", "both"):
+        fault[((a * 4 + b) * 4 + c) * 4 + l] = 1
+        fault[((b * 4 + a) * 4 + c) * 4 + l] = -1
+    return term + StructureTensor.from_entries(fault, (4, 4, 4), 4)
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except DeformationError as exc:
+        return str(exc)
+    return None
+
+
+def test_term_list_checks_report_what_the_per_term_loop_reports():
+    system, action, _, _ = rect22_setting()
+    rng = random.Random(22)
+    kinds = ("good", "good", "plain", "square", "cyclic", "both")
+    seen = set()
+    for _ in range(60):
+        terms = [system.mu] + [planted_term(rng.choice(kinds), rng)
+                               for _ in range(rng.randint(1, 5))]
+        expected = raised(check_terms_loop, action, terms)
+        assert raised(make_deformation, system, action, terms) == expected
+        if expected is not None:
+            seen.add(re.match(r"term (\d+) (?:.*: (\w+) at|is not equivariant)",
+                              expected).groups())
+    # faults of every kind, reported at several orders
+    assert {axiom for _, axiom in seen} == {"square", "cyclic", None}
+    assert len({order for order, _ in seen}) >= 3
+
+
+def test_a_term_list_is_checked_in_one_cochain_and_one_equivariance_call(
+        monkeypatch, worked_example):
+    calls = counting(monkeypatch, "cochain_violations", "equivariance_failure")
+    padded = list(pad_deformation(worked_example, 5).terms)
+    make_deformation(worked_example.system, worked_example.action, padded)
+    assert calls == {"cochain_violations": 1, "equivariance_failure": 1}
+    # terms 2..4 pass, term 5 fails the square condition
+    padded[4] = padded[3] = padded[2]
+    padded[5] = StructureTensor.from_map(lambda i, j, k: [1, 0], (2, 2, 2), 2)
+    with pytest.raises(DeformationError, match="term 5 violates"):
+        make_deformation(worked_example.system, worked_example.action, padded)
+    assert calls == {"cochain_violations": 2, "equivariance_failure": 2}
 
 
 def test_order1_residual_is_minus_the_coboundary(m2, t2, swap_action):
@@ -356,6 +434,15 @@ def test_obstruction_of_a_coboundary_infinitesimal_is_nonzero_and_unobstructed()
     assert check_deformation_equations(extend(defo)).passed
 
 
+def test_obstruction_leaves_the_membership_check_to_its_preimage_call(monkeypatch):
+    defo = sym2_coboundary_deformation()
+    calls = counting(monkeypatch, "cochain_violations", "equivariance_failure")
+    ob = obstruction(defo)
+    assert calls == {"cochain_violations": 0, "equivariance_failure": 0}
+    assert not ob.cochain.is_zero()
+    assert any(cochain_space_basis(self_module(defo.system), 5, defo.action).express(ob.cochain))
+
+
 def test_equivalence_needs_one_system_and_one_action():
     t2 = bundled_deformation("meson2_swap_t2.json")
     other_system = sym2_coboundary_deformation()
@@ -473,6 +560,23 @@ def test_gauge_equals_the_dense_sum_over_index_tuples(case):
     gauged = apply_isomorphism(defo, iso, cap)
     assert gauged.order == cap
     assert list(gauged.terms) == gauge_dense(defo, iso, cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gauge_cases())
+def test_the_gauge_gap_equals_the_two_series_difference(case):
+    # b is a gauged by the whole of psi, so the gap with psi_0..psi_(k-1)
+    # is the order-k cochain that check_equivalence solves for psi_k; it
+    # continues the inverse series from phi_0..phi_(k-2), which psi_(k-1)
+    # does not change
+    defo, iso, cap = case
+    gauged = apply_isomorphism(defo, iso, cap)
+    for k in range(1, cap + 1):
+        psis = FormalIsomorphism(tuple(iso.term(i) for i in range(k)))
+        phis = psis.inverse_terms(k, iso.inverse_terms(k)[:k - 1])
+        assert phis == psis.inverse_terms(k)
+        gap = _gauge(defo, psis, phis, k)[k] - gauged.terms[k]
+        assert gap == equivalence_gap_two_series(defo, gauged, psis.terms, k)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import rref_dense, rref_in_order
+from oracles import is_prime_trial_division, rref_dense, rref_in_order
 
-from ltsdeform.linalg import (LinAlgError, Matrix, PrimeField, QQ, RrefAccumulator,
-                              field_from_spec, nullspace, nullspace_from_rref, rank,
-                              rref_rows, solve, solve_rows)
+from ltsdeform.linalg import (_PRIME_BOUND, LinAlgError, Matrix, PrimeField, QQ,
+                              RrefAccumulator, _is_prime, field_from_spec, nullspace,
+                              nullspace_from_rref, rank, rref_rows, solve, solve_rows)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -310,6 +310,34 @@ def test_field_from_spec():
         field_from_spec("gf:10")
     with pytest.raises(LinAlgError):
         field_from_spec("real")
+
+
+def test_primality_agrees_with_trial_division_below_10_5():
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+        [n for n in range(10 ** 5) if is_prime_trial_division(n)]
+
+
+def test_primality_rejects_strong_pseudoprimes():
+    # psi_1, ..., psi_12: the least strong pseudoprime to the first k prime
+    # bases (psi_7 = psi_8 and psi_9 = psi_10 = psi_11 appear once)
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+        with pytest.raises(LinAlgError, match="must be prime"):
+            PrimeField(n)
+
+
+def test_prime_moduli_stop_below_the_exact_bound_of_the_primality_test():
+    assert PrimeField(1000000000000000003).p == 1000000000000000003
+    largest = next(p for p in range(_PRIME_BOUND - 2, 0, -2) if _is_prime(p))
+    assert PrimeField(largest).p == largest
+    # the bound is itself a strong pseudoprime to every base of the test
+    assert _is_prime(_PRIME_BOUND)
+    for p in (_PRIME_BOUND, 10 ** 30 + 57):
+        with pytest.raises(LinAlgError, match="must be below"):
+            PrimeField(p)
+    with pytest.raises(LinAlgError):
+        field_from_spec("gf:%d" % _PRIME_BOUND)
 
 
 def test_echelon_rows_demote_integral_fractions_to_int():
