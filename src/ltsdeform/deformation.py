@@ -26,7 +26,8 @@ by one cochain_violations and one equivariance_failure call.  Gauge
 transformations, equivalence and trivialization read a deformation modulo
 t^(cap+1): its terms through the cap, zero-padded above its own order.
 Gauge composition is one series transform (tensorops.transform_series),
-and check_equivalence reads its order-k cochains off the same transform.
+and check_equivalence reads its order-k cochains off the same transform,
+whose last slot pass forms coefficient k alone.
 All linear solves for gauge terms and extensions are restricted to the
 invariant subcomplex, with the canonical echelon solution (free variables
 zero), so results are deterministic.  Each call solves on one
@@ -315,15 +316,16 @@ def make_formal_isomorphism(action, matrices):
     return FormalIsomorphism(mats)
 
 
-def _gauge(defo, iso, phis, order):
+def _gauge(defo, iso, phis, order, low=0):
     """Terms 0..order of Psi o mu_t o (Psi^{-1})^(x3): one series transform
     with slots (Phi, Phi, Phi, Psi^T), phis the inverse series through the
-    order; terms above it are dropped and missing ones read as zero."""
+    order; terms above it are dropped and missing ones read as zero.  Terms
+    below low are not formed and come back zero."""
     d = defo.system.dim
     phis = [m.rows for m in phis]
     psis_t = [list(zip(*m.rows)) for m in iso.terms]
     series = transform_series([t.entries for t in defo.terms],
-                              [phis, phis, phis, psis_t], order)
+                              [phis, phis, phis, psis_t], order, low)
     return [StructureTensor.from_entries(e, (d, d, d), d, defo.system.field) for e in series]
 
 
@@ -341,7 +343,8 @@ def check_equivalence(defo_a, defo_b, cap_order, caps=DEFAULT_CAPS):
 
     At order k the unknown psi_k enters the coefficient equation linearly
     through its coboundary; each step is a canonical equivariant solve
-    against g_k = [t^k](a gauged by psi_0..psi_(k-1)) - b_k (_gauge).
+    against g_k = [t^k](a gauged by psi_0..psi_(k-1)) - b_k (_gauge, which
+    forms only coefficient k in its last slot pass).
     Returns the isomorphism, or the first obstructed order with the
     offending equivariant 3-cocycle as witness (plus a diagnostic flag for
     whether the step would have been solvable without equivariance).
@@ -365,7 +368,7 @@ def check_equivalence(defo_a, defo_b, cap_order, caps=DEFAULT_CAPS):
         # t^k; psi_(k-1) changes the inverse series from phi_(k-1) on only
         iso = FormalIsomorphism(tuple(psis))
         phis = iso.inverse_terms(k, phis[:k - 1])
-        g_k = _gauge(defo_a, iso, phis, k)[k] - defo_b.terms[k]
+        g_k = _gauge(defo_a, iso, phis, k, k)[k] - defo_b.terms[k]
         x = cochains.preimage(g_k)
         if x is None:
             plain = CochainComplex(cochains.module, caps=caps).preimage(g_k) is not None

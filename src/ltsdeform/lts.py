@@ -303,23 +303,25 @@ def self_module(system):
 def _module_fundamental_terms(module, p):
     """nested_sum terms (one-term series) of the fundamental identity with
     its variable at position p in V, renamed x4 (the others keep their
-    order, as x0..x3).
+    order, as x0..x3).  Each tensor's series is one list shared by its
+    terms, which nested_sum decodes once.
 
     A bracket whose V-valued argument sits in slot t is module.right,
     middle or left for t = 0, 1, 2, each taking that argument last.
     """
-    acting = (module.right, module.middle, module.left)
+    acting = ([module.right], [module.middle], [module.left])
+    own = [module.system.mu]
     name = [q - (q > p) for q in range(5)]
     name[p] = 4
     terms = []
     for sign, slot, pos in FUNDAMENTAL:
-        inner = acting[pos.index(p)] if p in pos else module.system.mu
+        inner = acting[pos.index(p)] if p in pos else own
         args = [name[q] for q in range(5) if q not in pos]
         args.insert(slot, None)  # the inner bracket's value
         vslot = slot if p in pos else args.index(4)
         args.append(args.pop(vslot))
         # x4 sorts last, where the acting tensors take it
-        terms.append((sign, [acting[vslot]], args.index(None), [inner],
+        terms.append((sign, acting[vslot], args.index(None), inner,
                       tuple(sorted(name[q] for q in pos))))
     return terms
 

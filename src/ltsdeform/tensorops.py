@@ -10,11 +10,15 @@ transform_sparse, which moves entries through lookup tables when every
 slot matrix is monomial, and gauge composition through its series form
 transform_series; the fundamental identity and its module placements
 (one-term series) and all the order-r deformation equations (the term
-series) through one nested_sum each.
+series) through one nested_sum each.  nested_sum decodes each series once
+per call into positions, index tuples with their nonzero (order, value)
+pairs; its cost is the pairs of outer and inner positions that meet in a
+slot, each a truncated convolution of their orders.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from math import prod
 
 
@@ -99,7 +103,7 @@ def _move_table(moves, scale=1):
     return [(t * scale, None if c == 1 else c) for t, c in table]
 
 
-def transform_series(series, mats, order):
+def transform_series(series, mats, order, low=0):
     """Coefficients 0..order of the slot transform of a series of sparse
     tensors with one series of row-list matrices per slot (the value slot
     last and transposed, as in transform_sparse): coefficient r is the sum
@@ -107,14 +111,16 @@ def transform_series(series, mats, order):
     over a_0 + ... + a_k = r.  Every list reads as zero past its end (a
     matrix series needs its term 0), index 0 is like any other, and each
     slot in turn is a truncated convolution of one-slot contractions.  The
-    values are exact sums, zero sums kept, as in transform_sparse."""
+    last pass (the first slot) forms only the coefficients from low on;
+    those below come back empty.  The values are exact sums, zero sums
+    kept, as in transform_sparse."""
     out = [series[r] if r < len(series) else {} for r in range(order + 1)]
     stride = 1
-    for slot in reversed(mats):
+    for n, slot in enumerate(reversed(mats), 1):
         new = [{} for _ in range(order + 1)]
-        for r, acc in enumerate(new):
+        for r in range(low if n == len(mats) else 0, order + 1):
             for a in range(min(r + 1, len(slot))):
-                _contract(out[r - a], stride, slot[a], acc)
+                _contract(out[r - a], stride, slot[a], new[r])
         out, stride = new, stride * len(slot[0])
     return out
 
@@ -143,32 +149,72 @@ def nested_sum(terms, dims, order):
     outer and inner of trilinear tensors: inner[b] reads the variables at
     positions and fills the given slot of outer[a], whose other two
     arguments are the remaining variables in increasing order, adding into
-    coefficient a + b.  Every entry is decoded once per term; the cost is the
-    number of (inner entry, outer entry) pairs that meet with a + b <= order.
-    The sums are reduced by the field of the first term's outer tensors.
+    coefficient a + b.  Each series is decoded once per call into its
+    positions, each with its nonzero (order, value) pairs; a term pairs the
+    outer and inner positions that meet in the slot and adds each pair's
+    truncated convolution (a + b <= order) into one accumulator per output
+    position.  The cost is the number of such position pairs times their
+    convolutions.  An accumulator reaches only as far as a nonzero pair
+    can, so a series padded with zeros costs no more than its nonzero
+    terms.  The sums are reduced by the field of the first term's outer
+    tensors.
     """
     field = terms[0][1][0].field
     strides = [prod(dims[s + 1:]) for s in range(len(dims))]
-    out = [{} for _ in range(order + 1)]
+    decoded = {}
+    for _, outer, _, inner, _ in terms:
+        for series in (outer, inner):
+            if id(series) not in decoded:
+                decoded[id(series)] = _positions(series[:order + 1])
+    # coefficients past the highest order a nonzero pair reaches stay empty
+    length = 1 + min(order, max(decoded[id(outer)][1] + decoded[id(inner)][1]
+                                for _, outer, _, inner, _ in terms))
+    accs = defaultdict(lambda: [0] * length)
     for sign, outer, slot, inner, positions in terms:
         rest = [strides[s] for s in range(len(dims) - 1) if s not in positions]
-        # outer entries by their index in the inner's slot: (a, rest of key, value), a rising
+        # outer positions by their index in the inner's slot: (rest of key, series)
         by_slot = {}
-        for a, t in enumerate(outer[:order + 1]):
-            for key, u in t.entries.items():
-                idx = slot_indices(key, t.dims + (t.dim_out,))
-                args = idx[:slot] + idx[slot + 1:-1]
-                part = idx[-1] + args[0] * rest[0] + args[1] * rest[1]
-                by_slot.setdefault(idx[slot], []).append((a, part, u if sign > 0 else -u))
-        for b, t in enumerate(inner[:order + 1]):
-            for key, v in t.entries.items():
-                idx = slot_indices(key, t.dims + (t.dim_out,))
-                base = sum(i * strides[s] for i, s in zip(idx, positions))
-                for a, part, u in by_slot.get(idx[-1], ()):
-                    if a + b > order:
-                        break
-                    out[a + b][base + part] = out[a + b].get(base + part, 0) + u * v
-    return [field.sparse(acc.items()) for acc in out]
+        for idx, us in decoded[id(outer)][0]:
+            args = idx[:slot] + idx[slot + 1:-1]
+            part = idx[-1] + args[0] * rest[0] + args[1] * rest[1]
+            by_slot.setdefault(idx[slot], []).append((part, us))
+        for idx, vs in decoded[id(inner)][0]:
+            matches = by_slot.get(idx[-1])
+            if matches is None:
+                continue
+            base = sum(i * strides[s] for i, s in zip(idx, positions))
+            # one accumulator lookup per pair and inner order costs less
+            # than a second loop per pair when positions hold one order
+            for b, v in vs:
+                if sign < 0:
+                    v = -v
+                lim = length - b
+                for part, us in matches:
+                    acc = accs[base + part]
+                    for a, u in us:
+                        if a >= lim:
+                            break
+                        acc[a + b] += u * v
+    items = list(accs.items())
+    return [field.sparse([(key, acc[r]) for key, acc in items]) if r < length else {}
+            for r in range(order + 1)]
+
+
+def _positions(series):
+    """([(index tuple, [(order, value), ...]), ...], last order) of a series
+    of tensors of one shape: every position with a nonzero value at some
+    order, its nonzero values with their orders rising, and the highest
+    order with a nonzero value (-1 for none)."""
+    by_key, last = {}, -1
+    for a, t in enumerate(series):
+        for key, u in t.entries.items():
+            if u:
+                by_key.setdefault(key, []).append((a, u))
+                last = a
+    if not by_key:
+        return [], -1
+    shape = series[0].dims + (series[0].dim_out,)
+    return [(slot_indices(key, shape), us) for key, us in by_key.items()], last
 
 
 def value_vectors(entries, dims, zero):

@@ -11,7 +11,7 @@ from ltsdeform.groups import (GroupActionError, _subgroup, equivariance_failure,
 from ltsdeform.linalg import (QQ, LinAlgError, Matrix, RrefAccumulator, nullspace_from_rref,
                               rref_rows)
 from ltsdeform.lts import AxiomReport, StructureTensor, Violation
-from ltsdeform.tensorops import transform_series
+from ltsdeform.tensorops import slot_indices, transform_series
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +60,36 @@ def fundamental_residual_loop(pairs, d):
                 acc[l] = acc[l] + t1[l] - t2[l] - t3[l] - t4[l]
         data.extend(acc)
     return _sparse(data, pairs[0][0].field)
+
+
+def nested_sum_per_entry(terms, dims, order):
+    """Reference for tensorops.nested_sum: the per-entry kernel it replaced.
+    Every entry is decoded once per term, and every (inner entry, outer
+    entry) pair that meets with a + b <= order adds into coefficient a + b
+    of a dict per coefficient; the sums are reduced by the field of the
+    first term's outer tensors."""
+    field = terms[0][1][0].field
+    strides = [prod(dims[s + 1:]) for s in range(len(dims))]
+    out = [{} for _ in range(order + 1)]
+    for sign, outer, slot, inner, positions in terms:
+        rest = [strides[s] for s in range(len(dims) - 1) if s not in positions]
+        # outer entries by their index in the inner's slot: (a, rest of key, value), a rising
+        by_slot = {}
+        for a, t in enumerate(outer[:order + 1]):
+            for key, u in t.entries.items():
+                idx = slot_indices(key, t.dims + (t.dim_out,))
+                args = idx[:slot] + idx[slot + 1:-1]
+                part = idx[-1] + args[0] * rest[0] + args[1] * rest[1]
+                by_slot.setdefault(idx[slot], []).append((a, part, u if sign > 0 else -u))
+        for b, t in enumerate(inner[:order + 1]):
+            for key, v in t.entries.items():
+                idx = slot_indices(key, t.dims + (t.dim_out,))
+                base = sum(i * strides[s] for i, s in zip(idx, positions))
+                for a, part, u in by_slot.get(idx[-1], ()):
+                    if a + b > order:
+                        break
+                    out[a + b][base + part] = out[a + b].get(base + part, 0) + u * v
+    return [field.sparse(acc.items()) for acc in out]
 
 
 def module_fundamental_loop(module):

@@ -575,7 +575,11 @@ def test_the_gauge_gap_equals_the_two_series_difference(case):
         psis = FormalIsomorphism(tuple(iso.term(i) for i in range(k)))
         phis = psis.inverse_terms(k, iso.inverse_terms(k)[:k - 1])
         assert phis == psis.inverse_terms(k)
-        gap = _gauge(defo, psis, phis, k)[k] - gauged.terms[k]
+        # check_equivalence forms only coefficient k
+        series = _gauge(defo, psis, phis, k, k)
+        assert all(t.is_zero() for t in series[:k])
+        assert series[k] == _gauge(defo, psis, phis, k)[k]
+        gap = series[k] - gauged.terms[k]
         assert gap == equivalence_gap_two_series(defo, gauged, psis.terms, k)
 
 

@@ -10,16 +10,16 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 from oracles import (compose_tensor_dense, evaluate_dense, fundamental_residual_loop,
-                     module_fundamental_loop)
+                     module_fundamental_loop, nested_sum_per_entry)
 
 from ltsdeform import bundled_path, deformation
 from ltsdeform.caps import DEFAULT_CAPS
 from ltsdeform.cli import _load_deformation, main
 from ltsdeform.linalg import Matrix, PrimeField, QQ
-from ltsdeform.lts import (LieTripleSystem, LtsModule, StructureTensor,
+from ltsdeform.lts import (FUNDAMENTAL, LieTripleSystem, LtsModule, StructureTensor,
                            _module_fundamental_terms, fundamental_terms, meson,
                            self_module, skew_lts, verify_lts, verify_module)
-from ltsdeform.tensorops import nested_sum, transform_sparse
+from ltsdeform.tensorops import nested_sum, transform_series, transform_sparse
 
 FIELDS = [QQ, PrimeField(7), PrimeField(10007)]
 PLACEMENTS = [(4, "last"), (3, 4), (2, 3), (1, 2), (0, 1)]
@@ -156,6 +156,78 @@ def test_order_equations_match_the_loop(data):
     # mu_(n+1) is missing, which leaves the pairs i, j >= 1 of the obstruction
     pairs = [(terms[i], terms[n + 1 - i]) for i in range(1, n + 1)]
     assert series[n + 1] == fundamental_residual_loop(pairs, d)
+
+
+def _nonzero(draw, fld):
+    if fld is QQ and draw(st.booleans()):
+        return Fraction(draw(st.sampled_from([1, -2, 3])), draw(st.integers(2, 5)))
+    return draw(st.sampled_from([1, 2, -1, -3, 5]))
+
+
+@st.composite
+def gauged_series(draw, fld, d, order):
+    """Terms 0..order of a bracket gauged by Psi = id + psi_1 t with psi_1 =
+    E_ii + c E_ij, idempotent and not diagonal for d > 1: the inverse series
+    is id + sum_k (-t)^k psi_1, so every term is nonzero."""
+    mu = draw(brackets(fld, d))
+    i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    psi = Matrix([[int(r == c == i) + (r == i and c == j != i) * _nonzero(draw, fld)
+                   for c in range(d)] for r in range(d)], fld)
+    iso = deformation.FormalIsomorphism((Matrix.identity(d, fld), psi))
+    phis = [m.rows for m in iso.inverse_terms(order)]
+    psis_t = [list(zip(*m.rows)) for m in iso.terms]
+    terms = transform_series([mu.entries], [phis, phis, phis, psis_t], order)
+    return [StructureTensor.from_entries(t, (d, d, d), d, fld) for t in terms]
+
+
+@st.composite
+def gapped_series(draw, fld, d, order):
+    """Terms 0..order whose entries sit at a few shared positions, so that a
+    position holds values at several orders, with zero terms between them."""
+    pool = draw(st.lists(st.integers(0, d ** 4 - 1), min_size=1, max_size=8, unique=True))
+    terms = []
+    for _ in range(order + 1):
+        entries = {}
+        if draw(st.integers(0, 2)):
+            entries = {k: _nonzero(draw, fld) for k in pool if draw(st.booleans())}
+        terms.append(StructureTensor.from_entries(entries, (d, d, d), d, fld))
+    return terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_position_pairs_match_the_per_entry_kernel(data):
+    # long series nonzero at every order, series with zero terms between
+    # nonzero ones and one-term series, mixed over the four terms of the
+    # fundamental identity with either sign, read through an order that
+    # may fall short of the series or run past them
+    fld = data.draw(st.sampled_from([QQ, PrimeField(7)]))
+    d = data.draw(st.integers(1, 3))
+    pool = [data.draw(gauged_series(fld, d, data.draw(st.integers(1, 8)))),
+            data.draw(gapped_series(fld, d, data.draw(st.integers(1, 8)))),
+            [data.draw(brackets(fld, d))]]
+    terms = [(data.draw(st.sampled_from([1, -1])), data.draw(st.sampled_from(pool)), slot,
+              data.draw(st.sampled_from(pool)), pos) for _, slot, pos in FUNDAMENTAL]
+    order = data.draw(st.integers(0, 10))
+    got = nested_sum(terms, (d,) * 6, order)
+    assert len(got) == order + 1
+    assert got == nested_sum_per_entry(terms, (d,) * 6, order)
+
+
+def test_zero_padding_leaves_the_high_coefficients_empty():
+    # a series padded to order 5000 past its last nonzero term 2: every
+    # coefficient past 2 + 2 is empty
+    for fld in (QQ, PrimeField(7)):
+        mu = meson(3, fld).mu
+        terms = [mu, mu.scale(fld(2)),
+                 StructureTensor.from_entries({5: 1, 40: 3}, (3, 3, 3), 3, fld)]
+        zero = StructureTensor.zero((3, 3, 3), 3, fld)
+        series = terms + [zero] * 4998
+        got = nested_sum(fundamental_terms(series, series), (3,) * 6, 5000)
+        assert len(got) == 5001
+        assert any(got[4]) and not any(any(c) for c in got[5:])
+        assert got[:5] == nested_sum(fundamental_terms(terms, terms), (3,) * 6, 4)
+        assert got == nested_sum_per_entry(fundamental_terms(series, series), (3,) * 6, 5000)
 
 
 def test_order_equations_and_obstruction_take_one_pass_each(monkeypatch):
