@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from math import prod
+from operator import itemgetter
 
 
 def slot_indices(flat, dims):
@@ -195,8 +196,7 @@ def nested_sum(terms, dims, order):
                         if a >= lim:
                             break
                         acc[a + b] += u * v
-    items = list(accs.items())
-    return [field.sparse([(key, acc[r]) for key, acc in items]) if r < length else {}
+    return [field.sparse(zip(accs, map(itemgetter(r), accs.values()))) if r < length else {}
             for r in range(order + 1)]
 
 

@@ -4,7 +4,8 @@ placements (one-term series), the order-r deformation equations and the
 obstruction (coefficients of one pass over a term series), gauge
 composition through the slot transform, and trilinear evaluation, on
 generated sparse and fully dense tensors over QQ and GF(p), most failing
-the identities."""
+the identities; and the kernel against the per-entry kernel it replaced,
+on long, gapped, one-term and zero-padded series."""
 
 from fractions import Fraction
 
