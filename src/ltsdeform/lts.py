@@ -254,7 +254,8 @@ def verify_lts(mu, all_witnesses=False):
     d = mu.dim_in
     if mu.dim_out != d:
         raise LinAlgError("structure tensor must be square (dim_out == dim_in)")
-    res = nested_sum(fundamental_terms([mu], [mu]), (d,) * 6, 0)[0]
+    series = [mu]  # one list for both roles, decoded once
+    res = nested_sum(fundamental_terms(series, series), (d,) * 6, 0)[0]
     return AxiomReport.from_hits(
         [[("skew", skew_hits(mu)), ("cyclic", permutation_hits([(mu, p) for p in CYCLIC]))],
          [("fundamental", list(value_vectors(res, (d,) * 6, mu.field.zero)))]],
