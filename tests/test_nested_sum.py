@@ -169,7 +169,7 @@ def _nonzero(draw, fld):
 def gauged_series(draw, fld, d, order):
     """Terms 0..order of a bracket gauged by Psi = id + psi_1 t with psi_1 =
     E_ii + c E_ij, idempotent and not diagonal for d > 1: the inverse series
-    is id + sum_k (-t)^k psi_1, so every term is nonzero."""
+    is id + sum_k (-t)^k psi_1, so the terms do not stop at a finite order."""
     mu = draw(brackets(fld, d))
     i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
     psi = Matrix([[int(r == c == i) + (r == i and c == j != i) * _nonzero(draw, fld)
