@@ -17,7 +17,7 @@ from .groups import (GroupAction, GroupActionError, ModuleAction,
                      make_group_action, make_module_action, self_module_action,
                      sign_action, transpose_action_on_rect, trivial_action)
 from .linalg import (LinAlgError, Matrix, PrimeField, QQ,
-                     RationalField, field_from_spec, nullspace, rank, solve)
+                     RationalField, field_from_spec, rank, solve)
 from .lts import (AxiomReport, BuildError, LieTripleSystem, LtsModule,
                   StructureTensor, Violation, from_lie_algebra, function_lts,
                   make_system, matrix_lts, meson, rect_lts, self_module,

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import json
 import re
+from fractions import Fraction
 
 from .caps import DEFAULT_CAPS
 from .linalg import LinAlgError, Matrix, field_from_spec, field_spec
 from .lts import LieTripleSystem, StructureTensor
-from .tensorops import slot_indices
+from .tensorops import value_vectors
 
-_COEFF_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+_COEFF_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
+# an integer in the form str() writes, the one form of a coefficient index
+_INDEX_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 SYSTEM_SCHEMA = "lts-system/1"
 ACTION_SCHEMA = "lts-action/1"
@@ -44,13 +47,17 @@ def load_document(text):
 
 
 def _parse_coeff(sval, fld, where):
-    """Coefficient strings are "p/q" or plain integers, nothing else."""
-    if not _COEFF_RE.match(sval.strip()):
+    """Coefficient strings are "p/q" or plain integers, nothing else; the
+    captured integers go through the field, which reduces them."""
+    m = _COEFF_RE.fullmatch(sval.strip())
+    if m is None:
         raise DocumentError("%s: cannot parse coefficient %r (expected an "
                             "integer or p/q)" % (where, sval))
+    num, den = m.groups()
     try:
-        return fld.parse(sval)
-    except (ValueError, ZeroDivisionError) as exc:
+        return fld(int(num) if den is None else Fraction(int(num), int(den)))
+    except ValueError as exc:
+        # GF(p) with q = 0 mod p, or an integer past Python's digit limit
         raise DocumentError("%s: cannot parse coefficient %r: %s"
                             % (where, sval, exc))
 
@@ -65,27 +72,12 @@ def _require(doc, key, types, what):
     return val
 
 
-def _parse_coeff_map(raw, fld, dim_out, where):
-    if not isinstance(raw, dict):
-        raise DocumentError("%s: coefficient map must be an object" % where)
-    vec = {}
-    for key, sval in raw.items():
-        try:
-            l = int(key)
-        except ValueError:
-            raise DocumentError("%s: bad coefficient index %r" % (where, key))
-        if not 0 <= l < dim_out:
-            raise DocumentError("%s: coefficient index %d out of range" % (where, l))
-        if not isinstance(sval, str):
-            raise DocumentError("%s: coefficients must be strings" % where)
-        vec[l] = _parse_coeff(sval, fld, where)
-    return vec
-
-
 def _parse_quadruples(raw, dim, dim_out, fld, what):
-    """The quadruples as a StructureTensor (dim, dim, dim) -> dim_out."""
+    """The quadruples as a StructureTensor (dim, dim, dim) -> dim_out.  A
+    coefficient index is read only in the form quadruples writes, str(l)."""
     if not isinstance(raw, list):
         raise DocumentError("%s must be an array of quadruples" % what)
+    index = {str(l): l for l in range(dim_out)}
     entries = {}
     seen = set()
     for item in raw:
@@ -99,21 +91,30 @@ def _parse_quadruples(raw, dim, dim_out, fld, what):
         if (i, j, k) in seen:
             raise DocumentError("%s: duplicate entry at (%d, %d, %d)" % (what, i, j, k))
         seen.add((i, j, k))
+        where = "%s (%d, %d, %d)" % (what, i, j, k)
+        if not isinstance(cmap, dict):
+            raise DocumentError("%s: coefficient map must be an object" % where)
         base = ((i * dim + j) * dim + k) * dim_out
-        vec = _parse_coeff_map(cmap, fld, dim_out, "%s (%d, %d, %d)" % (what, i, j, k))
-        entries.update((base + l, v) for l, v in vec.items() if v)
+        for key, sval in cmap.items():
+            l = index.get(key)
+            if l is None:
+                if not _INDEX_RE.fullmatch(key):
+                    raise DocumentError("%s: bad coefficient index %r" % (where, key))
+                raise DocumentError("%s: coefficient index %s out of range" % (where, key))
+            if not isinstance(sval, str):
+                raise DocumentError("%s: coefficients must be strings" % where)
+            v = _parse_coeff(sval, fld, where)
+            if v:
+                entries[base + l] = v
     return StructureTensor((dim, dim, dim), dim_out, entries, fld)
 
 
 def quadruples(tensor, fld):
     """[i_1, ..., i_k, {l: coefficient}] for every input tuple at which the
     sparse tensor is nonzero, in flat order: the one writer of tensors."""
-    by_tuple = {}
-    for key in sorted(tensor.entries):
-        base, l = divmod(key, tensor.dim_out)
-        by_tuple.setdefault(base, {})[str(l)] = fld.format(tensor.entries[key])
-    return [list(slot_indices(base, tensor.dims)) + [cmap]
-            for base, cmap in by_tuple.items()]
+    return [list(idx) + [{str(l): fld.format(v) for l, v in enumerate(vec) if v}]
+            for idx, vec in value_vectors(tensor.entries, tensor.dims + (tensor.dim_out,),
+                                          fld.zero)]
 
 
 # ---------------------------------------------------------------------------

@@ -81,9 +81,6 @@ class RationalField:
             raise ZeroDivisionError("division by zero")
         return self(Fraction(a) / Fraction(b))
 
-    def parse(self, s):
-        return self(Fraction(s.strip()))
-
     def format(self, x):
         return str(x)
 
@@ -138,9 +135,6 @@ class PrimeField:
         if not b:
             raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
         return self(a) * pow(b, -1, self.p) % self.p
-
-    def parse(self, s):
-        return self._from_fraction(Fraction(s.strip()))
 
     def format(self, x):
         return str(self(x))
@@ -533,15 +527,6 @@ def _matrix_rows_sparse(m):
 def rank(m):
     """Exact rank over the matrix field."""
     return len(rref_rows(_matrix_rows_sparse(m), m.field))
-
-
-def nullspace(m):
-    """Basis of the right kernel as matrix columns (deterministic)."""
-    pivots = rref_rows(_matrix_rows_sparse(m), m.field)
-    field = m.field
-    cols, _ = nullspace_from_rref(pivots, m.ncols, field)
-    return Matrix.from_columns([[col.get(i, field.zero) for i in range(m.ncols)]
-                                for col in cols], m.ncols, field)
 
 
 def solve_rows(rows, rhs, ncols, field):

@@ -224,7 +224,10 @@ def skew_hits(tensor, polarized_diagonal=True):
     which together say [iik] = 0 in every characteristic.  The axiom
     reports also list the polarized sum at i = j, twice the diagonal value
     (zero in characteristic 2), after it; the cochain conditions do not."""
-    diag = [h for h in permutation_hits([(tensor, SKEW[0])]) if h[0][-3] == h[0][-2]]
+    fld = tensor.field
+    diag = [h for h in value_vectors(fld.sparse(tensor.entries.items()),
+                                     tensor.dims + (tensor.dim_out,), fld.zero)
+            if h[0][-3] == h[0][-2]]
     polar = [h for h in permutation_hits([(tensor, p) for p in SKEW])
              if h[0][-3] < h[0][-2] or polarized_diagonal and h[0][-3] == h[0][-2]]
     return sorted(diag + polar, key=lambda h: h[0])

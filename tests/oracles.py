@@ -1,5 +1,6 @@
 """Slow reference implementations that the tests compare the library with."""
 
+from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -664,6 +665,22 @@ def invariant_basis_all_elements(module, degree, action, module_action=None):
     inv_free = [basis.free_positions[j] for j in nfree]
     return CochainBasis(degree, basis.dim, basis.mdim, field, inv_columns, inv_free,
                         invariant=True)
+
+
+def nullspace(m):
+    """Basis of the right kernel of the Matrix m as matrix columns, the
+    canonical one of linalg.nullspace_from_rref (free variables ascending)."""
+    field = m.field
+    pivots = rref_rows([{j: v for j, v in enumerate(row) if v} for row in m.rows], field)
+    cols, _ = nullspace_from_rref(pivots, m.ncols, field)
+    return Matrix.from_columns([[col.get(i, field.zero) for i in range(m.ncols)]
+                                for col in cols], m.ncols, field)
+
+
+def parse_coefficient(s, fld):
+    """Reference for documents._parse_coeff on strings of its grammar: the
+    whole string, spaces stripped, read by Fraction and then the field."""
+    return fld(Fraction(s.strip()))
 
 
 def rref_in_order(rows, field):

@@ -1,6 +1,7 @@
 import random
 import sys
 from itertools import product
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,8 @@ from oracles import (act_dense, coboundary_pointwise, cochain, constraint_rows, 
                      evaluate_dense)
 
 from ltsdeform.caps import CapExceeded, Caps
-from ltsdeform.cohomology import (SpanError, _three_slot_kernel, apply_coboundary,
+from ltsdeform.cohomology import (CochainComplex, SpanError, _three_slot_kernel,
+                                  apply_coboundary,
                                   coboundary_matrix, cochain_space_basis,
                                   cochain_violations, cohomology, is_coboundary,
                                   is_cocycle)
@@ -249,6 +251,114 @@ def changed_basis(system, p, pinv):
 # a unimodular change of basis and its inverse: the changed brackets stay
 # integral but turn dense
 UNIMODULAR = ([[1, 1, 0], [0, 1, 1], [1, 1, 1]], [[0, -1, 1], [1, 1, -1], [-1, 0, 1]])
+
+
+def dimensions(report):
+    return (report.dim_space, report.dim_cocycles, report.dim_coboundaries, report.dim_h)
+
+
+# Lie algebras for generated direct sums: name -> structure constants
+LIE_SUMMANDS = {
+    "sl2": sl2_brackets,
+    "aff2": lambda fld: [[[fld.zero] * 2, [fld.zero, fld.one]],      # [x, y] = y
+                         [[fld.zero, fld(-1)], [fld.zero] * 2]],
+    "ab1": lambda fld: [[[fld.zero]]],
+}
+LIE_DIMS = {"sl2": 3, "aff2": 2, "ab1": 1}
+
+
+def summand_lists(room=4):
+    """Every ordered list of LIE_SUMMANDS names of total dimension <= room."""
+    out = []
+    for name, n in LIE_DIMS.items():
+        if n <= room:
+            out.append([name])
+            out.extend([name] + rest for rest in summand_lists(room - n))
+    return out
+
+
+def direct_sum_brackets(names, fld):
+    """Block-diagonal structure constants of the direct sum of the summands."""
+    d = sum(LIE_DIMS[name] for name in names)
+    out = [[[fld.zero] * d for _ in range(d)] for _ in range(d)]
+    off = 0
+    for name in names:
+        b = LIE_SUMMANDS[name](fld)
+        for i, j, l in product(range(len(b)), repeat=3):
+            out[off + i][off + j][off + l] = b[i][j][l]
+        off += len(b)
+    return out
+
+
+def embedded(d, coords, block):
+    """The d x d identity with the square block written at the coordinates."""
+    out = [[int(r == c) for c in range(d)] for r in range(d)]
+    for (r, cr), (c, cc) in product(enumerate(coords), repeat=2):
+        out[cr][cc] = block[r][c]
+    return out
+
+
+@st.composite
+def generated_systems(draw):
+    """(system, action, changed system, changed action): a direct sum of at
+    most four dimensions built through from_lie_algebra, under the sign
+    action and, when two summands are equal, the swap of the first two, and
+    the same pair written in the basis of the columns of a unimodular P
+    (UNIMODULAR on three coordinates when d >= 3, then transvections)."""
+    fld = draw(st.sampled_from([QQ, PrimeField(7)]))
+    names = draw(st.sampled_from(summand_lists()))
+    system = from_lie_algebra(direct_sum_brackets(names, fld), fld=fld)
+    d = system.dim
+    one = Matrix.identity(d, fld)
+    mats = [one, one.scale(fld(-1))]
+    equal = [(a, b) for a in range(len(names)) for b in range(a + 1, len(names))
+             if names[a] == names[b]]
+    if equal:
+        a, b = equal[0]
+        sa, sb = (sum(LIE_DIMS[name] for name in names[:i]) for i in (a, b))
+        perm = list(range(d))
+        for t in range(LIE_DIMS[names[a]]):
+            perm[sa + t], perm[sb + t] = sb + t, sa + t
+        swap = Matrix([[int(c == perm[r]) for c in range(d)] for r in range(d)], fld)
+        mats += [swap, swap.scale(fld(-1))]
+    p = pinv = one
+    if d >= 3:
+        coords = draw(st.permutations(range(d)))[:3]
+        p, pinv = (Matrix(embedded(d, coords, u), fld) for u in UNIMODULAR)
+    transvections = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(-2, 2))
+    for i, j, c in draw(st.lists(transvections.filter(lambda t: t[0] != t[1]),
+                                 max_size=3 if d > 1 else 0)):
+        p = p * Matrix(embedded(d, (i, j), [[1, c], [0, 1]]), fld)
+        pinv = Matrix(embedded(d, (i, j), [[1, -c], [0, 1]]), fld) * pinv
+    assert p * pinv == one
+    elements = list(zip(map(str, range(len(mats))), mats))
+    changed = changed_basis(system, p, pinv)
+    return (system, make_group_action(system, elements), changed,
+            make_group_action(changed, [(lab, pinv * g * p) for lab, g in elements]))
+
+
+@settings(max_examples=8, deadline=None)
+@given(generated_systems())
+def test_generated_direct_sums_d_squared_zero_and_basis_free_cohomology(case):
+    system, action, changed, changed_action = case
+    d, fld = system.dim, system.field
+    pairs = [(CochainComplex(self_module(system), act),
+              CochainComplex(self_module(changed), changed_act))
+             for act, changed_act in ((None, None), (action, changed_action))]
+    for cx, changed_cx in pairs:
+        for degree in (1, 3):
+            assert dimensions(cx.cohomology(degree, want_representatives=False)) == \
+                dimensions(changed_cx.cohomology(degree, want_representatives=False))
+    # d o d on every vector of the plain and invariant bases of the changed
+    # system, whose brackets are dense; a vector in both is checked once,
+    # and as its integral multiple, so that the sums run on ints
+    module = pairs[0][1].module
+    for degree in (1, 3) if d <= 3 else (1,):
+        columns = {frozenset(col.items()) for _, cx in pairs for col in cx.basis(degree).columns}
+        for col in columns:
+            q = lcm(*(v.denominator for _, v in col))
+            c = StructureTensor.from_entries({k: v * q for k, v in col}, (d,) * degree, d, fld)
+            assert apply_coboundary(module, apply_coboundary(module, c)).is_zero()
 
 
 def oracle_cases(fld):

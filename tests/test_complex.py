@@ -10,9 +10,9 @@ from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import coboundary_pointwise, dense, reynolds_project, rref_dense
+from oracles import coboundary_pointwise, dense, nullspace, reynolds_project, rref_dense
 from test_coboundary_coordinates import complexes
-from test_cohomology import changed_basis
+from test_cohomology import changed_basis, dimensions
 
 from ltsdeform import bundled_path
 from ltsdeform.cohomology import (CochainComplex, SpanError, apply_coboundary, coboundary_matrix,
@@ -23,7 +23,7 @@ from ltsdeform.deformation import (apply_isomorphism, check_deformation_equation
 from ltsdeform.documents import action_elements_from_document, load_document, system_from_document
 from ltsdeform.groups import (make_group_action, self_module_action, sign_action,
                               transpose_action_on_rect, trivial_action)
-from ltsdeform.linalg import Matrix, PrimeField, QQ, nullspace, rref_rows, solve
+from ltsdeform.linalg import Matrix, PrimeField, QQ, rref_rows, solve
 from ltsdeform.lts import (SKEW, StructureTensor, from_lie_algebra, function_lts,
                            make_system, matrix_lts, meson, permuted_sum, rect_lts, self_module,
                            skew_lts, sl2_brackets, sym_lts, theta_module)
@@ -248,10 +248,6 @@ def bundled_complex(name, equivariant, field):
         action = make_group_action(system, action_elements_from_document(
             doc(BUNDLED_ACTIONS[name]), system.field))
     return CochainComplex(self_module(system), action)
-
-
-def dimensions(report):
-    return (report.dim_space, report.dim_cocycles, report.dim_coboundaries, report.dim_h)
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))

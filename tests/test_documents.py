@@ -1,14 +1,21 @@
+import json
+import sys
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import parse_coefficient
 
 from ltsdeform import bundled_path
-from ltsdeform.documents import (DocumentError, action_elements_from_document,
+from ltsdeform.documents import (DocumentError, _parse_coeff, _parse_quadruples,
+                                 action_elements_from_document,
                                  action_to_document, deformation_from_document,
                                  deformation_terms, deformation_to_document,
                                  dump_document, load_document,
-                                 module_matrices_from_document,
+                                 module_matrices_from_document, quadruples,
                                  system_from_document, system_to_document)
 from ltsdeform.groups import make_group_action
-from ltsdeform.linalg import Matrix, PrimeField
+from ltsdeform.linalg import QQ, LinAlgError, Matrix, PrimeField
 from ltsdeform.lts import StructureTensor, matrix_lts, meson, verify_lts
 
 BUNDLED = ["meson1.json", "meson2.json", "meson3.json", "meson4.json",
@@ -131,3 +138,116 @@ def test_json_booleans_are_not_integers():
            "terms": [{"order": True, "entries": []}]}
     with pytest.raises(DocumentError, match="wrong type"):
         deformation_from_document(doc)
+
+
+def bracket_error(cmap, field_override=None):
+    """The message of the DocumentError that a meson2 document whose
+    bracket is the one quadruple (0, 1, 0, cmap) raises."""
+    doc = load_document(bundled_path("meson2.json").read_text())
+    doc["bracket"] = [[0, 1, 0, cmap]]
+    with pytest.raises(DocumentError) as info:
+        system_from_document(doc, field_override=field_override)
+    return str(info.value)
+
+
+def test_coefficient_error_messages_keep_their_text():
+    where = "bracket (0, 1, 0): cannot parse coefficient "
+    assert bracket_error({"0": "0.5"}) == where + "'0.5' (expected an integer or p/q)"
+    assert (bracket_error({"0": "1/7"}, PrimeField(7))
+            == where + "'1/7': denominator 7 not invertible mod 7")
+    big = "9" * 5000
+    assert bracket_error({"0": big}) == where + (
+        "%r: Exceeds the limit (%d digits) for integer string conversion: value has "
+        "5000 digits; use sys.set_int_max_str_digits() to increase the limit"
+        % (big, sys.get_int_max_str_digits()))
+
+
+def test_coefficient_map_errors():
+    assert bracket_error(["1"]).endswith("coefficient map must be an object")
+    assert bracket_error({"x": "1"}).endswith("bad coefficient index 'x'")
+    assert bracket_error({"2": "1"}).endswith("coefficient index 2 out of range")
+    assert bracket_error({"-1": "1"}).endswith("coefficient index -1 out of range")
+    assert bracket_error({"0": 1}).endswith("coefficients must be strings")
+
+
+def test_coefficient_indices_are_read_in_the_written_form_only():
+    # int() reads each of these keys, and in one map they would all name
+    # index 1 (the last one winning)
+    for key in ("01", " 1 ", "+1", "1_0", "\uff11", "-0", "1.0", ""):
+        assert bracket_error({key: "1"}).endswith("bad coefficient index %r" % key)
+    assert "bad coefficient index '01'" in bracket_error(
+        {"1": "2", "01": "3", " 1 ": "5", "+1": "7"})
+
+
+def test_coefficients_outside_the_grammar_are_rejected():
+    # Fraction reads every one of these; the document grammar reads none
+    for sval in ("+1", "1.5", "1e3", "1_000", "1 / 2", "1/-2", "1/+2", "1/0", "1/02",
+                 "--1", "0x10", "inf", "nan", ""):
+        with pytest.raises(DocumentError, match="expected an integer or p/q"):
+            _parse_coeff(sval, QQ, "w")
+
+
+def test_parse_rational_coefficient_strings():
+    gf = PrimeField(7)
+    assert _parse_coeff("1/2", gf, "w") == gf(4)
+    with pytest.raises(DocumentError, match="not invertible"):
+        _parse_coeff("1/7", gf, "w")
+    assert _parse_coeff("-3/7", QQ, "w") == Fraction(-3, 7)
+
+
+SPACES = st.sampled_from(["", " ", "  ", "\t", "\n"])
+DIGITS = st.one_of(st.integers(0, 30), st.integers(0, 2 ** 80)).map(str)
+DENOMINATORS = st.one_of(st.sampled_from([1, 7, 14, 49]), st.integers(1, 60),
+                         st.integers(2 ** 64, 2 ** 80)).map(str)
+
+
+@st.composite
+def coefficient_strings(draw):
+    """Strings of the coefficient grammar: an optional minus, digits with
+    leading zeros allowed, an optional /q with q free of them, and spaces."""
+    num = draw(st.sampled_from(["", "-"])) + "0" * draw(st.integers(0, 2)) + draw(DIGITS)
+    den = draw(st.none() | DENOMINATORS)
+    return draw(SPACES) + num + ("" if den is None else "/" + den) + draw(SPACES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_strings(), st.sampled_from([QQ, PrimeField(7)]))
+def test_parse_coeff_matches_the_fraction_oracle(sval, fld):
+    try:
+        want = parse_coefficient(sval, fld)
+    except LinAlgError as exc:
+        # a denominator that is zero mod 7 once the fraction is reduced
+        with pytest.raises(DocumentError) as info:
+            _parse_coeff(sval, fld, "w")
+        assert str(info.value) == "w: cannot parse coefficient %r: %s" % (sval, exc)
+        return
+    got = _parse_coeff(sval, fld, "w")
+    assert got == want and type(got) is type(want)
+
+
+@st.composite
+def sparse_tensors(draw):
+    """(field, StructureTensor (d, d, d) -> m) with a few nonzero entries;
+    over QQ the values include proper Fractions."""
+    fld = draw(st.sampled_from([QQ, PrimeField(7)]))
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if fld == QQ:
+        values = st.fractions(min_value=-50, max_value=50, max_denominator=9)
+    else:
+        values = st.integers(1, 6)
+    entries = draw(st.dictionaries(st.integers(0, d ** 3 * m - 1),
+                                   values.filter(bool), max_size=8))
+    return fld, StructureTensor.from_entries(entries, (d, d, d), m, fld)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_tensors())
+def test_quadruples_roundtrip_through_the_parser(case):
+    fld, tensor = case
+    d, m = tensor.dim_in, tensor.dim_out
+    raw = json.loads(json.dumps(quadruples(tensor, fld)))
+    again = _parse_quadruples(raw, d, m, fld, "t")
+    assert again == tensor
+    assert [type(again.entries[k]) for k in sorted(again.entries)] == [
+        type(tensor.entries[k]) for k in sorted(tensor.entries)]
+    assert quadruples(again, fld) == raw
