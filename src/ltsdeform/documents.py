@@ -18,7 +18,8 @@ from .linalg import LinAlgError, Matrix, field_from_spec, field_spec
 from .lts import LieTripleSystem, StructureTensor
 from .tensorops import value_vectors
 
-_COEFF_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
+# ASCII digits only: int() would also read full-width and other Unicode digits
+_COEFF_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 # an integer in the form str() writes, the one form of a coefficient index
 _INDEX_RE = re.compile(r"0|-?[1-9][0-9]*")
 

@@ -171,18 +171,20 @@ def test_coefficient_map_errors():
 
 
 def test_coefficient_indices_are_read_in_the_written_form_only():
-    # int() reads each of these keys, and in one map they would all name
-    # index 1 (the last one winning)
-    for key in ("01", " 1 ", "+1", "1_0", "\uff11", "-0", "1.0", ""):
+    # int() reads the first six of these keys, the first five as 1 or 0;
+    # in one map, "1", "01", " 1 " and "+1" would name one index, the last
+    # one winning
+    for key in ("01", " 1 ", "+1", "\uff11", "-0", "1_0", "1.0", ""):
         assert bracket_error({key: "1"}).endswith("bad coefficient index %r" % key)
     assert "bad coefficient index '01'" in bracket_error(
         {"1": "2", "01": "3", " 1 ": "5", "+1": "7"})
 
 
 def test_coefficients_outside_the_grammar_are_rejected():
-    # Fraction reads every one of these; the document grammar reads none
-    for sval in ("+1", "1.5", "1e3", "1_000", "1 / 2", "1/-2", "1/+2", "1/0", "1/02",
-                 "--1", "0x10", "inf", "nan", ""):
+    # Fraction reads the first eight (Unicode digits included); the
+    # document grammar reads none
+    for sval in ("+1", "1.5", "1e3", "1_000", "1/02", "\uff11", "-\u0663", "1/1\u0664",
+                 "1 / 2", "1/-2", "1/+2", "1/0", "--1", "0x10", "inf", "nan", ""):
         with pytest.raises(DocumentError, match="expected an integer or p/q"):
             _parse_coeff(sval, QQ, "w")
 
