@@ -39,7 +39,9 @@ field.sparse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, cached_property
+from math import lcm
 
 from .caps import DEFAULT_CAPS
 from .groups import apply_group_sparse, generators, self_module_action
@@ -250,11 +252,36 @@ def cochain_space_basis(module, degree, action=None, module_action=None,
 # the coboundary
 
 
-def _coboundary_images(module, degree, cochains, caps):
-    """Sparse coboundary image {ambient position: scalar} of each sparse
-    degree-(2n-1) cochain {ambient position: scalar}, yielded one at a time.
-    The terms of each image entry are summed exactly, and the sum is
-    reduced once by the field (field.sparse).
+def _every_position(d, m, field):
+    """The identity index of a three-slot block: every position is a row,
+    so an image is keyed by its ambient positions."""
+    block = d ** 3 * m
+    return range(block), block
+
+
+@cache
+def _plain_free_index(d, m, field):
+    """index[pos] of each position of a three-slot block, its place among
+    the free positions of _three_slot_kernel or -1 if it is not free, and
+    the number of free positions."""
+    _, wfree = _three_slot_kernel(d, m, field)
+    index = [-1] * (d ** 3 * m)
+    for i, pos in enumerate(wfree):
+        index[pos] = i
+    return index, len(wfree)
+
+
+def _integral(v, den):
+    """den * v as an int, for an int or Fraction v whose denominator
+    divides den."""
+    return v.numerator * (den // v.denominator)
+
+
+def _coboundary_images(module, degree, cochains, caps, block_index=_every_position):
+    """Sparse coboundary image {row: scalar} of each sparse degree-(2n-1)
+    cochain {ambient position: scalar}, yielded one at a time.  The terms
+    of each image entry are summed exactly, and the sum is reduced once by
+    the field (field.sparse).
 
     The image is, at every basis tuple (x_1, ..., x_{2n+1}):
 
@@ -268,8 +295,16 @@ def _coboundary_images(module, degree, cochains, caps):
     evaluating all d^(k+2) output tuples: the theta and D terms insert a
     pair (a, c) into y, and the substitution terms replace an argument
     y_s = l by each e with [e_a e_c e_e] having an l-component, found
-    through the inverse bracket index l -> [(a, c, e, coef)].  The degree
-    and the caps are checked on the call, before anything else is built.
+    through the inverse bracket index l -> [(a, c, e, coef)].
+
+    Entries are assembled only at the rows that are read.  C^(k+2) is
+    d^(k-1) prefix copies of one block over its last three slots and the
+    value, and block_index(d, m, field) gives (index, nw): the entry at
+    prefix * block + local goes to row prefix * nw + index[local], or is
+    dropped when index[local] is -1.  The default, _every_position, keys an
+    image by its ambient positions; _plain_free_index keys it by the plain
+    free positions of C^(k+2).  The degree and the caps are checked on the
+    call, before the index or any table is built.
     """
     if degree < 1 or degree % 2 == 0:
         raise LinAlgError("cochain degree must be odd and >= 1")
@@ -278,56 +313,146 @@ def _coboundary_images(module, degree, cochains, caps):
     field = module.system.field
     caps.check_degree(degree + 2)
     caps.check_ambient(d ** (degree + 2) * m)
+    index, nw = block_index(d, m, field)
 
     # theta[w] and dop[w]: (a, c, l, coef) with theta(e_a, e_c) resp.
     # D(e_a, e_c) sending v_w to coef * v_l + ..., read off the right and the
-    # left action of lts.theta_module
+    # left action of lts.theta_module; every coef of these tables and of the
+    # inverse bracket is scaled by their common denominator den, so that
+    # over QQ the push-forward runs on ints
+    right, left, mu = module.right, theta_module(module).left, module.system.mu
+    den = lcm(*(v.denominator for t in (right, left, mu) for v in t.entries.values()))
     theta, dop = [[] for _ in range(m)], [[] for _ in range(m)]
-    for lists, tensor in ((theta, module.right), (dop, theta_module(module).left)):
+    for lists, tensor in ((theta, right), (dop, left)):
         for key in sorted(tensor.entries):
             a, c, w, l = slot_indices(key, (d, d, m, m))
-            lists[w].append((a, c, l, tensor.entries[key]))
+            lists[w].append((a, c, l, _integral(tensor.entries[key], den)))
     inverse_bracket = [[] for _ in range(d)]
-    mu = module.system.mu.entries
-    for key in sorted(mu):
+    for key in sorted(mu.entries):
         a, c, e, l = slot_indices(key, (d, d, d, d))
-        inverse_bracket[l].append((a, c, e, mu[key]))
-    return _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, field)
+        inverse_bracket[l].append((a, c, e, _integral(mu.entries[key], den)))
+    return _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, den, field,
+                         index, nw)
 
 
-def _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, field):
-    """The images of _coboundary_images, from its tables, one at a time."""
+def _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, den, field, index, nw):
+    """The images of _coboundary_images, from its tables, one at a time.
+
+    The terms are grouped by the argument slots that keep their prefix, so
+    that a dropped block position costs one test per group, not per term:
+    - pair n (both theta terms, the last D term and the last substitution)
+      keeps y_1..y_(k-1); its block position depends on (w, y_k) alone, and
+      its terms are summed per position into one table per (w, y_k), built
+      on first use and kept for the call;
+    - pairs 1..n-1 insert (a, c) into the prefix and keep y's last three
+      slots: the D terms sit at block position (last three, l), grouped by
+      l, and a substitution in one of the last three slots at (last three
+      with that slot e, w), grouped by e;
+    - a substitution at s <= k-4 changes the prefix alone and keeps f's own
+      block position, so one test drops all of them.
+    Each column is scaled by the lcm of its denominators, pushed on ints,
+    and each image entry divided once by that lcm times den."""
     n = (degree + 1) // 2
-    place = [d ** (degree - 1 - s) for s in range(degree)]
+    d3 = d ** 3
+    last = {}
+
+    def last_table(w, y):
+        sums = {}
+        for a, c, l, t in theta[w]:
+            for local, coef in ((((y * d + a) * d + c) * m + l, t),
+                                (((a * d + y) * d + c) * m + l, -t)):
+                sums[local] = sums.get(local, 0) + coef
+        for a, c, l, t in dop[w]:
+            local = ((a * d + c) * d + y) * m + l
+            sums[local] = sums.get(local, 0) + t
+        for a, c, e, coef in inverse_bracket[y]:
+            local = ((a * d + c) * d + e) * m + w
+            sums[local] = sums.get(local, 0) - coef
+        return [(i, t) for local, t in sums.items() if t and (i := index[local]) >= 0]
+
+    # pair p < n, with sign (-1)^(p+n): the prefix y_1..y_(k-3) splits as
+    # (hi, lo) around the inserted pair at slot 2p - 1, and (a, c) moves the
+    # row by (a * d + c) * stride
+    pairs = []
+    for p in range(1, n):
+        gap = 2 * p - 2
+        tailp = d ** (degree - 3 - gap)
+        stride = tailp * nw
+        sign = 1 if (p + n) % 2 == 0 else -1
+        dterms = []
+        for w in range(m):
+            by_l = {}
+            for a, c, l, t in dop[w]:
+                by_l.setdefault(l, []).append(((a * d + c) * stride, sign * t))
+            dterms.append(list(by_l.items()))
+        # the last three slots, with each slot's step in the block
+        near = []
+        for step in (d * d * m, d * m, m):
+            by_y = []
+            for y in range(d):
+                by_e = {}
+                for a, c, e, coef in inverse_bracket[y]:
+                    by_e.setdefault((e - y) * step, []).append(((a * d + c) * stride,
+                                                                 -sign * coef))
+                by_y.append(list(by_e.items()))
+            near.append(by_y)
+        far = [(d ** (degree - 4 - s),
+                [[((a * d + c) * stride + (e - y) * d ** (degree - 4 - s) * nw, -sign * coef)
+                  for a, c, e, coef in inverse_bracket[y]] for y in range(d)])
+               for s in range(gap, degree - 3)]
+        pairs.append((tailp, d * d * tailp, dterms, near, far))
+
     for col in cochains:
+        cden = lcm(*(v.denominator for v in col.values() if v.__class__ is not int))
+        if cden != 1:
+            col = {pos: _integral(v, cden) for pos, v in col.items()}
         out = {}
+        get = out.get
         for pos, v in col.items():
             ybase, w = divmod(pos, m)
-            y = [ybase // step % d for step in place]
-            # theta(x_{2n}, x_{2n+1}) f(x_1, ..., x_{2n-1})
-            # - theta(x_{2n-1}, x_{2n+1}) f(x_1, ..., x_{2n-2}, x_{2n})
-            head, last = divmod(ybase, d)
-            for a, c, l, t in theta[w]:
-                key = ((ybase * d + a) * d + c) * m + l
-                out[key] = out.get(key, 0) + t * v
-                key = (((head * d + a) * d + last) * d + c) * m + l
-                out[key] = out.get(key, 0) - t * v
-            for k in range(1, n + 1):
-                sv = v if (k + n) % 2 == 0 else -v
-                gap = 2 * k - 2
-                tail = d ** (degree - gap)
-                hi, lo = divmod(ybase, tail)
-                # D(x_{2k-1}, x_{2k}) f(..omit pair k..)
-                for a, c, l, t in dop[w]:
-                    key = (((hi * d + a) * d + c) * tail + lo) * m + l
-                    out[key] = out.get(key, 0) + t * sv
-                # -f(..omit pair k.., [x_{2k-1} x_{2k} x_j], ..) for j > 2k
-                for s in range(gap, degree):
-                    for a, c, e, coef in inverse_bracket[y[s]]:
-                        key = ((((hi * d + a) * d + c) * tail + lo
-                                + (e - y[s]) * place[s]) * m + w)
-                        out[key] = out.get(key, 0) - coef * sv
-        yield field.sparse(out.items())
+            head, y = divmod(ybase, d)
+            table = last.get(w * d + y)
+            if table is None:
+                table = last[w * d + y] = last_table(w, y)
+            base = head * nw
+            for i, t in table:
+                key = base + i
+                out[key] = get(key, 0) + t * v
+            if n == 1:
+                continue
+            prefix, lt = divmod(ybase, d3)
+            own = lt * m + w
+            slots = (lt // (d * d), lt // d % d, y)
+            kept = index[own]
+            for tailp, himul, dterms, near, far in pairs:
+                hi, lo = divmod(prefix, tailp)
+                b = (hi * himul + lo) * nw
+                for l, terms in dterms[w]:
+                    i = index[own - w + l]
+                    if i >= 0:
+                        bi = b + i
+                        for off, t in terms:
+                            key = bi + off
+                            out[key] = get(key, 0) + t * v
+                for ys, by_y in zip(slots, near):
+                    for eoff, terms in by_y[ys]:
+                        i = index[own + eoff]
+                        if i >= 0:
+                            bi = b + i
+                            for off, t in terms:
+                                key = bi + off
+                                out[key] = get(key, 0) + t * v
+                if kept >= 0:
+                    bi = b + kept
+                    for place, by_y in far:
+                        for off, t in by_y[prefix // place % d]:
+                            key = bi + off
+                            out[key] = get(key, 0) + t * v
+        scale = cden * den
+        if scale == 1:
+            yield field.sparse(out.items())
+        else:
+            yield field.sparse((key, Fraction(s, scale)) for key, s in out.items())
 
 
 def apply_coboundary(module, f, caps=DEFAULT_CAPS):
@@ -439,12 +564,11 @@ class CochainComplex:
         free in the block's kernel, and its row is pos // block times the
         block's free count plus the place of pos % block among them."""
         d, m = self.module.system.dim, self.module.dim
-        _, wfree = _three_slot_kernel(d, m, self.field)
-        block, nw = d ** 3 * m, len(wfree)
-        windex = {pos: i for i, pos in enumerate(wfree)}
+        index, nw = _plain_free_index(d, m, self.field)
+        block = d ** 3 * m
         for vec in vectors:
             yield {pos // block * nw + i: v for pos, v in vec.items()
-                   if (i := windex.get(pos % block)) is not None}
+                   if (i := index[pos % block]) >= 0}
 
     def rows(self, degree):
         """The coboundary from degree to degree + 2 as sparse rows {plain
@@ -452,8 +576,8 @@ class CochainComplex:
         plain free positions of C^(degree + 2) in plain basis order."""
         if degree not in self._rows:
             images = _coboundary_images(self.module, degree, self.basis(degree).columns,
-                                        self.caps)
-            self._rows[degree] = _transpose(enumerate(self._at_plain_free(images)))
+                                        self.caps, _plain_free_index)
+            self._rows[degree] = _transpose(enumerate(images))
         return self._rows[degree]
 
     def cohomology(self, degree, want_representatives=True):

@@ -11,7 +11,7 @@ from ltsdeform.groups import (GroupActionError, _subgroup, equivariance_failure,
                               self_module_action)
 from ltsdeform.linalg import (QQ, LinAlgError, Matrix, RrefAccumulator, nullspace_from_rref,
                               rref_rows)
-from ltsdeform.lts import AxiomReport, StructureTensor, Violation
+from ltsdeform.lts import AxiomReport, StructureTensor, Violation, theta_module
 from ltsdeform.tensorops import slot_indices, transform_series
 
 
@@ -822,3 +822,54 @@ def coboundary_pointwise(module, f):
                                     else acc[t] + coef * v[t]
         out.extend(acc)
     return cochain(out, deg_out, d, m, module.system.field)
+
+
+def coboundary_images_per_term(module, degree, cochains):
+    """Reference for cohomology._coboundary_images with every position as a
+    row: each term of each nonzero entry f(y)_w pushed into the whole ambient
+    space of C^(degree + 2), with the theta, D and inverse bracket tables as
+    the field's scalars, and each image reduced once by the field."""
+    d = module.system.dim
+    m = module.dim
+    field = module.system.field
+    theta, dop = [[] for _ in range(m)], [[] for _ in range(m)]
+    for lists, tensor in ((theta, module.right), (dop, theta_module(module).left)):
+        for key in sorted(tensor.entries):
+            a, c, w, l = slot_indices(key, (d, d, m, m))
+            lists[w].append((a, c, l, tensor.entries[key]))
+    inverse_bracket = [[] for _ in range(d)]
+    mu = module.system.mu.entries
+    for key in sorted(mu):
+        a, c, e, l = slot_indices(key, (d, d, d, d))
+        inverse_bracket[l].append((a, c, e, mu[key]))
+    n = (degree + 1) // 2
+    place = [d ** (degree - 1 - s) for s in range(degree)]
+    for col in cochains:
+        out = {}
+        for pos, v in col.items():
+            ybase, w = divmod(pos, m)
+            y = [ybase // step % d for step in place]
+            # theta(x_{2n}, x_{2n+1}) f(x_1, ..., x_{2n-1})
+            # - theta(x_{2n-1}, x_{2n+1}) f(x_1, ..., x_{2n-2}, x_{2n})
+            head, last = divmod(ybase, d)
+            for a, c, l, t in theta[w]:
+                key = ((ybase * d + a) * d + c) * m + l
+                out[key] = out.get(key, 0) + t * v
+                key = (((head * d + a) * d + last) * d + c) * m + l
+                out[key] = out.get(key, 0) - t * v
+            for k in range(1, n + 1):
+                sv = v if (k + n) % 2 == 0 else -v
+                gap = 2 * k - 2
+                tail = d ** (degree - gap)
+                hi, lo = divmod(ybase, tail)
+                # D(x_{2k-1}, x_{2k}) f(..omit pair k..)
+                for a, c, l, t in dop[w]:
+                    key = (((hi * d + a) * d + c) * tail + lo) * m + l
+                    out[key] = out.get(key, 0) + t * sv
+                # -f(..omit pair k.., [x_{2k-1} x_{2k} x_j], ..) for j > 2k
+                for s in range(gap, degree):
+                    for a, c, e, coef in inverse_bracket[y[s]]:
+                        key = ((((hi * d + a) * d + c) * tail + lo
+                                + (e - y[s]) * place[s]) * m + w)
+                        out[key] = out.get(key, 0) - coef * sv
+        yield field.sparse(out.items())

@@ -1,17 +1,19 @@
 import random
 import sys
+from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import (act_dense, coboundary_pointwise, cochain, constraint_rows, dense,
-                     evaluate_dense)
+from oracles import (act_dense, coboundary_images_per_term, coboundary_pointwise, cochain,
+                     constraint_rows, dense, evaluate_dense)
 
 from ltsdeform.caps import CapExceeded, Caps
-from ltsdeform.cohomology import (CochainComplex, SpanError, _three_slot_kernel,
-                                  apply_coboundary,
+from ltsdeform.cohomology import (CochainComplex, SpanError, _coboundary_images,
+                                  _plain_free_index, _three_slot_kernel, apply_coboundary,
                                   coboundary_matrix, cochain_space_basis,
                                   cochain_violations, cohomology, is_coboundary,
                                   is_cocycle)
@@ -20,8 +22,9 @@ from ltsdeform.groups import (make_group_action, self_module_action, sign_action
                               transpose_action_on_rect)
 from ltsdeform.linalg import (LinAlgError, Matrix, PrimeField, QQ, nullspace_from_rref,
                               rref_rows)
-from ltsdeform.lts import (LtsModule, StructureTensor, from_lie_algebra, make_system, meson,
-                           self_module, skew_lts, sl2_brackets, verify_lts)
+from ltsdeform.lts import (LtsModule, StructureTensor, from_lie_algebra, make_system,
+                           matrix_lts, meson, rect_lts, self_module, skew_lts, sl2_brackets,
+                           sym_lts, verify_lts)
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +404,73 @@ def test_coboundary_matrix_matches_pointwise_application():
                         (fld, label, degree, j)
                     assert apply_coboundary(module, column) == expected, \
                         (fld, label, degree, j)
+
+
+BUILT_SYSTEMS = {"meson2": lambda fld: meson(2, fld), "meson3": lambda fld: meson(3, fld),
+                 "skew3": lambda fld: skew_lts(3, fld), "rect22": lambda fld: rect_lts(2, 2, fld),
+                 "sym2": lambda fld: sym_lts(2, fld), "matrix2": lambda fld: matrix_lts(2, fld),
+                 "sl2": lambda fld: from_lie_algebra(sl2_brackets(fld), fld=fld)}
+
+
+@cache
+def built_system(name, fld):
+    return BUILT_SYSTEMS[name](fld)
+
+
+def sparse_values(fld, size):
+    """Sparse {position: scalar} dicts below size with up to five nonzero
+    field scalars: over QQ with Fractions, over GF(p) as residues."""
+    num = st.integers(-4, 4).filter(bool)
+    coef = st.builds(lambda a, b: fld(Fraction(a, b)), num, st.integers(1, 3))
+    return st.dictionaries(st.integers(0, size - 1), coef, min_size=1, max_size=5)
+
+
+@st.composite
+def push_forward_cases(draw):
+    """(module, degree, vectors): a bundled or generated system, the latter
+    a direct sum in a basis changed by transvections and a diagonal scaling
+    (Fraction brackets over QQ); its self-module or a module of another
+    dimension with a random theta; a degree among 1, 3, 5, and 7 for d = 2;
+    random sparse vectors of that degree, not cochains in general."""
+    fld = draw(st.sampled_from([QQ, PrimeField(7)]))
+    if draw(st.booleans()):
+        system = built_system(draw(st.sampled_from(sorted(BUILT_SYSTEMS))), fld)
+    else:
+        names = draw(st.sampled_from(summand_lists()))
+        system = from_lie_algebra(direct_sum_brackets(names, fld), fld=fld)
+        d = system.dim
+        scale = draw(st.sampled_from([1, 2, 3]))
+        p = Matrix(embedded(d, (0,), [[scale]]), fld)
+        pinv = Matrix(embedded(d, (0,), [[fld.div(1, scale)]]), fld)
+        for i, j, c in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1),
+                                               st.integers(-2, 2)).filter(lambda t: t[0] != t[1]),
+                                     max_size=2 if d > 1 else 0)):
+            p = p * Matrix(embedded(d, (i, j), [[1, c], [0, 1]]), fld)
+            pinv = Matrix(embedded(d, (i, j), [[1, -c], [0, 1]]), fld) * pinv
+        system = changed_basis(system, p, pinv)
+    d = system.dim
+    module = self_module(system)
+    m = draw(st.sampled_from([d, 1, 2]))
+    if m != d:
+        right = StructureTensor.from_entries(draw(sparse_values(fld, d * d * m * m)),
+                                             (d, d, m), m, fld)
+        module = LtsModule(system, m, right, right, right)
+    degree = draw(st.sampled_from((1, 3, 5, 7) if d == 2 else (1, 3, 5)))
+    vectors = draw(st.lists(sparse_values(fld, d ** degree * m), min_size=1, max_size=3))
+    return module, degree, vectors
+
+
+@settings(max_examples=100, deadline=None)
+@given(push_forward_cases())
+def test_push_forward_matches_the_per_term_oracle(case):
+    # every position: the images themselves; the plain free index: the
+    # images read at the plain free positions of C^(degree + 2)
+    module, degree, vectors = case
+    caps = Caps(max_degree=9)
+    expected = list(coboundary_images_per_term(module, degree, vectors))
+    assert list(_coboundary_images(module, degree, vectors, caps)) == expected
+    assert list(_coboundary_images(module, degree, vectors, caps, _plain_free_index)) == \
+        list(CochainComplex(module)._at_plain_free(expected))
 
 
 def test_coboundary_rejects_a_target_basis_of_another_module_shape(m2):
