@@ -27,13 +27,16 @@ use.  cohomology, is_coboundary and the solves of the deformation layer
 all go through one complex.  The coboundary is applied by pushing each
 nonzero entry of a cochain forward through its formula, at a cost
 proportional to nnz * d^2 rather than the d^(k+2) output tuples of a
-degree-k cochain; the images of basis columns are read at the plain free
-positions of C^(k+2), which the three-slot kernel gives without a basis,
-and kept once, as sparse rows, for the plain and the invariant complex
-alike.  A solve (linalg.solve_rows) reduces the right-hand side as the
-augmented column of those rows, with free variables zero.  Scalars are
+degree-k cochain.  The images of basis columns are assembled only at the
+plain free positions of C^(k+2), which the three-slot kernel gives
+without a basis: every term is keyed directly by its plain row, and the
+terms at other positions are dropped by group before they are summed.
+They are kept once, as sparse rows, for the plain and the invariant
+complex alike.  A solve (linalg.solve_rows) reduces the right-hand side as
+the augmented column of those rows, with free variables zero.  Scalars are
 the field's own (linalg): every sum here is exact and reduced once, by
-field.sparse.
+field.sparse; over QQ the push-forward sums ints, each column scaled by
+the lcm of its denominators, and divides each image entry once.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (act_dense, coboundary_images_per_term, coboundary_pointwise, cochain,
                      constraint_rows, dense, evaluate_dense)
 
+from ltsdeform import bundled_path
 from ltsdeform.caps import CapExceeded, Caps
 from ltsdeform.cohomology import (CochainComplex, SpanError, _coboundary_images,
                                   _plain_free_index, _three_slot_kernel, apply_coboundary,
@@ -22,9 +23,8 @@ from ltsdeform.groups import (make_group_action, self_module_action, sign_action
                               transpose_action_on_rect)
 from ltsdeform.linalg import (LinAlgError, Matrix, PrimeField, QQ, nullspace_from_rref,
                               rref_rows)
-from ltsdeform.lts import (LtsModule, StructureTensor, from_lie_algebra, make_system,
-                           matrix_lts, meson, rect_lts, self_module, skew_lts, sl2_brackets,
-                           sym_lts, verify_lts)
+from ltsdeform.lts import (LtsModule, StructureTensor, from_lie_algebra, make_system, meson,
+                           self_module, skew_lts, sl2_brackets, verify_lts)
 
 
 @pytest.fixture(scope="module")
@@ -406,15 +406,14 @@ def test_coboundary_matrix_matches_pointwise_application():
                         (fld, label, degree, j)
 
 
-BUILT_SYSTEMS = {"meson2": lambda fld: meson(2, fld), "meson3": lambda fld: meson(3, fld),
-                 "skew3": lambda fld: skew_lts(3, fld), "rect22": lambda fld: rect_lts(2, 2, fld),
-                 "sym2": lambda fld: sym_lts(2, fld), "matrix2": lambda fld: matrix_lts(2, fld),
-                 "sl2": lambda fld: from_lie_algebra(sl2_brackets(fld), fld=fld)}
+BUNDLED_SYSTEMS = ["matrix2", "meson1", "meson2", "meson2x3", "meson3", "meson4", "rect22",
+                   "skew3", "sl2", "sym2"]
 
 
 @cache
-def built_system(name, fld):
-    return BUILT_SYSTEMS[name](fld)
+def bundled_system(name, fld):
+    return system_from_document(load_document(bundled_path(name + ".json").read_text()),
+                                field_override=fld)
 
 
 def sparse_values(fld, size):
@@ -434,7 +433,7 @@ def push_forward_cases(draw):
     random sparse vectors of that degree, not cochains in general."""
     fld = draw(st.sampled_from([QQ, PrimeField(7)]))
     if draw(st.booleans()):
-        system = built_system(draw(st.sampled_from(sorted(BUILT_SYSTEMS))), fld)
+        system = bundled_system(draw(st.sampled_from(BUNDLED_SYSTEMS)), fld)
     else:
         names = draw(st.sampled_from(summand_lists()))
         system = from_lie_algebra(direct_sum_brackets(names, fld), fld=fld)
