@@ -33,7 +33,15 @@ without a basis: every term is keyed directly by its plain row, and the
 terms at other positions are dropped by group before they are summed.
 They are kept once, as sparse rows, for the plain and the invariant
 complex alike.  A solve (linalg.solve_rows) reduces the right-hand side as
-the augmented column of those rows, with free variables zero.  Scalars are
+the augmented column of those rows, with free variables zero.
+
+Every echelon form here is the unique reduced one in index order (the
+three-slot kernel, the invariant-basis rows, the coboundary span, the
+solves) but one: the elimination of the cocycle rows puts each pivot at
+the column with the shortest image, ties by index, which fills in far
+less after a change of basis.  Its rank is the same; when representatives
+are wanted, its kernel basis is turned back into the canonical one, free
+variables ascending, by linalg.canonical_kernel.  Scalars are
 the field's own (linalg): every sum here is exact and reduced once, by
 field.sparse; over QQ the push-forward sums ints, each column scaled by
 the lcm of its denominators, and divides each image entry once.
@@ -48,8 +56,8 @@ from math import lcm
 
 from .caps import DEFAULT_CAPS
 from .groups import apply_group_sparse, generators, self_module_action
-from .linalg import (LinAlgError, Matrix, RrefAccumulator, nullspace_from_rref, rref_rows,
-                     solve_rows)
+from .linalg import (LinAlgError, Matrix, RrefAccumulator, canonical_kernel,
+                     nullspace_from_rref, rref_rows, solve_rows)
 from .lts import (CYCLIC, AxiomReport, StructureTensor, permutation_hits, skew_hits,
                   theta_module)
 from .tensorops import slot_indices
@@ -71,11 +79,14 @@ def _span_sum(columns, coords, field):
     return field.sparse(out.items())
 
 
-def _transpose(vectors):
+def _transpose(vectors, lengths=None):
     """Sparse rows {i: {j: scalar}} of the sparse columns given as (j, {i:
-    scalar}) pairs, or the other way round."""
+    scalar}) pairs, or the other way round.  The number of entries of each
+    vector is appended to the list lengths, when one is given."""
     out = {}
     for j, vec in vectors:
+        if lengths is not None:
+            lengths.append(len(vec))
         for i, v in vec.items():
             out.setdefault(i, {})[j] = v
     return out
@@ -280,7 +291,34 @@ def _integral(v, den):
     return v.numerator * (den // v.denominator)
 
 
-def _coboundary_images(module, degree, cochains, caps, block_index=_every_position):
+def _coefficient_tables(module):
+    """(theta, dop, inverse_bracket, den): the coefficients that the
+    push-forward of _coboundary_images reads.
+
+    theta[w] and dop[w] list (a, c, l, coef) with theta(e_a, e_c) resp.
+    D(e_a, e_c) sending v_w to coef * v_l + ..., read off the right and the
+    left action of lts.theta_module, and inverse_bracket[l] lists (a, c, e,
+    coef) with [e_a e_c e_e] having l-component coef.  Every coef is scaled
+    by their common denominator den, so that over QQ the push-forward runs
+    on ints."""
+    d = module.system.dim
+    m = module.dim
+    right, left, mu = module.right, theta_module(module).left, module.system.mu
+    den = lcm(*(v.denominator for t in (right, left, mu) for v in t.entries.values()))
+    theta, dop = [[] for _ in range(m)], [[] for _ in range(m)]
+    for lists, tensor in ((theta, right), (dop, left)):
+        for key in sorted(tensor.entries):
+            a, c, w, l = slot_indices(key, (d, d, m, m))
+            lists[w].append((a, c, l, _integral(tensor.entries[key], den)))
+    inverse_bracket = [[] for _ in range(d)]
+    for key in sorted(mu.entries):
+        a, c, e, l = slot_indices(key, (d, d, d, d))
+        inverse_bracket[l].append((a, c, e, _integral(mu.entries[key], den)))
+    return theta, dop, inverse_bracket, den
+
+
+def _coboundary_images(module, degree, cochains, caps, block_index=_every_position,
+                       tables=_coefficient_tables):
     """Sparse coboundary image {row: scalar} of each sparse degree-(2n-1)
     cochain {ambient position: scalar}, yielded one at a time.  The terms
     of each image entry are summed exactly, and the sum is reduced once by
@@ -298,7 +336,8 @@ def _coboundary_images(module, degree, cochains, caps, block_index=_every_positi
     evaluating all d^(k+2) output tuples: the theta and D terms insert a
     pair (a, c) into y, and the substitution terms replace an argument
     y_s = l by each e with [e_a e_c e_e] having an l-component, found
-    through the inverse bracket index l -> [(a, c, e, coef)].
+    through the inverse bracket index l -> [(a, c, e, coef)] of
+    tables(module), by default _coefficient_tables.
 
     Entries are assembled only at the rows that are read.  C^(k+2) is
     d^(k-1) prefix copies of one block over its last three slots and the
@@ -317,23 +356,7 @@ def _coboundary_images(module, degree, cochains, caps, block_index=_every_positi
     caps.check_degree(degree + 2)
     caps.check_ambient(d ** (degree + 2) * m)
     index, nw = block_index(d, m, field)
-
-    # theta[w] and dop[w]: (a, c, l, coef) with theta(e_a, e_c) resp.
-    # D(e_a, e_c) sending v_w to coef * v_l + ..., read off the right and the
-    # left action of lts.theta_module; every coef of these tables and of the
-    # inverse bracket is scaled by their common denominator den, so that
-    # over QQ the push-forward runs on ints
-    right, left, mu = module.right, theta_module(module).left, module.system.mu
-    den = lcm(*(v.denominator for t in (right, left, mu) for v in t.entries.values()))
-    theta, dop = [[] for _ in range(m)], [[] for _ in range(m)]
-    for lists, tensor in ((theta, right), (dop, left)):
-        for key in sorted(tensor.entries):
-            a, c, w, l = slot_indices(key, (d, d, m, m))
-            lists[w].append((a, c, l, _integral(tensor.entries[key], den)))
-    inverse_bracket = [[] for _ in range(d)]
-    for key in sorted(mu.entries):
-        a, c, e, l = slot_indices(key, (d, d, d, d))
-        inverse_bracket[l].append((a, c, e, _integral(mu.entries[key], den)))
+    theta, dop, inverse_bracket, den = tables(module)
     return _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, den, field,
                          index, nw)
 
@@ -540,7 +563,8 @@ class CochainComplex:
     of the plain basis of C^(k+2), plain and invariant alike: the bracket
     check puts every image in C^(k+2), where a vector is zero iff its
     entries there are, so their kernel is Z^k, and no basis of C^(k+2) is
-    built."""
+    built.  The coefficient tables of the coboundary formula are built once
+    per complex, on the first assembly."""
 
     def __init__(self, module, action=None, module_action=None, caps=DEFAULT_CAPS):
         if action is not None and module_action is None:
@@ -553,6 +577,14 @@ class CochainComplex:
         self.field = module.system.field
         self._bases = {}
         self._rows = {}
+        self._image_lengths = {}
+        self._coefficients = None
+
+    def _tables(self, module):
+        """_coefficient_tables of the module, built on first use and kept."""
+        if self._coefficients is None:
+            self._coefficients = _coefficient_tables(module)
+        return self._coefficients
 
     def basis(self, degree):
         if degree not in self._bases:
@@ -576,11 +608,13 @@ class CochainComplex:
     def rows(self, degree):
         """The coboundary from degree to degree + 2 as sparse rows {plain
         row: {column: scalar}}: columns are the basis of degree, rows the
-        plain free positions of C^(degree + 2) in plain basis order."""
+        plain free positions of C^(degree + 2) in plain basis order.  The
+        number of entries of each column, its image length, is kept too."""
         if degree not in self._rows:
             images = _coboundary_images(self.module, degree, self.basis(degree).columns,
-                                        self.caps, _plain_free_index)
-            self._rows[degree] = _transpose(enumerate(images))
+                                        self.caps, _plain_free_index, self._tables)
+            lengths = self._image_lengths[degree] = []
+            self._rows[degree] = _transpose(enumerate(images), lengths)
         return self._rows[degree]
 
     def cohomology(self, degree, want_representatives=True):
@@ -589,9 +623,14 @@ class CochainComplex:
             raise LinAlgError("cohomology degree must be odd and >= 1")
         field = self.field
         basis = self.basis(degree)
-        cocycles = RrefAccumulator(field)
-        cocycles.extend(self.rows(degree).values())
-        dim_z = len(basis) - cocycles.rank
+        # pivots at the column with the fewest entries among the rows (the
+        # shortest image), ties by index: a static Markowitz order
+        zrows = self.rows(degree)
+        n = len(basis)
+        order = [size * n + j for j, size in enumerate(self._image_lengths[degree])]
+        cocycles = RrefAccumulator(field, order.__getitem__)
+        cocycles.extend(zrows.values())
+        dim_z = n - cocycles.rank
 
         # the coboundary span in the coordinates of basis: the plain rows
         # are those of the plain basis; an invariant basis takes the rows at
@@ -610,14 +649,16 @@ class CochainComplex:
         # basis, first fit in the canonical cocycle order; the whole span is
         # in by now, so the fit does not depend on the order it went in.
         # The dimensions need ranks alone: only representatives read the
-        # echelon rows out and build the cocycle kernel.
+        # echelon rows out and build the cocycle kernel, whose basis in the
+        # pivot order above is made canonical again.
         representatives = []
         if want_representatives:
-            zcols, _ = nullspace_from_rref(cocycles.pivots, len(basis), field)
+            zcols, _ = canonical_kernel(nullspace_from_rref(cocycles.pivots, n, field)[0],
+                                        field)
             for z in zcols:
                 if acc.add(z):
                     representatives.append(basis.combine(z))
-        return CohomologyReport(degree, self.action is not None, len(basis),
+        return CohomologyReport(degree, self.action is not None, n,
                                 dim_z, dim_b, dim_z - dim_b, tuple(representatives))
 
     def preimage(self, c):

@@ -13,16 +13,21 @@ row times a positive integer), so the elimination runs on ints; wherever
 the rows are read (``pivots``, ``rref_rows``) they are canonical
 int | Fraction.  Everything is exact
 and deterministic: every echelon form is the unique reduced row echelon
-form of its row span (rows enter the elimination by ascending nonzero
-count, which keeps fill-in and coefficient growth down without changing
-the result), nullspace bases list free variables in ascending index
-order, and ``solve_rows`` sets free variables to zero.
+form of its row span in a fixed column order (rows enter the elimination
+by ascending nonzero count, which keeps fill-in and coefficient growth
+down without changing the result).  That order is the index order unless
+an RrefAccumulator is given a pivot key; the cocycle elimination of
+cohomology is the one caller that passes one, and ``canonical_kernel``
+turns the kernel of its echelon form back into the canonical one.
+Nullspace bases list free variables in ascending index order, and
+``solve_rows`` sets free variables to zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import neg
 
 
 class LinAlgError(ValueError):
@@ -300,15 +305,27 @@ class Matrix:
 # reduced row echelon form on sparse rows
 #
 # Rows are dicts {column index: nonzero scalar}.  The result is the unique
-# RREF of the row span, as a dict {pivot column: row dict} with pivot entry 1
-# and pivot columns eliminated everywhere else.  Uniqueness of the RREF makes
-# every routine below independent of row ordering and scheduling.  Entries
+# RREF of the row span in a column order (the index order unless a pivot key
+# is given), as a dict {pivot column: row dict} with pivot entry 1 and pivot
+# columns eliminated everywhere else.  Uniqueness of the RREF makes every
+# routine below independent of row ordering and scheduling.  Entries
 # are read through the field on the way in, and the rows read out hold
 # residues in [0, p) over GF(p) and canonical int | Fraction over QQ.
 
 
 class RrefAccumulator:
     """Incrementally maintained RREF of the rows fed to add().
+
+    Each new pivot is the column of the reduced row that comes first in a
+    total order of the columns: the lowest index by default, or the least
+    key(column) when a key is given (it must differ between columns).  The
+    pivot rows are then the unique RREF of the span in that column order,
+    whatever order the rows come in: every pivot row starts at its pivot
+    in that order, as a later pivot eliminated from it lies after its own.
+    With a key, a pivot row may hold columns before its pivot in index
+    order, and its kernel (nullspace_from_rref) is a kernel basis but not
+    the canonical one; canonical_kernel restores that.  Only rows that raise
+    the rank call the key.
 
     The elimination is fraction-free (after Bareiss, Math. Comp. 22, 1968).
     Over QQ a stored row is the primitive integer multiple of its RREF row
@@ -335,8 +352,9 @@ class RrefAccumulator:
     is eliminated, as by a full scan, so the pivot rows are the same.
     """
 
-    def __init__(self, field):
+    def __init__(self, field, key=None):
         self.field = field
+        self._key = key
         self._rows = {}
         self._holders = {}
 
@@ -349,7 +367,9 @@ class RrefAccumulator:
         Fraction entry is accepted.  A pivot row carries no
         other pivot column, so subtracting it never changes the row's entry
         at another pivot: one pass over the row's pivot entries, each
-        subtracting a multiple of the pivot row, reduces it fully.
+        subtracting a multiple of the pivot row, reduces it fully.  So the
+        multiples are summed unreduced, and the sums are reduced mod p and
+        their zeros dropped once, at the end.
         """
         rows = self._rows
         field = self.field
@@ -385,9 +405,21 @@ class RrefAccumulator:
                 m = den * scale
                 out = {c: _times(v, m) for c, v in out.items()}
                 hits = [(c, _times(v, den) * (scale // prow[c]), prow) for c, v, prow in hits]
+        if not hits:
+            return out
+        get = out.get
         for c, coef, prow in hits:
-            _subtract(out, coef, prow, c, p)
-        return out
+            for cc, v in prow.items():
+                if cc != c:
+                    out[cc] = get(cc, 0) - coef * v
+        # most rows lie in the span and reduce to zero: test for that before
+        # building the remainder
+        if p:
+            for v in out.values():
+                if v % p:
+                    return {c: r for c, v in out.items() if (r := v % p)}
+            return {}
+        return {c: v for c, v in out.items() if v} if any(out.values()) else {}
 
     def extend(self, rows):
         """Insert every row, sparsest first (the Markowitz order; ties keep
@@ -401,7 +433,7 @@ class RrefAccumulator:
         r = self._reduce(row)
         if not r:
             return False
-        c = min(r)
+        c = min(r) if self._key is None else min(r, key=self._key)
         piv = r.pop(c)
         p = self.field.char
         if p:
@@ -487,7 +519,8 @@ def _subtract(out, coef, prow, skip, p):
 
 
 def rref_rows(rows, field):
-    """The unique RREF of the span of rows, as {pivot column: pivot row}.
+    """The unique RREF of the span of rows, pivots at the lowest column
+    index, as {pivot column: pivot row}.
 
     rows is any iterable of sparse row dicts, a generator too; it is
     materialised, and the rows enter the elimination by ascending nonzero
@@ -501,12 +534,15 @@ def rref_rows(rows, field):
 
 
 def nullspace_from_rref(pivots, ncols, field):
-    """Canonical kernel basis: one column per free column, ascending.
+    """Kernel basis of a reduced echelon form: one column per free column,
+    ascending.
 
     Each basis column carries 1 at its free coordinate, so reading a kernel
     vector's coordinates off the free positions recovers its expansion.
     Returns (columns, free_positions) with columns as sparse dicts of
-    scalars, like the pivot rows.
+    scalars, like the pivot rows.  The pivots may sit in any column order
+    (an RrefAccumulator with a key); the basis is the canonical one when
+    they sit at the lowest index, as in rref_rows.
     """
     p = field.char
     free = [c for c in range(ncols) if c not in pivots]
@@ -517,6 +553,24 @@ def nullspace_from_rref(pivots, ncols, field):
             if c != pc:
                 cols[index[c]][pc] = -v % p if p else -v
     return cols, free
+
+
+def canonical_kernel(vectors, field):
+    """The canonical kernel basis of nullspace_from_rref(rref_rows(rows)),
+    from the sparse vectors of any basis of that kernel, as (columns, free
+    positions).
+
+    The canonical column z_f is 1 at its free column f and 0 at the other
+    free columns, and its other entries sit at pivot columns below f: its
+    last nonzero entry is the 1 at f.  So the canonical basis is the RREF
+    of the kernel with the column order reversed, with its rows listed by
+    ascending pivot, and one elimination of the vectors gives it.
+    """
+    acc = RrefAccumulator(field, neg)
+    acc.extend(vectors)
+    pivots = acc.pivots
+    free = sorted(pivots)
+    return [pivots[f] for f in free], free
 
 
 def _matrix_rows_sparse(m):

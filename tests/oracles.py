@@ -5,7 +5,8 @@ from itertools import product
 from math import prod
 
 from ltsdeform.caps import DEFAULT_CAPS
-from ltsdeform.cohomology import CochainBasis, cochain_space_basis, cochain_violations
+from ltsdeform.cohomology import (CochainBasis, apply_coboundary, cochain_space_basis,
+                                  cochain_violations)
 from ltsdeform.deformation import DeformationError
 from ltsdeform.groups import (GroupActionError, _subgroup, equivariance_failure,
                               self_module_action)
@@ -690,6 +691,32 @@ def rref_in_order(rows, field):
     for row in rows:
         acc.add(row)
     return acc.pivots
+
+
+def cohomology_index_order(cx, degree):
+    """Reference for CochainComplex.cohomology: the cocycle rows of cx
+    eliminated with every pivot at the lowest column index, so that
+    nullspace_from_rref gives the canonical cocycle basis at once.  The
+    coboundaries are the images of the basis of degree - 2, each computed
+    alone and expressed in the basis of degree; the representatives are
+    the canonical cocycles that extend their span, in order.  Returns
+    (dim Z, dim B, the canonical cocycle basis as coordinate dicts,
+    representatives)."""
+    field = cx.field
+    basis = cx.basis(degree)
+    cocycles = RrefAccumulator(field)
+    for row in cx.rows(degree).values():
+        cocycles.add(row)
+    span = RrefAccumulator(field)
+    if degree > 1:
+        source = cx.basis(degree - 2)
+        for j in range(len(source)):
+            image = apply_coboundary(cx.module, source.combine({j: 1}))
+            span.add(dict(enumerate(basis.express(image))))
+    dim_b = span.rank
+    zcols, _ = nullspace_from_rref(cocycles.pivots, len(basis), field)
+    representatives = [basis.combine(z) for z in zcols if span.add(z)]
+    return len(basis) - cocycles.rank, dim_b, zcols, representatives
 
 
 def rref_dense(rows, ncols, field):

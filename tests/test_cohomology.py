@@ -172,15 +172,16 @@ def test_caps_are_enforced(m2):
 def test_the_caps_of_the_target_fire_before_its_block_kernel(m2, swap_action, monkeypatch):
     # the rows out of degree 1 are read at the plain free positions of
     # C^3, from the kernel of its three-slot block: C^3 (16 entries) is past
-    # the cap, C^1 (4 entries) is not, so nothing of C^3 may be built
+    # the cap, C^1 (4 entries) is not, so nothing of C^3 may be built, and
+    # neither are the coefficient tables of the coboundary
     module = sys.modules["ltsdeform.cohomology"]
-    kernel, calls = module._three_slot_kernel, []
+    calls = []
+    for name in ("_three_slot_kernel", "_coefficient_tables"):
+        def counting(*args, original=getattr(module, name)):
+            calls.append(args)
+            return original(*args)
 
-    def counting(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(module, "_three_slot_kernel", counting)
+        monkeypatch.setattr(module, name, counting)
     for action in (None, swap_action):
         with pytest.raises(CapExceeded, match="16 entries"):
             cohomology(m2, 1, action, caps=Caps(max_degree=9, max_ambient=10, max_group=64))

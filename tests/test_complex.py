@@ -152,9 +152,10 @@ def test_equivariant_cohomology_is_the_invariant_part_of_the_cohomology(field):
 
 
 def test_the_complex_caches_bases_and_coboundaries(monkeypatch):
-    calls, assembled, transposed = [], [], []
-    basis, images, transpose = (cohomology_module.cochain_space_basis,
-                                cohomology_module._coboundary_images, cohomology_module._transpose)
+    calls, assembled, transposed, tabled = [], [], [], []
+    basis, images, transpose, tables = (
+        cohomology_module.cochain_space_basis, cohomology_module._coboundary_images,
+        cohomology_module._transpose, cohomology_module._coefficient_tables)
 
     def counted(module, degree, *args, **kwargs):
         calls.append(degree)
@@ -164,17 +165,22 @@ def test_the_complex_caches_bases_and_coboundaries(monkeypatch):
         assembled.append(degree)
         return images(module, degree, *args)
 
-    def transposing(vectors):
+    def transposing(vectors, *args):
         transposed.append(1)
-        return transpose(vectors)
+        return transpose(vectors, *args)
+
+    def tabling(module):
+        tabled.append(1)
+        return tables(module)
 
     system = meson(3)
     for action in (None, sign_action(system)):
         module = self_module(system)
         image = apply_coboundary(module, CochainComplex(module, action).basis(1).combine({1: 1}))
-        del calls[:], assembled[:], transposed[:]
+        del calls[:], assembled[:], transposed[:], tabled[:]
         monkeypatch.setattr(cohomology_module, "cochain_space_basis", counted)
         monkeypatch.setattr(cohomology_module, "_coboundary_images", assembling)
+        monkeypatch.setattr(cohomology_module, "_coefficient_tables", tabling)
         cx = CochainComplex(module, action)
         cx.cohomology(3)
         cx.cohomology(3)
@@ -182,6 +188,8 @@ def test_the_complex_caches_bases_and_coboundaries(monkeypatch):
         # the images are read at the plain free positions: no basis of degree 5
         assert sorted(calls) == [1, 3]
         assert sorted(assembled) == [1, 3]
+        # the coefficient tables are built once per complex, for both degrees
+        assert len(tabled) == 1
         # two solves on a fresh complex transpose once, as its coboundary is built
         monkeypatch.setattr(cohomology_module, "_transpose", transposing)
         cx = CochainComplex(module, action)

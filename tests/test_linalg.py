@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import is_prime_trial_division, nullspace, rref_dense, rref_in_order
 
 from ltsdeform.linalg import (_PRIME_BOUND, LinAlgError, Matrix, PrimeField, QQ,
-                              RrefAccumulator, _is_prime, field_from_spec,
+                              RrefAccumulator, _is_prime, canonical_kernel, field_from_spec,
                               nullspace_from_rref, rank, rref_rows, solve, solve_rows)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
@@ -213,6 +213,47 @@ def test_accumulator_matches_dense_gauss_jordan_after_every_add(case, data):
         if i in (mid, len(rows)):
             assert acc.pivots == want
             assert_canonical(acc.pivots)
+
+
+@st.composite
+def keyed_rows(draw):
+    """(field, ncols, rows, order): drawn rows over QQ or GF(7), made all
+    zero or completed to full rank by a bidiagonal block, with repeated and
+    zero rows added, and a random total order of the columns."""
+    fld, (ncols, rows) = draw(field_and_rows([QQ, PrimeField(7)], 8, 8))
+    shape = draw(st.sampled_from(["drawn", "zero", "full"]))
+    if shape == "zero":
+        rows = [{} for _ in rows]
+    elif shape == "full":
+        rows = rows + [{j: 1, j + 1: draw(SMALL_ENTRIES)} if j + 1 < ncols else {j: 2}
+                       for j in range(ncols)]
+    rows = rows + draw(st.lists(st.sampled_from(rows), max_size=3)) + [{}] * draw(
+        st.integers(0, 2))
+    order = draw(st.permutations(range(ncols)))
+    return fld, ncols, draw(st.permutations(rows)), order
+
+
+@settings(max_examples=100)
+@given(keyed_rows())
+def test_accumulator_with_a_pivot_key_and_the_canonical_kernel(case):
+    # with a key the pivots are the RREF in the key's column order; its row
+    # span and rank are those of the index-order RREF, and canonical_kernel
+    # turns its kernel into nullspace_from_rref's canonical basis
+    fld, ncols, rows, order = case
+    acc = RrefAccumulator(fld, order.__getitem__)
+    acc.extend(rows)
+    want = rref_dense(rows, ncols, fld)
+    assert acc.rank == len(want)
+    assert rref_dense(list(acc.pivots.values()), ncols, fld) == want
+    assert_canonical(acc.pivots)
+    # the dense RREF with the columns relabelled by the order, labels restored
+    label = sorted(range(ncols), key=order.__getitem__)
+    relabelled = rref_dense([{order[c]: v for c, v in r.items()} for r in rows], ncols, fld)
+    assert acc.pivots == {label[pc]: {label[c]: v for c, v in prow.items()}
+                          for pc, prow in relabelled.items()}
+    cols, free = nullspace_from_rref(acc.pivots, ncols, fld)
+    assert canonical_kernel(cols, fld) == nullspace_from_rref(rref_rows(rows, fld), ncols, fld)
+    assert canonical_kernel(reversed(cols), fld) == canonical_kernel(cols, fld)
 
 
 def test_fraction_free_rows_with_non_unit_pivot_entries():
