@@ -58,9 +58,8 @@ from .caps import DEFAULT_CAPS
 from .groups import apply_group_sparse, generators, self_module_action
 from .linalg import (LinAlgError, Matrix, RrefAccumulator, canonical_kernel,
                      nullspace_from_rref, rref_rows, solve_rows)
-from .lts import (CYCLIC, AxiomReport, StructureTensor, permutation_hits, skew_hits,
-                  theta_module)
-from .tensorops import slot_indices
+from .lts import (CYCLIC, SKEW, AxiomReport, StructureTensor, permutation_hits,
+                  permuted_sum, skew_hits)
 
 
 class SpanError(ValueError):
@@ -270,19 +269,42 @@ def _every_position(d, m, field):
     """The identity index of a three-slot block: every position is a row,
     so an image is keyed by its ambient positions."""
     block = d ** 3 * m
-    return range(block), block
+    return range(block), block, None
 
 
 @cache
 def _plain_free_index(d, m, field):
     """index[pos] of each position of a three-slot block, its place among
-    the free positions of _three_slot_kernel or -1 if it is not free, and
-    the number of free positions."""
+    the free positions of _three_slot_kernel or -1 if it is not free, the
+    number of free positions, and None: every prefix is kept."""
     _, wfree = _three_slot_kernel(d, m, field)
     index = [-1] * (d ** 3 * m)
     for i, pos in enumerate(wfree):
         index[pos] = i
-    return index, len(wfree)
+    return index, len(wfree), None
+
+
+@cache
+def _first_pairs(d):
+    """(place, pairs) of the first pairs x1 < x2 of C^5, in lexicographic
+    order: place[x1 * d + x2] is the number of the pair, or -1 when x1 >=
+    x2, and pairs[q] is (x1 * d + x2, x2 * d + x1) for the pair numbered q."""
+    place = [-1] * (d * d)
+    pairs = []
+    for a in range(d):
+        for b in range(a + 1, d):
+            place[a * d + b] = len(pairs)
+            pairs.append((a * d + b, b * d + a))
+    return place, pairs
+
+
+def _half_free_index(d, m, field):
+    """_plain_free_index with the first pair of C^5 cut to x1 < x2, for the
+    images of degree-3 cochains alone (CochainComplex.rows): the rows of
+    the prefix (x1, x2) are numbered by the place of the pair in
+    _first_pairs, and the other prefixes are dropped."""
+    index, nw, _ = _plain_free_index(d, m, field)
+    return index, nw, _first_pairs(d)[0]
 
 
 def _integral(v, den):
@@ -296,23 +318,36 @@ def _coefficient_tables(module):
     push-forward of _coboundary_images reads.
 
     theta[w] and dop[w] list (a, c, l, coef) with theta(e_a, e_c) resp.
-    D(e_a, e_c) sending v_w to coef * v_l + ..., read off the right and the
-    left action of lts.theta_module, and inverse_bracket[l] lists (a, c, e,
+    D(e_a, e_c) sending v_w to coef * v_l + ..., ascending in (a, c, l):
+    theta is the right action, and D(a, c) = theta(c, a) - theta(a, c) the
+    left action of lts.theta_module.  inverse_bracket[l] lists (a, c, e,
     coef) with [e_a e_c e_e] having l-component coef.  Every coef is scaled
     by their common denominator den, so that over QQ the push-forward runs
-    on ints."""
+    on ints (the denominators of D divide those of theta); over GF(p) each
+    D coefficient is a residue."""
     d = module.system.dim
     m = module.dim
-    right, left, mu = module.right, theta_module(module).left, module.system.mu
-    den = lcm(*(v.denominator for t in (right, left, mu) for v in t.entries.values()))
-    theta, dop = [[] for _ in range(m)], [[] for _ in range(m)]
-    for lists, tensor in ((theta, right), (dop, left)):
-        for key in sorted(tensor.entries):
-            a, c, w, l = slot_indices(key, (d, d, m, m))
-            lists[w].append((a, c, l, _integral(tensor.entries[key], den)))
+    p = module.system.field.char
+    right, mu = module.right, module.system.mu
+    den = lcm(*(v.denominator for t in (right, mu) for v in t.entries.values()))
+    theta, dop = [[] for _ in range(m)], []
+    for key in sorted(right.entries):
+        rest, l = divmod(key, m)
+        rest, w = divmod(rest, m)
+        a, c = divmod(rest, d)
+        theta[w].append((a, c, l, _integral(right.entries[key], den)))
+    for terms in theta:
+        sums = {}
+        for a, c, l, t in terms:
+            sums[c, a, l] = sums.get((c, a, l), 0) + t
+            sums[a, c, l] = sums.get((a, c, l), 0) - t
+        dop.append([(a, c, l, t) for (a, c, l), v in sorted(sums.items())
+                    if (t := v % p if p else v)])
     inverse_bracket = [[] for _ in range(d)]
     for key in sorted(mu.entries):
-        a, c, e, l = slot_indices(key, (d, d, d, d))
+        rest, l = divmod(key, d)
+        rest, e = divmod(rest, d)
+        a, c = divmod(rest, d)
         inverse_bracket[l].append((a, c, e, _integral(mu.entries[key], den)))
     return theta, dop, inverse_bracket, den
 
@@ -341,12 +376,15 @@ def _coboundary_images(module, degree, cochains, caps, block_index=_every_positi
 
     Entries are assembled only at the rows that are read.  C^(k+2) is
     d^(k-1) prefix copies of one block over its last three slots and the
-    value, and block_index(d, m, field) gives (index, nw): the entry at
-    prefix * block + local goes to row prefix * nw + index[local], or is
+    value, and block_index(d, m, field) gives (index, nw, first): the entry
+    at prefix * block + local goes to row prefix * nw + index[local], or is
     dropped when index[local] is -1.  The default, _every_position, keys an
     image by its ambient positions; _plain_free_index keys it by the plain
-    free positions of C^(k+2).  The degree and the caps are checked on the
-    call, before the index or any table is built.
+    free positions of C^(k+2).  first is None, or, for degree 3 only, the
+    place of each first pair of C^5 (_half_free_index): the prefix x1 * d +
+    x2 then moves to row prefix first[x1 * d + x2], or is dropped when that
+    is -1.  The degree and the caps are checked on the call, before the
+    index or any table is built.
     """
     if degree < 1 or degree % 2 == 0:
         raise LinAlgError("cochain degree must be odd and >= 1")
@@ -355,13 +393,14 @@ def _coboundary_images(module, degree, cochains, caps, block_index=_every_positi
     field = module.system.field
     caps.check_degree(degree + 2)
     caps.check_ambient(d ** (degree + 2) * m)
-    index, nw = block_index(d, m, field)
+    index, nw, first = block_index(d, m, field)
     theta, dop, inverse_bracket, den = tables(module)
     return _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, den, field,
-                         index, nw)
+                         index, nw, first)
 
 
-def _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, den, field, index, nw):
+def _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, den, field, index, nw,
+                  first):
     """The images of _coboundary_images, from its tables, one at a time.
 
     The terms are grouped by the argument slots that keep their prefix, so
@@ -377,10 +416,23 @@ def _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, den, fiel
     - a substitution at s <= k-4 changes the prefix alone and keeps f's own
       block position, so one test drops all of them.
     Each column is scaled by the lcm of its denominators, pushed on ints,
-    and each image entry divided once by that lcm times den."""
+    and each image entry divided once by that lcm times den.
+
+    The prefix of every term goes through heads, the identity unless first
+    is given.  At degree 3 the prefix of C^5 is its first pair: pair n
+    keeps f's (y1, y2), so first drops the table of an entry whose y1 >= y2
+    at once, and pair 1 inserts (a, c), so its D and substitution terms are
+    kept only at a < c, numbered by first.  The images of C^3 cochains are
+    alternating in (x1, x2), which is why nothing else is lost: at x1 = x2
+    the theta and pair-2 terms vanish by f's square condition, the pair-1
+    D term as D(x, x) = 0, and the pair-1 substitutions as [x x y] = 0,
+    which _check_bracket ensures; polarize.  An image of C^5 is not
+    alternating in any pair (D(x1, x2) f(x3, ..) breaks it), so first is
+    read at degree 3 alone."""
     n = (degree + 1) // 2
     d3 = d ** 3
     last = {}
+    heads = range(d ** (degree - 1)) if first is None else first
 
     def last_table(w, y):
         sums = {}
@@ -398,18 +450,20 @@ def _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, den, fiel
 
     # pair p < n, with sign (-1)^(p+n): the prefix y_1..y_(k-3) splits as
     # (hi, lo) around the inserted pair at slot 2p - 1, and (a, c) moves the
-    # row by (a * d + c) * stride
+    # row by heads[(a * d + c) * tailp] * nw, or drops the term when that is
+    # -1 (at degree 3 alone, where the prefix of f is empty)
     pairs = []
     for p in range(1, n):
         gap = 2 * p - 2
         tailp = d ** (degree - 3 - gap)
-        stride = tailp * nw
         sign = 1 if (p + n) % 2 == 0 else -1
+        moves = [None if (h := heads[ac * tailp]) < 0 else h * nw for ac in range(d * d)]
         dterms = []
         for w in range(m):
             by_l = {}
             for a, c, l, t in dop[w]:
-                by_l.setdefault(l, []).append(((a * d + c) * stride, sign * t))
+                if (move := moves[a * d + c]) is not None:
+                    by_l.setdefault(l, []).append((move, sign * t))
             dterms.append(list(by_l.items()))
         # the last three slots, with each slot's step in the block
         near = []
@@ -418,12 +472,12 @@ def _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, den, fiel
             for y in range(d):
                 by_e = {}
                 for a, c, e, coef in inverse_bracket[y]:
-                    by_e.setdefault((e - y) * step, []).append(((a * d + c) * stride,
-                                                                 -sign * coef))
+                    if (move := moves[a * d + c]) is not None:
+                        by_e.setdefault((e - y) * step, []).append((move, -sign * coef))
                 by_y.append(list(by_e.items()))
             near.append(by_y)
         far = [(d ** (degree - 4 - s),
-                [[((a * d + c) * stride + (e - y) * d ** (degree - 4 - s) * nw, -sign * coef)
+                [[(moves[a * d + c] + (e - y) * d ** (degree - 4 - s) * nw, -sign * coef)
                   for a, c, e, coef in inverse_bracket[y]] for y in range(d)])
                for s in range(gap, degree - 3)]
         pairs.append((tailp, d * d * tailp, dterms, near, far))
@@ -437,13 +491,14 @@ def _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, den, fiel
         for pos, v in col.items():
             ybase, w = divmod(pos, m)
             head, y = divmod(ybase, d)
-            table = last.get(w * d + y)
-            if table is None:
-                table = last[w * d + y] = last_table(w, y)
-            base = head * nw
-            for i, t in table:
-                key = base + i
-                out[key] = get(key, 0) + t * v
+            if (base := heads[head]) >= 0:
+                table = last.get(w * d + y)
+                if table is None:
+                    table = last[w * d + y] = last_table(w, y)
+                base *= nw
+                for i, t in table:
+                    key = base + i
+                    out[key] = get(key, 0) + t * v
             if n == 1:
                 continue
             prefix, lt = divmod(ybase, d3)
@@ -501,8 +556,18 @@ def _check_bracket(module):
     conditions.  Then every coboundary image lies in C^(k+2), and in
     C_G^(k+2) under a validated action, whatever the module: in its last
     three slots the theta terms and the last D term cancel (D is read off
-    theta), the rest keep f's conditions, but for -f(.., [a b c])."""
-    if not cochain_violations(module.system.mu).passed:
+    theta), the rest keep f's conditions, but for -f(.., [a b c]).
+
+    The verdict of cochain_violations, without its witnesses: the bracket
+    has no entry at i = j, and its sums over the tables SKEW and CYCLIC
+    vanish (the SKEW sum at i = j is twice the diagonal, at i > j that at
+    i < j)."""
+    mu = module.system.mu
+    d = mu.dims[0]
+    if (mu.field.sparse((key, v) for key, v in mu.entries.items()
+                        if key // (d ** 3) == key // (d * d) % d)
+            or not permuted_sum([(mu, perm) for perm in SKEW]).is_zero()
+            or not permuted_sum([(mu, perm) for perm in CYCLIC]).is_zero()):
         raise LinAlgError(
             "a coboundary image escapes the target cochain space: the bracket "
             "or the module fails the Lie triple system (module) axioms; check "
@@ -563,8 +628,11 @@ class CochainComplex:
     of the plain basis of C^(k+2), plain and invariant alike: the bracket
     check puts every image in C^(k+2), where a vector is zero iff its
     entries there are, so their kernel is Z^k, and no basis of C^(k+2) is
-    built.  The coefficient tables of the coboundary formula are built once
-    per complex, on the first assembly."""
+    built.  Out of degree 3 only the rows whose first pair has x1 < x2 are
+    kept, as every image is alternating in (x1, x2) (_push_forward): the
+    others are zero or the negatives of kept ones, and are rebuilt where
+    coordinates in a basis of C^5 are read.  The coefficient tables of the
+    coboundary formula are built once per complex, on the first assembly."""
 
     def __init__(self, module, action=None, module_action=None, caps=DEFAULT_CAPS):
         if action is not None and module_action is None:
@@ -599,7 +667,7 @@ class CochainComplex:
         free in the block's kernel, and its row is pos // block times the
         block's free count plus the place of pos % block among them."""
         d, m = self.module.system.dim, self.module.dim
-        index, nw = _plain_free_index(d, m, self.field)
+        index, nw, _ = _plain_free_index(d, m, self.field)
         block = d ** 3 * m
         for vec in vectors:
             yield {pos // block * nw + i: v for pos, v in vec.items()
@@ -609,13 +677,72 @@ class CochainComplex:
         """The coboundary from degree to degree + 2 as sparse rows {plain
         row: {column: scalar}}: columns are the basis of degree, rows the
         plain free positions of C^(degree + 2) in plain basis order.  The
-        number of entries of each column, its image length, is kept too."""
+        number of entries of each column, its image length, is kept too.
+
+        Out of degree 3 the rows are those at the first pairs x1 < x2 of
+        C^5 alone (_half_free_index), the row of pair number q at q * nw +
+        i.  Every image of C^3 is alternating in (x1, x2), so these rows
+        have the kernel Z^3 and the rank of all of them, and each image
+        length is half the full one; _coordinate_rows rebuilds the rest.
+        Images of C^5 are not alternating in any pair: other degrees keep
+        every plain free row."""
         if degree not in self._rows:
+            index = _half_free_index if degree == 3 else _plain_free_index
             images = _coboundary_images(self.module, degree, self.basis(degree).columns,
-                                        self.caps, _plain_free_index, self._tables)
+                                        self.caps, index, self._tables)
             lengths = self._image_lengths[degree] = []
             self._rows[degree] = _transpose(enumerate(images), lengths)
         return self._rows[degree]
+
+    def _coordinate_rows(self, degree, basis):
+        """rows(degree) keyed by the coordinates of basis, a basis of
+        C^(degree + 2) in this complex.  The plain rows are those of the
+        plain basis; an invariant basis takes the rows at its free
+        positions, which are plain free positions, as each of its columns is
+        1 at its own free position and 0 at the others.  rows(3) holds the
+        first pairs x1 < x2 alone: the row of (x2, x1) is the negative of
+        the row of (x1, x2) and the row of (x, x) is zero, so the missing
+        rows are rebuilt here, in the same pass."""
+        rows = self.rows(degree)
+        place = None
+        if basis.invariant:
+            place, = self._at_plain_free([basis._free_index])
+        if degree == 3:
+            d = self.module.system.dim
+            _, nw, _ = _plain_free_index(d, self.module.dim, self.field)
+            p = self.field.char
+            pairs = _first_pairs(d)[1]
+            halves, rows = rows, {}
+            for r, row in halves.items():
+                q, i = divmod(r, nw)
+                ab, ba = pairs[q]
+                rows[ab * nw + i] = row
+                if place is None or ba * nw + i in place:
+                    rows[ba * nw + i] = {j: p - v if p else -v for j, v in row.items()}
+        if place is not None:
+            rows = {place[r]: row for r, row in rows.items() if r in place}
+        return rows
+
+    def _halved(self, vec):
+        """A sparse vector {plain row: scalar} of C^5 read at the rows of
+        rows(3): its entries at the first pairs x1 < x2, numbered as there.
+        None unless the vector is alternating in (x1, x2), as every
+        coboundary is: zero at x1 = x2 and negated by the swap."""
+        d = self.module.system.dim
+        _, nw, _ = _plain_free_index(d, self.module.dim, self.field)
+        place = _first_pairs(d)[0]
+        p = self.field.char
+        half, swapped = {}, {}
+        for r, v in vec.items():
+            prefix, i = divmod(r, nw)
+            a, b = divmod(prefix, d)
+            if a < b:
+                half[place[prefix] * nw + i] = v
+            elif a > b:
+                swapped[place[b * d + a] * nw + i] = p - v if p else -v
+            else:
+                return None
+        return half if half == swapped else None
 
     def cohomology(self, degree, want_representatives=True):
         """Dimensions (and representatives) of the degree-th cohomology."""
@@ -632,17 +759,10 @@ class CochainComplex:
         cocycles.extend(zrows.values())
         dim_z = n - cocycles.rank
 
-        # the coboundary span in the coordinates of basis: the plain rows
-        # are those of the plain basis; an invariant basis takes the rows at
-        # its free positions, which are plain free positions, as each of its
-        # columns is 1 at its own free position and 0 at the others
+        # the coboundary span in the coordinates of basis
         acc = RrefAccumulator(field)
         if degree > 1:
-            rows = self.rows(degree - 2)
-            if basis.invariant:
-                place, = self._at_plain_free([basis._free_index])
-                rows = {place[r]: row for r, row in rows.items() if r in place}
-            acc.extend(_transpose(rows.items()).values())
+            acc.extend(_transpose(self._coordinate_rows(degree - 2, basis).items()).values())
         dim_b = acc.rank
 
         # representatives: extend the coboundary span through the cocycle
@@ -653,8 +773,7 @@ class CochainComplex:
         # pivot order above is made canonical again.
         representatives = []
         if want_representatives:
-            zcols, _ = canonical_kernel(nullspace_from_rref(cocycles.pivots, n, field)[0],
-                                        field)
+            zcols, _ = canonical_kernel(cocycles.kernel_basis(n), field)
             for z in zcols:
                 if acc.add(z):
                     representatives.append(basis.combine(z))
@@ -669,7 +788,10 @@ class CochainComplex:
         complex (SpanError otherwise); then one sparse solve
         (linalg.solve_rows) on the coboundary's rows against c's entries at
         the plain free positions.  Those rows have the kernel and so the
-        canonical solution of the rows read in any basis of the target.
+        canonical solution of the rows read in any basis of the target.  A
+        cochain of degree 5 that is not alternating in its first pair is no
+        coboundary; one that is has the equations of the rows at x1 < x2
+        of rows(3) and no others, so it is solved on them alone.
         """
         degree = len(c.dims)
         if degree < 3:
@@ -677,6 +799,8 @@ class CochainComplex:
         source = self.basis(degree - 2)
         self.basis(degree).express(c)
         rhs, = self._at_plain_free([c.entries])
+        if degree == 5 and (rhs := self._halved(rhs)) is None:
+            return None
         x = solve_rows(self.rows(degree - 2), rhs, len(source), self.field)
         return None if x is None else source.combine(x)
 

@@ -489,6 +489,33 @@ class RrefAccumulator:
     def rank(self):
         return len(self._rows)
 
+    def kernel_basis(self, ncols):
+        """A basis of the kernel of the rows, one sparse vector per free
+        column below ncols, ascending, read off the fraction-free rows
+        without dividing: the vector of free column f is its
+        nullspace_from_rref column times the lcm of the pivot entries of the
+        rows that hold f, so over QQ its entries are ints.  canonical_kernel
+        takes it as it is."""
+        rows = self._rows
+        p = self.field.char
+        free = [c for c in range(ncols) if c not in rows]
+        holders = {f: [] for f in free}
+        for pc, prow in rows.items():
+            for c in prow:
+                if c != pc:
+                    holders[c].append(pc)
+        out = []
+        for f in free:
+            if p:
+                z = {pc: -rows[pc][f] % p for pc in holders[f]}
+                z[f] = 1
+            else:
+                scale = lcm(*(rows[pc][pc] for pc in holders[f]))
+                z = {pc: -rows[pc][f] * (scale // rows[pc][pc]) for pc in holders[f]}
+                z[f] = scale
+            out.append(z)
+        return out
+
 
 def _times(v, m):
     """The int v * m, for v an int or a Fraction whose denominator divides m."""
