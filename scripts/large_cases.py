@@ -2,7 +2,7 @@
 """Time the large cohomology cases and two long deformation commands, one
 fresh process per case.
 
-    python3 scripts/large_cases.py
+    python3 scripts/large_cases.py [FILTER ...] [--repeat N]
 
 The cohomology cases are H^5 of matrix_lts(2) and H^3 of matrix_lts(3),
 each over QQ and over GF(10007), plain and invariant under transposition
@@ -21,13 +21,21 @@ of one case carries over to the next, and prints one line: the wall time
 of the call and the peak resident set size of its process, then the
 dimensions of the cochain space, the cocycles, the coboundaries and the
 cohomology, or the command's exit code.
+
+Each FILTER is a substring of a case's label, as printed with single
+spaces (for example H^3, "GF(10007) plain" or deform-check): only the cases
+whose label contains one of them run, in the order above.  With --repeat N each case runs N times, each
+in a fresh process, and a last line gives the median wall time and the
+median peak of its runs.
 """
 
+import argparse
 import contextlib
 import io
 import multiprocessing
 import random
 import resource
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -43,6 +51,11 @@ UNIMODULAR_SEED = 1
 COMMANDS = [["deform-check", "meson2_swap_t2.json", "--order", "100000", "--json"],
             ["deform-equiv", "meson2_swap_t2.json", "meson2_swap_trivial.json",
              "--cap", "100"]]
+
+
+def case_label(n, degree, p, variant):
+    return "matrix_lts(%d) H^%d %-10s %-10s" % (n, degree, "GF(%d)" % p if p else "QQ",
+                                                 variant)
 
 
 def run_case(n, degree, p, variant):
@@ -71,10 +84,8 @@ def run_case(n, degree, p, variant):
     rep = cohomology(self_module(system), degree, action)
     seconds = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return ("matrix_lts(%d) H^%d %-10s %-10s %7.2f s  peak %6.1f MB  "
-            "space %d  cocycles %d  coboundaries %d  H %d"
-            % (n, degree, field, variant, seconds, peak_mb,
-               rep.dim_space, rep.dim_cocycles, rep.dim_coboundaries, rep.dim_h))
+    return (seconds, peak_mb, "space %d  cocycles %d  coboundaries %d  H %d"
+            % (rep.dim_space, rep.dim_cocycles, rep.dim_coboundaries, rep.dim_h))
 
 
 def run_command(argv):
@@ -87,15 +98,37 @@ def run_command(argv):
         code = main(args)
     seconds = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return "%-75s %7.2f s  peak %6.1f MB  exit %d" % (" ".join(argv), seconds, peak_mb, code)
+    return seconds, peak_mb, "exit %d" % code
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("filters", nargs="*", metavar="FILTER",
+                        help="run only the cases whose label contains one of these")
+    parser.add_argument("--repeat", type=int, default=1, metavar="N",
+                        help="runs per case, each in a fresh process (default 1)")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    jobs = ([(case_label(*case), run_case, case) for case in CASES]
+            + [("%-75s" % " ".join(argv), run_command, (argv,)) for argv in COMMANDS])
+    jobs = [job for job in jobs
+            if not args.filters or any(f in " ".join(job[0].split()) for f in args.filters)]
+    if not jobs:
+        parser.error("no case matches the filters")
     ctx = multiprocessing.get_context("spawn")
-    jobs = [(run_case, case) for case in CASES] + [(run_command, (argv,)) for argv in COMMANDS]
-    for fn, args in jobs:
-        with ctx.Pool(1) as pool:
-            print(pool.apply(fn, args), flush=True)
+    for label, fn, fargs in jobs:
+        runs = []
+        for _ in range(args.repeat):
+            with ctx.Pool(1) as pool:
+                seconds, peak_mb, detail = pool.apply(fn, fargs)
+            runs.append((seconds, peak_mb))
+            print("%s %7.2f s  peak %6.1f MB  %s" % (label, seconds, peak_mb, detail),
+                  flush=True)
+        if args.repeat > 1:
+            print("%s median of %d: %.2f s  peak %.1f MB"
+                  % (label, len(runs), statistics.median(s for s, _ in runs),
+                     statistics.median(mb for _, mb in runs)), flush=True)
     return 0
 
 

@@ -11,7 +11,7 @@ from ltsdeform.deformation import DeformationError
 from ltsdeform.groups import (GroupActionError, _subgroup, equivariance_failure,
                               self_module_action)
 from ltsdeform.linalg import (QQ, LinAlgError, Matrix, RrefAccumulator, nullspace_from_rref,
-                              rref_rows)
+                              rref_rows, solve_rows)
 from ltsdeform.lts import AxiomReport, StructureTensor, Violation, theta_module
 from ltsdeform.tensorops import slot_indices, transform_series
 
@@ -900,3 +900,19 @@ def coboundary_images_per_term(module, degree, cochains):
                                 + (e - y[s]) * place[s]) * m + w)
                         out[key] = out.get(key, 0) - coef * sv
         yield field.sparse(out.items())
+
+
+def preimage_on_every_row(cx, c):
+    """Reference for CochainComplex.preimage: the canonical solve
+    (linalg.solve_rows) of the coboundary read at every plain free position
+    of C^k, from the per-term images of the source basis columns, against
+    c read there; None when there is no solution."""
+    source = cx.basis(len(c.dims) - 2)
+    rows = {}
+    images = coboundary_images_per_term(cx.module, source.degree, source.columns)
+    for j, image in enumerate(cx._at_plain_free(images)):
+        for r, v in image.items():
+            rows.setdefault(r, {})[j] = v
+    rhs, = cx._at_plain_free([c.entries])
+    x = solve_rows(rows, rhs, len(source), cx.field)
+    return None if x is None else source.combine(x)
