@@ -35,13 +35,25 @@ They are kept once, as sparse rows, for the plain and the invariant
 complex alike.  A solve (linalg.solve_rows) reduces the right-hand side as
 the augmented column of those rows, with free variables zero.
 
+Out of degree 3, only the rows whose first pair has x1 < x2 are kept.  C^5
+puts no condition on its first pair, but every image of a 3-cochain f
+vanishes at x1 = x2, term by term and in every characteristic: the theta
+and pair-2 terms by f's square condition, the pair-1 D term as D(x, x) =
+0, and the pair-1 substitutions as [x x y] = 0.  By polarization the image
+is alternating in (x1, x2), so the other rows are zero or the negatives of
+kept ones: the kernel and every rank stay, and the rows are rebuilt by
+negation only where coordinates in a basis of C^5 are read.  Images of
+5-cochains are not alternating in any pair (D(x1, x2) f(x3, ..) breaks it),
+so every other degree keeps all its rows.
+
 Every echelon form here is the unique reduced one in index order (the
 three-slot kernel, the invariant-basis rows, the coboundary span, the
 solves) but one: the elimination of the cocycle rows puts each pivot at
 the column with the shortest image, ties by index, which fills in far
 less after a change of basis.  Its rank is the same; when representatives
-are wanted, its kernel basis is turned back into the canonical one, free
-variables ascending, by linalg.canonical_kernel.  Scalars are
+are wanted, its kernel basis, read off the fraction-free echelon rows, is
+turned back into the canonical one, free variables ascending, by
+linalg.canonical_kernel.  Scalars are
 the field's own (linalg): every sum here is exact and reduced once, by
 field.sparse; over QQ the push-forward sums ints, each column scaled by
 the lcm of its denominators, and divides each image entry once.
@@ -266,8 +278,9 @@ def cochain_space_basis(module, degree, action=None, module_action=None,
 
 
 def _every_position(d, m, field):
-    """The identity index of a three-slot block: every position is a row,
-    so an image is keyed by its ambient positions."""
+    """The identity index of a three-slot block: every position is a row
+    and every prefix is kept, so an image is keyed by its ambient
+    positions."""
     block = d ** 3 * m
     return range(block), block, None
 
@@ -628,11 +641,8 @@ class CochainComplex:
     of the plain basis of C^(k+2), plain and invariant alike: the bracket
     check puts every image in C^(k+2), where a vector is zero iff its
     entries there are, so their kernel is Z^k, and no basis of C^(k+2) is
-    built.  Out of degree 3 only the rows whose first pair has x1 < x2 are
-    kept, as every image is alternating in (x1, x2) (_push_forward): the
-    others are zero or the negatives of kept ones, and are rebuilt where
-    coordinates in a basis of C^5 are read.  The coefficient tables of the
-    coboundary formula are built once per complex, on the first assembly."""
+    built.  The coefficient tables of the coboundary formula are built once
+    per complex, on the first assembly."""
 
     def __init__(self, module, action=None, module_action=None, caps=DEFAULT_CAPS):
         if action is not None and module_action is None:
@@ -683,7 +693,7 @@ class CochainComplex:
         C^5 alone (_half_free_index), the row of pair number q at q * nw +
         i.  Every image of C^3 is alternating in (x1, x2), so these rows
         have the kernel Z^3 and the rank of all of them, and each image
-        length is half the full one; _coordinate_rows rebuilds the rest.
+        length is half the full one; _unfold rebuilds the rest.
         Images of C^5 are not alternating in any pair: other degrees keep
         every plain free row."""
         if degree not in self._rows:
@@ -694,55 +704,21 @@ class CochainComplex:
             self._rows[degree] = _transpose(enumerate(images), lengths)
         return self._rows[degree]
 
-    def _coordinate_rows(self, degree, basis):
-        """rows(degree) keyed by the coordinates of basis, a basis of
-        C^(degree + 2) in this complex.  The plain rows are those of the
-        plain basis; an invariant basis takes the rows at its free
-        positions, which are plain free positions, as each of its columns is
-        1 at its own free position and 0 at the others.  rows(3) holds the
-        first pairs x1 < x2 alone: the row of (x2, x1) is the negative of
-        the row of (x1, x2) and the row of (x, x) is zero, so the missing
-        rows are rebuilt here, in the same pass."""
-        rows = self.rows(degree)
-        place = None
-        if basis.invariant:
-            place, = self._at_plain_free([basis._free_index])
-        if degree == 3:
-            d = self.module.system.dim
-            _, nw, _ = _plain_free_index(d, self.module.dim, self.field)
-            p = self.field.char
-            pairs = _first_pairs(d)[1]
-            halves, rows = rows, {}
-            for r, row in halves.items():
-                q, i = divmod(r, nw)
-                ab, ba = pairs[q]
-                rows[ab * nw + i] = row
-                if place is None or ba * nw + i in place:
-                    rows[ba * nw + i] = {j: p - v if p else -v for j, v in row.items()}
-        if place is not None:
-            rows = {place[r]: row for r, row in rows.items() if r in place}
-        return rows
-
-    def _halved(self, vec):
-        """A sparse vector {plain row: scalar} of C^5 read at the rows of
-        rows(3): its entries at the first pairs x1 < x2, numbered as there.
-        None unless the vector is alternating in (x1, x2), as every
-        coboundary is: zero at x1 = x2 and negated by the swap."""
+    def _unfold(self, vec):
+        """A vector at the rows of rows(3), the first pairs x1 < x2 of C^5,
+        as the alternating vector {plain row: scalar} with those entries:
+        negated at (x2, x1), zero at (x, x)."""
         d = self.module.system.dim
         _, nw, _ = _plain_free_index(d, self.module.dim, self.field)
-        place = _first_pairs(d)[0]
+        pairs = _first_pairs(d)[1]
         p = self.field.char
-        half, swapped = {}, {}
+        out = {}
         for r, v in vec.items():
-            prefix, i = divmod(r, nw)
-            a, b = divmod(prefix, d)
-            if a < b:
-                half[place[prefix] * nw + i] = v
-            elif a > b:
-                swapped[place[b * d + a] * nw + i] = p - v if p else -v
-            else:
-                return None
-        return half if half == swapped else None
+            q, i = divmod(r, nw)
+            ab, ba = pairs[q]
+            out[ab * nw + i] = v
+            out[ba * nw + i] = p - v if p else -v
+        return out
 
     def cohomology(self, degree, want_representatives=True):
         """Dimensions (and representatives) of the degree-th cohomology."""
@@ -759,10 +735,21 @@ class CochainComplex:
         cocycles.extend(zrows.values())
         dim_z = n - cocycles.rank
 
-        # the coboundary span in the coordinates of basis
+        # the coboundary span in the coordinates of basis: the plain rows
+        # are those of the plain basis (out of degree 3, rebuilt by _unfold);
+        # an invariant basis takes the rows at its free positions, which are
+        # plain free positions, as each of its columns is 1 at its own free
+        # position and 0 at the others
         acc = RrefAccumulator(field)
         if degree > 1:
-            acc.extend(_transpose(self._coordinate_rows(degree - 2, basis).items()).values())
+            columns = _transpose(self.rows(degree - 2).items()).values()
+            if degree == 5:
+                columns = map(self._unfold, columns)
+            if basis.invariant:
+                place, = self._at_plain_free([basis._free_index])
+                columns = ({place[r]: v for r, v in col.items() if r in place}
+                           for col in columns)
+            acc.extend(columns)
         dim_b = acc.rank
 
         # representatives: extend the coboundary span through the cocycle
@@ -799,8 +786,15 @@ class CochainComplex:
         source = self.basis(degree - 2)
         self.basis(degree).express(c)
         rhs, = self._at_plain_free([c.entries])
-        if degree == 5 and (rhs := self._halved(rhs)) is None:
-            return None
+        if degree == 5:
+            d = self.module.system.dim
+            _, nw, _ = _plain_free_index(d, self.module.dim, self.field)
+            place = _first_pairs(d)[0]
+            half = {place[r // nw] * nw + r % nw: v for r, v in rhs.items()
+                    if place[r // nw] >= 0}
+            if self._unfold(half) != rhs:
+                return None
+            rhs = half
         x = solve_rows(self.rows(degree - 2), rhs, len(source), self.field)
         return None if x is None else source.combine(x)
 

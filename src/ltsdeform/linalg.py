@@ -18,7 +18,8 @@ by ascending nonzero count, which keeps fill-in and coefficient growth
 down without changing the result).  That order is the index order unless
 an RrefAccumulator is given a pivot key; the cocycle elimination of
 cohomology is the one caller that passes one, and ``canonical_kernel``
-turns the kernel of its echelon form back into the canonical one.
+turns the kernel of its echelon form (``kernel_basis``, read off the
+fraction-free rows) back into the canonical one.
 Nullspace bases list free variables in ascending index order, and
 ``solve_rows`` sets free variables to zero.
 """

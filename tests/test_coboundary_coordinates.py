@@ -31,18 +31,35 @@ from ltsdeform.lts import (LieTripleSystem, LtsModule, StructureTensor, meson, s
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7)]
 
 
+def rows_at_every_plain_row(cx, degree):
+    """CochainComplex.rows(degree) at every plain free row of C^(degree +
+    2): out of degree 3 the rows are kept at x1 < x2 alone, and each
+    column is rebuilt from them by CochainComplex._unfold."""
+    rows = cx.rows(degree)
+    if degree != 3:
+        return rows
+    columns = {}
+    for i, row in rows.items():
+        for j, v in row.items():
+            columns.setdefault(j, {})[i] = v
+    out = {}
+    for j, column in columns.items():
+        for i, v in cx._unfold(column).items():
+            out.setdefault(i, {})[j] = v
+    return out
+
+
 def unreconstructed_images(module, degree, action=None):
     """Indices of the source columns whose coboundary image differs from
     the plain C^(degree + 2) member with the coordinates that the complex
-    keeps for it in its rows, read in the plain target basis (out of
-    degree 3 the rows at x1 >= x2 are rebuilt from the kept ones)."""
+    keeps for it in its rows (rows_at_every_plain_row)."""
     cx = CochainComplex(module, action)
     source = cx.basis(degree)
     target = cochain_space_basis(module, degree + 2)
     ambient = module.system.dim ** (degree + 2) * module.dim
     images = list(_coboundary_images(module, degree, source.columns, DEFAULT_CAPS))
     columns = [{} for _ in images]
-    for i, row in cx._coordinate_rows(degree, target).items():
+    for i, row in rows_at_every_plain_row(cx, degree).items():
         assert i in range(len(target))
         for j, v in row.items():
             columns[j][i] = v
