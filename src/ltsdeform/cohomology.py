@@ -435,13 +435,13 @@ def _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, den, fiel
     is given.  At degree 3 the prefix of C^5 is its first pair: pair n
     keeps f's (y1, y2), so first drops the table of an entry whose y1 >= y2
     at once, and pair 1 inserts (a, c), so its D and substitution terms are
-    kept only at a < c, numbered by first.  The images of C^3 cochains are
-    alternating in (x1, x2), which is why nothing else is lost: at x1 = x2
-    the theta and pair-2 terms vanish by f's square condition, the pair-1
-    D term as D(x, x) = 0, and the pair-1 substitutions as [x x y] = 0,
-    which _check_bracket ensures; polarize.  An image of C^5 is not
-    alternating in any pair (D(x1, x2) f(x3, ..) breaks it), so first is
-    read at degree 3 alone."""
+    kept only at a < c, numbered by first.  Nothing else is lost, as the
+    images of C^3 cochains are alternating in (x1, x2): at x1 = x2 the
+    theta and pair-2 terms vanish by f's square condition, the pair-1 D
+    term as D(x, x) = 0, and the pair-1 substitutions as [x x y] = 0,
+    which _check_bracket ensures, and polarization gives the sign change
+    under the swap.  An image of C^5 is not alternating in any pair
+    (D(x1, x2) f(x3, ..) breaks it), so first is read at degree 3 alone."""
     n = (degree + 1) // 2
     d3 = d ** 3
     last = {}
