@@ -220,6 +220,7 @@ def cmd_deform_check(args):
         if args.order < defo.order:
             raise UsageError("--order %d is below the document's top term %d"
                              % (args.order, defo.order))
+        caps.check_ambient((args.order + 1) * defo.system.dim ** 4, what="deformation series")
         defo = pad_deformation(defo, args.order)
     rep = check_deformation_equations(defo)
     fld = defo.system.field

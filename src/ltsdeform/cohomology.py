@@ -8,8 +8,9 @@ value coordinate).  A degree-(2n+1) cochain is constrained, for n >= 1, by
 f(x_1,...,x_{2n-2},x,x,y) = 0 and the cyclic sum over the last three
 arguments; degree 1 is the full Hom(T, V).  Both constraints come from
 the permutation tables lts.SKEW and lts.CYCLIC, which give the witnesses
-of cochain_violations and, applied to unit tensors, the constraint rows
-of the basis.  They touch only the last three slots with a common prefix,
+of cochain_violations, its verdict on the bracket, and, applied to the
+unit tensors stacked along a leading slot, the constraint rows of the
+basis.  They touch only the last three slots with a common prefix,
 so the constraint matrix is block diagonal over prefixes with one
 repeated block; its unique reduced-echelon nullspace is assembled from
 the kernel of that single block.
@@ -70,8 +71,7 @@ from .caps import DEFAULT_CAPS
 from .groups import apply_group_sparse, generators, self_module_action
 from .linalg import (LinAlgError, Matrix, RrefAccumulator, canonical_kernel,
                      nullspace_from_rref, rref_rows, solve_rows)
-from .lts import (CYCLIC, SKEW, AxiomReport, StructureTensor, permutation_hits,
-                  permuted_sum, skew_hits)
+from .lts import CYCLIC, AxiomReport, StructureTensor, permutation_hits, skew_hits
 
 
 class SpanError(ValueError):
@@ -118,13 +118,16 @@ def _conditions(c):
 def three_slot_constraint_rows(d, m, field):
     """Constraint rows on a trilinear block, one per condition, witness and
     value coordinate, in that order: the conditions applied to each unit
-    tensor of one value coordinate, repeated for every coordinate."""
+    tensor of one value coordinate, repeated for every coordinate.  The
+    unit tensors are stacked along a leading slot, so that one call of the
+    conditions gives every row: a witness is (unit, triple)."""
+    d3 = d ** 3
+    units = StructureTensor((d3, d, d, d), 1, {t * d3 + t: field.one for t in range(d3)},
+                            field)
     rows = {}
-    for t in range(d ** 3):
-        unit = StructureTensor((d, d, d), 1, {t: field.one}, field)
-        for n, (_, hits) in enumerate(_conditions(unit)):
-            for witness, (v,) in hits:
-                rows.setdefault((n, witness), {})[t] = v
+    for n, (_, hits) in enumerate(_conditions(units)):
+        for (t, *witness), (v,) in hits:
+            rows.setdefault((n, tuple(witness)), {})[t] = v
     return [{t * m + a: v for t, v in rows[key].items()} for key in sorted(rows)
             for a in range(m)]
 
@@ -569,18 +572,9 @@ def _check_bracket(module):
     conditions.  Then every coboundary image lies in C^(k+2), and in
     C_G^(k+2) under a validated action, whatever the module: in its last
     three slots the theta terms and the last D term cancel (D is read off
-    theta), the rest keep f's conditions, but for -f(.., [a b c]).
-
-    The verdict of cochain_violations, without its witnesses: the bracket
-    has no entry at i = j, and its sums over the tables SKEW and CYCLIC
-    vanish (the SKEW sum at i = j is twice the diagonal, at i > j that at
-    i < j)."""
-    mu = module.system.mu
-    d = mu.dims[0]
-    if (mu.field.sparse((key, v) for key, v in mu.entries.items()
-                        if key // (d ** 3) == key // (d * d) % d)
-            or not permuted_sum([(mu, perm) for perm in SKEW]).is_zero()
-            or not permuted_sum([(mu, perm) for perm in CYCLIC]).is_zero()):
+    theta), the rest keep f's conditions, but for -f(.., [a b c]).  The
+    verdict is that of cochain_violations on the bracket."""
+    if not cochain_violations(module.system.mu).passed:
         raise LinAlgError(
             "a coboundary image escapes the target cochain space: the bracket "
             "or the module fails the Lie triple system (module) axioms; check "

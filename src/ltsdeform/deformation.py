@@ -24,7 +24,8 @@ equivalence testing, trivialization, and the rigidity certificate.
 Terms and cochains are sparse StructureTensors; a term list is validated
 by one cochain_violations and one equivariance_failure call.  Gauge
 transformations, equivalence and trivialization read a deformation modulo
-t^(cap+1): its terms through the cap, zero-padded above its own order.
+t^(cap+1): its terms through the cap, zero-padded above its own order,
+after the (cap + 1) * d^4 entries of that dense series pass the ambient cap.
 Gauge composition is one series transform (tensorops.transform_series),
 and check_equivalence reads its order-k cochains off the same transform,
 whose last slot pass forms coefficient k alone.
@@ -354,6 +355,7 @@ def check_equivalence(defo_a, defo_b, cap_order, caps=DEFAULT_CAPS):
     over QQ absorbs a difference by a derivation D, needs D^k / k! (a
     gauge-trivial meson(3) deformation over GF(2) reads obstructed).
     """
+    caps.check_ambient((cap_order + 1) * defo_a.system.dim ** 4, what="deformation series")
     defo_a, defo_b = _modulo(defo_a, cap_order), _modulo(defo_b, cap_order)
     if defo_a.system is not defo_b.system and defo_a.system != defo_b.system:
         raise DeformationError("deformations live on different systems")
@@ -397,6 +399,7 @@ def trivialize(defo, cap_order, caps=DEFAULT_CAPS):
     GF(p) with p <= cap_order "reduced" is no proof of nontriviality: only
     the canonical psi is tried (see check_equivalence).
     """
+    caps.check_ambient((cap_order + 1) * defo.system.dim ** 4, what="deformation series")
     cur = _modulo(defo, cap_order)
     system = defo.system
     action = defo.action

@@ -278,12 +278,12 @@ def deformation_from_document(doc):
 
 def deformation_terms(raw_terms, dim, fld, caps=DEFAULT_CAPS):
     """Materialize (order, raw_entries) pairs into order-indexed tensors; the
-    dim^4 entries of the dense form are checked against the ambient cap
-    first."""
-    caps.check_ambient(dim ** 4, what="deformation term tensor")
+    (top + 1) * dim^4 entries of the dense series mu_0..mu_top are checked
+    against the ambient cap first."""
+    top = max((order for order, _ in raw_terms), default=0)
+    caps.check_ambient((top + 1) * dim ** 4, what="deformation series")
     by_order = {}
     for order, raw in raw_terms:
         by_order[order] = _parse_quadruples(raw, dim, dim, fld, "term %d" % order)
-    top = max(by_order) if by_order else 0
     zero = StructureTensor.zero((dim, dim, dim), dim, fld)
     return [by_order.get(i, zero) for i in range(1, top + 1)]

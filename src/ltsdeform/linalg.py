@@ -351,6 +351,7 @@ class RrefAccumulator:
     column becomes a pivot.  The column's list is then dropped, since no
     row ever gains a pivot column again.  Every row that holds the column
     is eliminated, as by a full scan, so the pivot rows are the same.
+    The lists of the free columns stay, and kernel_basis reads them.
     """
 
     def __init__(self, field, key=None):
@@ -496,23 +497,22 @@ class RrefAccumulator:
         without dividing: the vector of free column f is its
         nullspace_from_rref column times the lcm of the pivot entries of the
         rows that hold f, so over QQ its entries are ints.  canonical_kernel
-        takes it as it is."""
+        takes it as it is.  The rows that hold f are read from the index
+        of add, which may list a row twice or list a row that lost f
+        again."""
         rows = self._rows
         p = self.field.char
-        free = [c for c in range(ncols) if c not in rows]
-        holders = {f: [] for f in free}
-        for pc, prow in rows.items():
-            for c in prow:
-                if c != pc:
-                    holders[c].append(pc)
         out = []
-        for f in free:
+        for f in range(ncols):
+            if f in rows:
+                continue
+            holders = [pc for pc in self._holders.get(f, ()) if f in rows[pc]]
             if p:
-                z = {pc: -rows[pc][f] % p for pc in holders[f]}
+                z = {pc: -rows[pc][f] % p for pc in holders}
                 z[f] = 1
             else:
-                scale = lcm(*(rows[pc][pc] for pc in holders[f]))
-                z = {pc: -rows[pc][f] * (scale // rows[pc][pc]) for pc in holders[f]}
+                scale = lcm(*(rows[pc][pc] for pc in holders))
+                z = {pc: -rows[pc][f] * (scale // rows[pc][pc]) for pc in holders}
                 z[f] = scale
             out.append(z)
         return out

@@ -225,9 +225,10 @@ def skew_hits(tensor, polarized_diagonal=True):
     reports also list the polarized sum at i = j, twice the diagonal value
     (zero in characteristic 2), after it; the cochain conditions do not."""
     fld = tensor.field
-    diag = [h for h in value_vectors(fld.sparse(tensor.entries.items()),
-                                     tensor.dims + (tensor.dim_out,), fld.zero)
-            if h[0][-3] == h[0][-2]]
+    *_, n0, n1, n2, m = dims = tensor.dims + (tensor.dim_out,)
+    diag = list(value_vectors(fld.sparse((key, v) for key, v in tensor.entries.items()
+                                         if key // (n1 * n2 * m) % n0 == key // (n2 * m) % n1),
+                              dims, fld.zero))
     polar = [h for h in permutation_hits([(tensor, p) for p in SKEW])
              if h[0][-3] < h[0][-2] or polarized_diagonal and h[0][-3] == h[0][-2]]
     return sorted(diag + polar, key=lambda h: h[0])

@@ -12,7 +12,8 @@ from ltsdeform.groups import (GroupActionError, _subgroup, equivariance_failure,
                               self_module_action)
 from ltsdeform.linalg import (QQ, LinAlgError, Matrix, RrefAccumulator, nullspace_from_rref,
                               rref_rows, solve_rows)
-from ltsdeform.lts import AxiomReport, StructureTensor, Violation, theta_module
+from ltsdeform.lts import (CYCLIC, SKEW, AxiomReport, StructureTensor, Violation,
+                           permuted_sum, theta_module)
 from ltsdeform.tensorops import slot_indices, transform_series
 
 
@@ -591,6 +592,19 @@ def cochain_violations_loop(c, all_witnesses=False):
             if any(w):
                 rec.hit(axiom, pre + witness, w)
     return rec.report()
+
+
+def bracket_passes_reference(module):
+    """Reference for cohomology._check_bracket, written out on the tables:
+    True when the bracket has no entry at i = j and its sums over SKEW and
+    CYCLIC vanish (the SKEW sum at i = j is twice the diagonal, at i > j
+    that at i < j)."""
+    mu = module.system.mu
+    d = mu.dims[0]
+    return not (mu.field.sparse((key, v) for key, v in mu.entries.items()
+                                if key // (d ** 3) == key // (d * d) % d)
+                or not permuted_sum([(mu, perm) for perm in SKEW]).is_zero()
+                or not permuted_sum([(mu, perm) for perm in CYCLIC]).is_zero())
 
 
 def theta_basis(module, i, j):

@@ -279,6 +279,28 @@ def test_oversized_bracket_is_capped_before_allocation(tmp_path, capsys):
         assert_one_line_error(capsys, "cap exceeded:")
 
 
+def test_long_deformation_series_are_capped_before_allocation(tmp_path, capsys):
+    # mu_0..mu_100 of meson2 hold 101 * 2^4 = 1616 dense entries: the
+    # order of a document, --order of deform-check and --cap of deform-equiv
+    # and deform-trivialize are checked against the cap before any series
+    # is built
+    doc = load_document(bundled_path("meson2_swap_t2.json").read_text())
+    doc["terms"] = [{"order": 100, "entries": []}]
+    far = tmp_path / "far.json"
+    far.write_text(dump_document(doc))
+    for name in ("meson2.json", "meson2_swap.json"):
+        shutil.copy(data(name), tmp_path / name)
+    t2, trivial = data("meson2_swap_t2.json"), data("meson2_swap_trivial.json")
+    for argv in (("deform-equiv", t2, trivial, "--cap", "100"),
+                 ("deform-trivialize", t2, "--cap", "100"),
+                 ("deform-check", t2, "--order", "100"),
+                 ("deform-check", str(far))):
+        assert run_cli(*argv, "--max-ambient", "1000") == 3
+        assert_one_line_error(capsys, "cap exceeded: deformation series with 1616 entries")
+    assert run_cli("deform-check", t2, "--order", "100", "--max-ambient", "1616") == 0
+    assert run_cli("deform-check", str(far), "--max-ambient", "1616") == 0
+
+
 def test_parser_is_built_once(monkeypatch, capsys):
     import ltsdeform.cli as cli
 

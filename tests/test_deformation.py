@@ -533,7 +533,6 @@ def gauge_cases(draw):
     name = draw(st.sampled_from(GAUGE_SYSTEMS))
     fld = draw(st.sampled_from(GAUGE_FIELDS))
     system, action, basis = gauge_setting(name, fld)
-    d = system.dim
     cap = draw(st.integers(1, 4))
     small = st.integers(-2, 2)
 
@@ -543,14 +542,24 @@ def gauge_cases(draw):
     # the order may exceed the cap: apply_isomorphism reads modulo t^(cap+1)
     order = draw(st.integers(0, cap + 1))
     defo = make_deformation(system, action, [system.mu] + [term() for _ in range(order)])
+    return defo, draw(gauge_isomorphisms(name, fld, cap)), cap
+
+
+@st.composite
+def gauge_isomorphisms(draw, name, fld, order):
+    """An equivariant formal isomorphism of the gauge setting with small
+    integer coefficients, psi_1..psi_k for k drawn up to order."""
+    system, action, _ = gauge_setting(name, fld)
+    d = system.dim
+    small = st.integers(-2, 2)
     mats = [Matrix.identity(d, fld)]
-    for _ in range(draw(st.integers(0, cap))):
+    for _ in range(draw(st.integers(0, order))):
         if name == "meson2-swap":
             a, b = draw(small), draw(small)
             mats.append(Matrix([[a, b], [b, a]], fld))
         else:
             mats.append(Matrix([[draw(small) for _ in range(d)] for _ in range(d)], fld))
-    return defo, make_formal_isomorphism(action, mats), cap
+    return make_formal_isomorphism(action, mats)
 
 
 @settings(max_examples=40, deadline=None)
@@ -581,6 +590,41 @@ def test_the_gauge_gap_equals_the_two_series_difference(case):
         assert series[k] == _gauge(defo, psis, phis, k)[k]
         gap = series[k] - gauged.terms[k]
         assert gap == equivalence_gap_two_series(defo, gauged, psis.terms, k)
+
+
+@st.composite
+def extension_cases(draw):
+    """A deformation whose order equations hold: a gauge of the trivial
+    deformation of a gauge setting, whose obstructions vanish, or an
+    order-1 deformation of the abelian plane, whose coboundaries vanish, so
+    that its obstruction has a preimage exactly when it is zero, as for a
+    multiple of the meson bracket."""
+    fld = draw(st.sampled_from(GAUGE_FIELDS))
+    name = draw(st.sampled_from(GAUGE_SYSTEMS + ("plane",)))
+    small = st.integers(-2, 2)
+    if name != "plane":
+        system, action, _ = gauge_setting(name, fld)
+        trivial = make_deformation(system, action, [system.mu])
+        return apply_isomorphism(trivial, draw(gauge_isomorphisms(name, fld, 3)),
+                                 draw(st.integers(0, 3)))
+    system = make_system(["x", "y"], StructureTensor.zero((2, 2, 2), 2, fld), fld)
+    if draw(st.booleans()):
+        term = meson(2, fld).mu.scale(draw(small))
+    else:
+        basis = cochain_space_basis(self_module(system), 3)
+        term = basis.combine([draw(small) for _ in basis.columns])
+    return make_deformation(system, trivial_action(system), [system.mu, term])
+
+
+@settings(max_examples=30, deadline=None)
+@given(extension_cases())
+def test_extend_appends_the_obstruction_preimage_exactly_when_there_is_one(defo):
+    ob = obstruction(defo)
+    extended = extend(defo)
+    assert (extended is None) == (ob.preimage is None)
+    if extended is not None:
+        assert extended.terms[:-1] == defo.terms
+        assert extended.terms[-1] == ob.preimage
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The scripts under scripts/ and the README's Python example run and
-print what they did when these tests were written."""
+print what they did when these tests were written, or, for the line
+count, print a well-formed table."""
 
 import os
 import re
@@ -60,6 +61,19 @@ def test_rigidity_scan_verdicts():
     assert proc.returncode == 0, proc.stderr
     stripped = [re.sub(r"\s*\(\d+\.\d+s\)$", "", line) for line in proc.stdout.splitlines()]
     assert "\n".join(stripped) + "\n" == RIGIDITY_SCAN
+
+
+def test_code_lines_counts_every_module_and_the_total():
+    proc = run_python(["scripts/code_lines.py"])
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    modules = sorted(path.name for path in (ROOT / "src" / "ltsdeform").glob("*.py"))
+    assert [row[0] for row in rows] == modules + ["total"]
+    counts = [(int(row[1]), int(row[3])) for row in rows]
+    assert all(0 < code < every for code, every in counts[:-1])
+    assert counts[-1] == tuple(map(sum, zip(*counts[:-1])))
+    init = (ROOT / "src" / "ltsdeform" / "__init__.py").read_text().splitlines()
+    assert counts[0][1] == len(init)
 
 
 def test_readme_python_example():

@@ -4,12 +4,14 @@ module actions that must be representations."""
 
 import functools
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import oracles
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import act_dense, generators_every_candidate, invariant_basis_all_elements
 from test_cohomology import UNIMODULAR, changed_basis
 
@@ -20,6 +22,10 @@ from ltsdeform.groups import (GroupActionError, _subgroup, apply_group_sparse, g
                               sign_action, transpose_action_on_rect)
 from ltsdeform.linalg import Matrix, PrimeField, QQ
 from ltsdeform.lts import make_system, meson, self_module, skew_lts, StructureTensor
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench import expected, gen  # noqa: E402
 
 GF = PrimeField(10007)
 FIELDS = [QQ, GF]
@@ -152,6 +158,37 @@ def test_conjugated_d4_invariant_degree5_basis_is_fixed_by_every_element():
         for g in range(conj.size):
             if g != conj.identity_index:
                 assert act_dense(conj, module_action, g, 5, data) == data
+
+
+PERFBENCH_TEMPLATES = sorted(key for key in expected.TEMPLATE_ORDERS
+                             if key[0] in ("meson2", "meson3"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(PERFBENCH_TEMPLATES), st.sampled_from([QQ, PrimeField(7)]),
+       st.one_of(st.none(), st.integers(0, 2 ** 16)), st.booleans())
+def test_invariant_columns_are_fixed_by_every_element(template, fld, seed, degree5):
+    # the basis is the kernel of (g.c - c) for the generators alone: every
+    # element, in the template's canonical basis or conjugated into a
+    # seeded unimodular one, must fix each column; degree 5 at d = 2 only
+    label, name = template
+    d = int(label[-1])
+    degree = 5 if degree5 and d == 2 else 3
+    system = meson(d, fld)
+    mats = [Matrix(m, fld) for m in expected.template_elements(label, name)]
+    if seed is not None:
+        p, pinv = (Matrix(m, fld) for m in gen.unimodular(d, random.Random(seed)))
+        system = changed_basis(system, p, pinv)
+        mats = [pinv * m * p for m in mats]
+    action = make_group_action(system, [("g%d" % k, m) for k, m in enumerate(mats)])
+    module = self_module(system)
+    module_action = self_module_action(action, module)
+    ambient = d ** degree * d
+    for col in cochain_space_basis(module, degree, action).columns:
+        data = [fld(col.get(pos, 0)) for pos in range(ambient)]
+        for g in range(action.size):
+            moved = act_dense(action, module_action, g, degree, data)
+            assert [fld(v) for v in moved] == data
 
 
 def test_invariant_basis_moves_each_basis_once_per_generator(monkeypatch):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,6 +270,28 @@ def test_fraction_free_rows_with_non_unit_pivot_entries():
     assert acc.rank == 2
     assert acc.pivots == {0: {0: 1, 2: Fraction(-4, 3), 3: 2}, 1: {1: 1, 2: Fraction(11, 3)}}
     assert_canonical(acc.pivots)
+
+
+def test_kernel_basis_skips_stale_and_repeated_holders():
+    # row 0 gains the free column 5 when pivot 1 is eliminated from it,
+    # loses it to pivot 2 and gains it again from pivot 3, so the index
+    # lists it twice under 5; row 1 loses 5 to pivot 4 and stays listed
+    rows = [{0: 2, 1: 1, 2: 1}, {1: 1, 4: 1, 5: 1}, {2: 1, 5: -1, 3: 1},
+            {3: 3, 5: 3, 4: 1}, {4: 1, 5: 1}]
+    for fld in (QQ, PrimeField(7)):
+        acc = RrefAccumulator(fld)
+        for row in rows:
+            acc.add(row)
+        assert acc._holders[5].count(0) == 2 and 5 in acc._rows[0]
+        assert 1 in acc._holders[5] and 5 not in acc._rows[1]
+        cols, free = nullspace_from_rref(rref_rows(rows, fld), 6, fld)
+        kernel = acc.kernel_basis(6)
+        assert len(kernel) == len(cols) == 1
+        for z, col, f in zip(kernel, cols, free):
+            scale = 1 if fld.char else lcm(*(acc._rows[pc][pc] for pc in col if pc != f))
+            assert z == {c: v * scale for c, v in col.items()}
+        if not fld.char:
+            assert kernel[0][5] == 6
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,21 @@
 and verify_module on perturbed self-modules, whose left, right and middle
 actions (and the bracket) are perturbed independently, must give the
 reports of oracles.verify_lts_loop and verify_module_loop, violation for
-violation, in every field and with or without every witness; and
-cochain_violations must give the report of cochain_violations_loop."""
+violation, in every field and with or without every witness, and the
+bracket check of the cochain complex must reject exactly the brackets
+that bracket_passes_reference rejects; and cochain_violations must give
+the report of cochain_violations_loop."""
 
 from functools import lru_cache
 from math import prod
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import cochain_violations_loop, verify_lts_loop, verify_module_loop
+from oracles import (bracket_passes_reference, cochain_violations_loop, verify_lts_loop,
+                     verify_module_loop)
 
-from ltsdeform.cohomology import cochain_violations
-from ltsdeform.linalg import PrimeField, QQ
+from ltsdeform.cohomology import _check_bracket, cochain_violations
+from ltsdeform.linalg import LinAlgError, PrimeField, QQ
 from ltsdeform.lts import (LieTripleSystem, LtsModule, StructureTensor, meson,
                            self_module, sym_lts, verify_lts, verify_module)
 
@@ -46,6 +50,10 @@ changes = st.dictionaries(st.integers(0, 10 ** 6), st.integers(-2, 2), max_size=
 @example("meson3", "GF7", {"mu": {}, "left": {}, "right": {40: 3}, "middle": {}}, False)
 @example("sym2", "GF2", {"mu": {1: 1}, "left": {0: 1}, "right": {}, "middle": {7: 1}},
          True)
+# [e0 e0 e1] = 2 e0, [e0 e1 e0] = [e1 e0 e0] = -e0: the square condition
+# fails and the cyclic one holds
+@example("meson2", "QQ", {"mu": {2: 2, 4: -1, 8: -1}, "left": {}, "right": {}, "middle": {}},
+         False)
 def test_sparse_reports_equal_the_pointwise_references(label, field, edits, all_witnesses):
     base = base_module(label, field)
     fld = FIELDS[field]
@@ -58,6 +66,11 @@ def test_sparse_reports_equal_the_pointwise_references(label, field, edits, all_
     assert verify_lts(parts["mu"], all_witnesses) == verify_lts_loop(parts["mu"],
                                                                      all_witnesses)
     assert verify_module(module, all_witnesses) == verify_module_loop(module, all_witnesses)
+    if bracket_passes_reference(module):
+        _check_bracket(module)
+    else:
+        with pytest.raises(LinAlgError):
+            _check_bracket(module)
 
 
 def test_a_perturbed_theta_breaks_both_relations_in_place():
