@@ -36,16 +36,18 @@ They are kept once, as sparse rows, for the plain and the invariant
 complex alike.  A solve (linalg.solve_rows) reduces the right-hand side as
 the augmented column of those rows, with free variables zero.
 
-Out of degree 3, only the rows whose first pair has x1 < x2 are kept.  C^5
-puts no condition on its first pair, but every image of a 3-cochain f
-vanishes at x1 = x2, term by term and in every characteristic: the theta
-and pair-2 terms by f's square condition, the pair-1 D term as D(x, x) =
-0, and the pair-1 substitutions as [x x y] = 0.  By polarization the image
-is alternating in (x1, x2), so the other rows are zero or the negatives of
-kept ones: the kernel and every rank stay, and the rows are rebuilt by
-negation only where coordinates in a basis of C^5 are read.  Images of
-5-cochains are not alternating in any pair (D(x1, x2) f(x3, ..) breaks it),
-so every other degree keeps all its rows.
+Out of degree 3, only the plain free rows of C^5 whose first pair has x1 <
+x2 are kept, under their own row numbers: a test on the row number, with
+no second index.  C^5 puts no condition on its first pair, but every
+image of a 3-cochain f vanishes at x1 = x2, term by term and in every
+characteristic: the theta and pair-2 terms by f's square condition, the
+pair-1 D term as D(x, x) = 0, and the pair-1 substitutions as [x x y] =
+0.  By polarization the image is alternating in (x1, x2), so the other
+rows are zero or the negatives of kept ones: the kernel and every rank
+stay, and the rows are rebuilt by negation only where coordinates in a
+basis of C^5 are read.  Images of 5-cochains are not alternating in any
+pair (D(x1, x2) f(x3, ..) breaks it), so every other degree keeps all its
+rows.
 
 Every echelon form here is the unique reduced one in index order (the
 three-slot kernel, the invariant-basis rows, the coboundary span, the
@@ -280,47 +282,17 @@ def cochain_space_basis(module, degree, action=None, module_action=None,
 # the coboundary
 
 
-def _every_position(d, m, field):
-    """The identity index of a three-slot block: every position is a row
-    and every prefix is kept, so an image is keyed by its ambient
-    positions."""
-    block = d ** 3 * m
-    return range(block), block, None
-
-
 @cache
 def _plain_free_index(d, m, field):
     """index[pos] of each position of a three-slot block, its place among
-    the free positions of _three_slot_kernel or -1 if it is not free, the
-    number of free positions, and None: every prefix is kept."""
+    the free positions of _three_slot_kernel or -1 if it is not free, and
+    the number nw of free positions: the plain free row of C^k at prefix
+    number q and block position pos is q * nw + index[pos]."""
     _, wfree = _three_slot_kernel(d, m, field)
     index = [-1] * (d ** 3 * m)
     for i, pos in enumerate(wfree):
         index[pos] = i
-    return index, len(wfree), None
-
-
-@cache
-def _first_pairs(d):
-    """(place, pairs) of the first pairs x1 < x2 of C^5, in lexicographic
-    order: place[x1 * d + x2] is the number of the pair, or -1 when x1 >=
-    x2, and pairs[q] is (x1 * d + x2, x2 * d + x1) for the pair numbered q."""
-    place = [-1] * (d * d)
-    pairs = []
-    for a in range(d):
-        for b in range(a + 1, d):
-            place[a * d + b] = len(pairs)
-            pairs.append((a * d + b, b * d + a))
-    return place, pairs
-
-
-def _half_free_index(d, m, field):
-    """_plain_free_index with the first pair of C^5 cut to x1 < x2, for the
-    images of degree-3 cochains alone (CochainComplex.rows): the rows of
-    the prefix (x1, x2) are numbered by the place of the pair in
-    _first_pairs, and the other prefixes are dropped."""
-    index, nw, _ = _plain_free_index(d, m, field)
-    return index, nw, _first_pairs(d)[0]
+    return index, len(wfree)
 
 
 def _integral(v, den):
@@ -368,7 +340,7 @@ def _coefficient_tables(module):
     return theta, dop, inverse_bracket, den
 
 
-def _coboundary_images(module, degree, cochains, caps, block_index=_every_position,
+def _coboundary_images(module, degree, cochains, caps, free_rows=False,
                        tables=_coefficient_tables):
     """Sparse coboundary image {row: scalar} of each sparse degree-(2n-1)
     cochain {ambient position: scalar}, yielded one at a time.  The terms
@@ -390,17 +362,12 @@ def _coboundary_images(module, degree, cochains, caps, block_index=_every_positi
     through the inverse bracket index l -> [(a, c, e, coef)] of
     tables(module), by default _coefficient_tables.
 
-    Entries are assembled only at the rows that are read.  C^(k+2) is
-    d^(k-1) prefix copies of one block over its last three slots and the
-    value, and block_index(d, m, field) gives (index, nw, first): the entry
-    at prefix * block + local goes to row prefix * nw + index[local], or is
-    dropped when index[local] is -1.  The default, _every_position, keys an
-    image by its ambient positions; _plain_free_index keys it by the plain
-    free positions of C^(k+2).  first is None, or, for degree 3 only, the
-    place of each first pair of C^5 (_half_free_index): the prefix x1 * d +
-    x2 then moves to row prefix first[x1 * d + x2], or is dropped when that
-    is -1.  The degree and the caps are checked on the call, before the
-    index or any table is built.
+    Entries are assembled only at the rows that are read.  By default an
+    image is keyed by its ambient positions.  With free_rows it is keyed by
+    the plain free rows of C^(k+2) (_plain_free_index), and the entries at
+    other positions are dropped; out of degree 3 only the rows whose first
+    pair has x1 < x2 are kept (CochainComplex.rows).  The degree and the
+    caps are checked on the call, before the index or any table is built.
     """
     if degree < 1 or degree % 2 == 0:
         raise LinAlgError("cochain degree must be odd and >= 1")
@@ -409,15 +376,21 @@ def _coboundary_images(module, degree, cochains, caps, block_index=_every_positi
     field = module.system.field
     caps.check_degree(degree + 2)
     caps.check_ambient(d ** (degree + 2) * m)
-    index, nw, first = block_index(d, m, field)
+    if free_rows:
+        index, nw = _plain_free_index(d, m, field)
+    else:
+        index, nw = range(d ** 3 * m), d ** 3 * m
     theta, dop, inverse_bracket, den = tables(module)
     return _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, den, field,
-                         index, nw, first)
+                         index, nw, free_rows and degree == 3)
 
 
 def _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, den, field, index, nw,
-                  first):
+                  cut):
     """The images of _coboundary_images, from its tables, one at a time.
+    C^(k+2) is d^(k-1) prefix copies of one block over its last three slots
+    and the value: the entry at prefix * block + local goes to row prefix *
+    nw + index[local], or is dropped when index[local] is -1.
 
     The terms are grouped by the argument slots that keep their prefix, so
     that a dropped block position costs one test per group, not per term:
@@ -434,21 +407,23 @@ def _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, den, fiel
     Each column is scaled by the lcm of its denominators, pushed on ints,
     and each image entry divided once by that lcm times den.
 
-    The prefix of every term goes through heads, the identity unless first
-    is given.  At degree 3 the prefix of C^5 is its first pair: pair n
-    keeps f's (y1, y2), so first drops the table of an entry whose y1 >= y2
-    at once, and pair 1 inserts (a, c), so its D and substitution terms are
-    kept only at a < c, numbered by first.  Nothing else is lost, as the
-    images of C^3 cochains are alternating in (x1, x2): at x1 = x2 the
-    theta and pair-2 terms vanish by f's square condition, the pair-1 D
-    term as D(x, x) = 0, and the pair-1 substitutions as [x x y] = 0,
-    which _check_bracket ensures, and polarization gives the sign change
-    under the swap.  An image of C^5 is not alternating in any pair
-    (D(x1, x2) f(x3, ..) breaks it), so first is read at degree 3 alone."""
+    With cut, at degree 3, the prefix of C^5 is its first pair, and heads
+    drops every prefix x1 * d + x2 with x1 >= x2: pair n keeps f's (y1,
+    y2), so the table of an entry whose y1 >= y2 is skipped at once, and
+    pair 1 inserts (a, c), so its D and substitution terms are kept only
+    at a < c.  Nothing else is lost, as the images of C^3 cochains are
+    alternating in (x1, x2): at x1 = x2 the theta and pair-2 terms vanish
+    by f's square condition, the pair-1 D term as D(x, x) = 0, and the
+    pair-1 substitutions as [x x y] = 0, which _check_bracket ensures, and
+    polarization gives the sign change under the swap.  An image of C^5 is
+    not alternating in any pair (D(x1, x2) f(x3, ..) breaks it), so the
+    cut is made at degree 3 alone."""
     n = (degree + 1) // 2
     d3 = d ** 3
     last = {}
-    heads = range(d ** (degree - 1)) if first is None else first
+    heads = range(d ** (degree - 1))
+    if cut:
+        heads = [h if h // d < h % d else -1 for h in heads]
 
     def last_table(w, y):
         sums = {}
@@ -671,7 +646,7 @@ class CochainComplex:
         free in the block's kernel, and its row is pos // block times the
         block's free count plus the place of pos % block among them."""
         d, m = self.module.system.dim, self.module.dim
-        index, nw, _ = _plain_free_index(d, m, self.field)
+        index, nw = _plain_free_index(d, m, self.field)
         block = d ** 3 * m
         for vec in vectors:
             yield {pos // block * nw + i: v for pos, v in vec.items()
@@ -683,35 +658,33 @@ class CochainComplex:
         plain free positions of C^(degree + 2) in plain basis order.  The
         number of entries of each column, its image length, is kept too.
 
-        Out of degree 3 the rows are those at the first pairs x1 < x2 of
-        C^5 alone (_half_free_index), the row of pair number q at q * nw +
-        i.  Every image of C^3 is alternating in (x1, x2), so these rows
-        have the kernel Z^3 and the rank of all of them, and each image
-        length is half the full one; _unfold rebuilds the rest.
-        Images of C^5 are not alternating in any pair: other degrees keep
-        every plain free row."""
+        Out of degree 3 only the plain free rows of C^5 whose first pair
+        has x1 < x2 are kept: the row (x1 * d + x2) * nw + i, nw the free
+        count of a block, is present only when x1 < x2.  Every image of C^3
+        is alternating in (x1, x2), so these rows have the kernel Z^3 and
+        the rank of all of them, and each image length is half the full
+        one; _unfold rebuilds the rest.  Images of C^5 are not alternating
+        in any pair: other degrees keep every plain free row."""
         if degree not in self._rows:
-            index = _half_free_index if degree == 3 else _plain_free_index
             images = _coboundary_images(self.module, degree, self.basis(degree).columns,
-                                        self.caps, index, self._tables)
+                                        self.caps, True, self._tables)
             lengths = self._image_lengths[degree] = []
             self._rows[degree] = _transpose(enumerate(images), lengths)
         return self._rows[degree]
 
     def _unfold(self, vec):
-        """A vector at the rows of rows(3), the first pairs x1 < x2 of C^5,
-        as the alternating vector {plain row: scalar} with those entries:
-        negated at (x2, x1), zero at (x, x)."""
+        """A vector at the rows of rows(3), the plain free rows of C^5 with
+        first pair x1 < x2, as the alternating vector {plain row: scalar}
+        with those entries: negated at the mirror row (x2, x1), zero at (x,
+        x)."""
         d = self.module.system.dim
-        _, nw, _ = _plain_free_index(d, self.module.dim, self.field)
-        pairs = _first_pairs(d)[1]
+        _, nw = _plain_free_index(d, self.module.dim, self.field)
         p = self.field.char
-        out = {}
+        out = dict(vec)
         for r, v in vec.items():
-            q, i = divmod(r, nw)
-            ab, ba = pairs[q]
-            out[ab * nw + i] = v
-            out[ba * nw + i] = p - v if p else -v
+            pair, i = divmod(r, nw)
+            a, b = divmod(pair, d)
+            out[(b * d + a) * nw + i] = p - v if p else -v
         return out
 
     def cohomology(self, degree, want_representatives=True):
@@ -753,7 +726,7 @@ class CochainComplex:
         # echelon rows out and build the cocycle kernel, whose basis in the
         # pivot order above is made canonical again.
         representatives = []
-        if want_representatives:
+        if want_representatives and dim_z > dim_b:
             zcols, _ = canonical_kernel(cocycles.kernel_basis(n), field)
             for z in zcols:
                 if acc.add(z):
@@ -771,8 +744,9 @@ class CochainComplex:
         the plain free positions.  Those rows have the kernel and so the
         canonical solution of the rows read in any basis of the target.  A
         cochain of degree 5 that is not alternating in its first pair is no
-        coboundary; one that is has the equations of the rows at x1 < x2
-        of rows(3) and no others, so it is solved on them alone.
+        coboundary; one that is has the equations of its plain free rows at
+        x1 < x2, the rows of rows(3), and no others, so it is solved on
+        them alone.
         """
         degree = len(c.dims)
         if degree < 3:
@@ -782,10 +756,8 @@ class CochainComplex:
         rhs, = self._at_plain_free([c.entries])
         if degree == 5:
             d = self.module.system.dim
-            _, nw, _ = _plain_free_index(d, self.module.dim, self.field)
-            place = _first_pairs(d)[0]
-            half = {place[r // nw] * nw + r % nw: v for r, v in rhs.items()
-                    if place[r // nw] >= 0}
+            _, nw = _plain_free_index(d, self.module.dim, self.field)
+            half = {r: v for r, v in rhs.items() if r // (d * nw) < r // nw % d}
             if self._unfold(half) != rhs:
                 return None
             rhs = half

@@ -531,6 +531,12 @@ def reynolds_project(action, module_action, degree, data):
     return [fld(inv * a) for a in acc]
 
 
+def projected_rank(action, module_action, degree, vectors, field):
+    """Dimension of the span of the group averages of dense vectors."""
+    averaged = (reynolds_project(action, module_action, degree, v) for v in vectors)
+    return len(rref_rows([{i: x for i, x in enumerate(v) if x} for v in averaged], field))
+
+
 # ---------------------------------------------------------------------------
 # cochain constraints and module operators
 

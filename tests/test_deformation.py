@@ -592,6 +592,22 @@ def test_the_gauge_gap_equals_the_two_series_difference(case):
         assert gap == equivalence_gap_two_series(defo, gauged, psis.terms, k)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GAUGE_SYSTEMS), st.sampled_from(GAUGE_FIELDS), st.integers(1, 4),
+       st.data())
+def test_two_gauges_of_the_trivial_deformation_are_found_equivalent(name, fld, cap, data):
+    # a and b are gauges of the same deformation, so they are equivalent,
+    # and the isomorphism found carries a onto b; GF(7) exceeds every cap
+    # here, so the canonical psi_k always extends
+    system, action, _ = gauge_setting(name, fld)
+    trivial = make_deformation(system, action, [system.mu])
+    a, b = (apply_isomorphism(trivial, data.draw(gauge_isomorphisms(name, fld, cap)), cap)
+            for _ in range(2))
+    result = check_equivalence(a, b, cap)
+    assert result.equivalent
+    assert apply_isomorphism(a, result.isomorphism, cap).terms == b.terms
+
+
 @st.composite
 def extension_cases(draw):
     """A deformation whose order equations hold: a gauge of the trivial

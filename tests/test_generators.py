@@ -7,12 +7,14 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import permutations, product
 from pathlib import Path
 
 import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import act_dense, generators_every_candidate, invariant_basis_all_elements
+from oracles import (act_dense, generators_every_candidate, invariant_basis_all_elements,
+                     projected_rank)
 from test_cohomology import UNIMODULAR, changed_basis
 
 from ltsdeform.cohomology import cochain_space_basis, cohomology
@@ -21,7 +23,8 @@ from ltsdeform.groups import (GroupActionError, _subgroup, apply_group_sparse, g
                               make_group_action, make_module_action, self_module_action,
                               sign_action, transpose_action_on_rect)
 from ltsdeform.linalg import Matrix, PrimeField, QQ
-from ltsdeform.lts import make_system, meson, self_module, skew_lts, StructureTensor
+from ltsdeform.lts import (function_lts, make_system, meson, self_module, skew_lts,
+                           StructureTensor)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
@@ -189,6 +192,55 @@ def test_invariant_columns_are_fixed_by_every_element(template, fld, seed, degre
         for g in range(action.size):
             moved = act_dense(action, module_action, g, degree, data)
             assert [fld(v) for v in moved] == data
+
+
+@functools.lru_cache(maxsize=None)
+def copies_action(label, s, fld):
+    """function_lts of s copies of a small system under S_s x {+-1}: each
+    element permutes the copies and scales by a sign, as a block
+    permutation matrix times the sign."""
+    system = function_lts({"meson2": lambda: meson(2, fld), "meson3": lambda: meson(3, fld),
+                           "skew3": lambda: skew_lts(3, fld)}[label](), s)
+    d = system.dim // s
+    mats = []
+    for perm, sign in product(permutations(range(s)), (1, -1)):
+        rows = [[0] * system.dim for _ in range(system.dim)]
+        for c, i in product(range(s), range(d)):
+            rows[perm[c] * d + i][c * d + i] = sign
+        mats.append(("g%d" % len(mats), Matrix(rows, fld)))
+    return system, make_group_action(system, mats)
+
+
+@st.composite
+def function_lts_actions(draw):
+    """s copies of meson(2), meson(3) or skew(3), over QQ or GF(7), under
+    the copy permutations and signs, and a degree: at most six basis
+    vectors in all, and at most four in degree 3, where the dense oracles
+    act on d^4 entries.  GF(7) divides no group order 2 * s!."""
+    label = draw(st.sampled_from(["meson2", "meson3", "skew3"]))
+    s = draw(st.integers(1, 3 if label == "meson2" else 2))
+    system, action = copies_action(label, s, draw(st.sampled_from([QQ, PrimeField(7)])))
+    return system, action, draw(st.sampled_from([1, 3] if system.dim <= 4 else [1]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(function_lts_actions())
+def test_invariant_basis_of_a_function_lts_is_fixed_and_has_the_averaged_dimension(case):
+    system, action, degree = case
+    fld = system.field
+    module = self_module(system)
+    module_action = self_module_action(action, module)
+    ambient = system.dim ** (degree + 1)
+
+    def dense_columns(basis):
+        return [[fld(col.get(pos, 0)) for pos in range(ambient)] for col in basis.columns]
+
+    invariant = dense_columns(cochain_space_basis(module, degree, action))
+    for data in invariant:
+        for g in range(action.size):
+            assert [fld(v) for v in act_dense(action, module_action, g, degree, data)] == data
+    plain = dense_columns(cochain_space_basis(module, degree))
+    assert len(invariant) == projected_rank(action, module_action, degree, plain, fld)
 
 
 def test_invariant_basis_moves_each_basis_once_per_generator(monkeypatch):
