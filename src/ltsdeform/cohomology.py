@@ -37,29 +37,28 @@ complex alike.  A solve (linalg.solve_rows) reduces the right-hand side as
 the augmented column of those rows, with free variables zero.
 
 Out of degree 3, only the plain free rows of C^5 whose first pair has x1 <
-x2 are kept, under their own row numbers: a test on the row number, with
-no second index.  C^5 puts no condition on its first pair, but every
-image of a 3-cochain f vanishes at x1 = x2, term by term and in every
-characteristic: the theta and pair-2 terms by f's square condition, the
-pair-1 D term as D(x, x) = 0, and the pair-1 substitutions as [x x y] =
-0.  By polarization the image is alternating in (x1, x2), so the other
-rows are zero or the negatives of kept ones: the kernel and every rank
-stay, and the rows are rebuilt by negation only where coordinates in a
-basis of C^5 are read.  Images of 5-cochains are not alternating in any
-pair (D(x1, x2) f(x3, ..) breaks it), so every other degree keeps all its
-rows.
+x2 are kept, under their own row numbers, so the cut is a test on the row
+number.  C^5 puts no condition on its first pair, but every image of a
+3-cochain f vanishes at x1 = x2, term by term and in every characteristic:
+the theta and pair-2 terms by f's square condition, the pair-1 D term as
+D(x, x) = 0, and the pair-1 substitutions as [x x y] = 0.  By polarization
+the image is alternating in (x1, x2), so the other rows are zero or the
+negatives of kept ones: the kernel and every rank stay, and the rows are
+rebuilt by negation only where coordinates in a basis of C^5 are read.
+Images of 5-cochains are not alternating in any pair (D(x1, x2) f(x3, ..)
+breaks it), so every other degree keeps all its rows.
 
 Every echelon form here is the unique reduced one in index order (the
 three-slot kernel, the invariant-basis rows, the coboundary span, the
-solves) but one: the elimination of the cocycle rows puts each pivot at
-the column with the shortest image, ties by index, which fills in far
-less after a change of basis.  Its rank is the same; when representatives
-are wanted, its kernel basis, read off the fraction-free echelon rows, is
-turned back into the canonical one, free variables ascending, by
-linalg.canonical_kernel.  Scalars are
-the field's own (linalg): every sum here is exact and reduced once, by
-field.sparse; over QQ the push-forward sums ints, each column scaled by
-the lcm of its denominators, and divides each image entry once.
+solves) but one: the elimination of the cocycle rows puts each pivot at the
+column with the shortest image, ties by index, which fills in far less
+after a change of basis.  Its rank is the same; when representatives are
+wanted and the cohomology is nonzero, its kernel basis, read off the
+fraction-free echelon rows, is turned back into the canonical one, free
+variables ascending, by linalg.canonical_kernel.  Scalars are the field's
+own (linalg): every sum here is exact and reduced once, by field.sparse;
+over QQ the push-forward sums ints, each column scaled by the lcm of its
+denominators, and divides each image entry once.
 """
 
 from __future__ import annotations
@@ -724,7 +723,8 @@ class CochainComplex:
         # in by now, so the fit does not depend on the order it went in.
         # The dimensions need ranks alone: only representatives read the
         # echelon rows out and build the cocycle kernel, whose basis in the
-        # pivot order above is made canonical again.
+        # pivot order above is made canonical again, and only when Z^k is
+        # larger than B^k, as otherwise no cocycle extends the span.
         representatives = []
         if want_representatives and dim_z > dim_b:
             zcols, _ = canonical_kernel(cocycles.kernel_basis(n), field)
