@@ -198,17 +198,20 @@ def test_invariant_columns_are_fixed_by_every_element(template, fld, seed, degre
 def copies_action(label, s, fld):
     """function_lts of s copies of a small system under S_s x {+-1}: each
     element permutes the copies and scales by a sign, as a block
-    permutation matrix times the sign."""
+    permutation matrix times the sign.  Each element comes with its map of
+    basis indices, e_j -> sign * e_index[j], in the order of the action."""
     system = function_lts({"meson2": lambda: meson(2, fld), "meson3": lambda: meson(3, fld),
                            "skew3": lambda: skew_lts(3, fld)}[label](), s)
     d = system.dim // s
-    mats = []
+    mats, moves = [], []
     for perm, sign in product(permutations(range(s)), (1, -1)):
+        index = [perm[c] * d + i for c, i in product(range(s), range(d))]
         rows = [[0] * system.dim for _ in range(system.dim)]
-        for c, i in product(range(s), range(d)):
-            rows[perm[c] * d + i][c * d + i] = sign
+        for j, k in enumerate(index):
+            rows[k][j] = sign
         mats.append(("g%d" % len(mats), Matrix(rows, fld)))
-    return system, make_group_action(system, mats)
+        moves.append((index, sign))
+    return system, make_group_action(system, mats), moves
 
 
 @st.composite
@@ -219,18 +222,33 @@ def function_lts_actions(draw):
     act on d^4 entries.  GF(7) divides no group order 2 * s!."""
     label = draw(st.sampled_from(["meson2", "meson3", "skew3"]))
     s = draw(st.integers(1, 3 if label == "meson2" else 2))
-    system, action = copies_action(label, s, draw(st.sampled_from([QQ, PrimeField(7)])))
-    return system, action, draw(st.sampled_from([1, 3] if system.dim <= 4 else [1]))
+    system, action, moves = copies_action(label, s,
+                                          draw(st.sampled_from([QQ, PrimeField(7)])))
+    return system, action, moves, draw(st.sampled_from([1, 3] if system.dim <= 4 else [1]))
 
 
 @settings(max_examples=20, deadline=None)
 @given(function_lts_actions())
 def test_invariant_basis_of_a_function_lts_is_fixed_and_has_the_averaged_dimension(case):
-    system, action, degree = case
+    system, action, moves, degree = case
     fld = system.field
     module = self_module(system)
+    # degree 3 on every draw, sparse: an element with index map pi and
+    # sign moves the entry of c at (a, b, c, v) to (pi a, pi b, pi c, pi v),
+    # times sign^4 = 1
+    dim = system.dim
+    for col in cochain_space_basis(module, 3, action).columns:
+        for index, sign in moves:
+            moved = {}
+            for pos, v in col.items():
+                to = 0
+                for slot in range(3, -1, -1):
+                    to = to * dim + index[pos // dim ** slot % dim]
+                moved[to] = v * sign ** 4
+            assert moved == col
+    # the dense oracles at the drawn degree
     module_action = self_module_action(action, module)
-    ambient = system.dim ** (degree + 1)
+    ambient = dim ** (degree + 1)
 
     def dense_columns(basis):
         return [[fld(col.get(pos, 0)) for pos in range(ambient)] for col in basis.columns]
