@@ -52,13 +52,16 @@ Every echelon form here is the unique reduced one in index order (the
 three-slot kernel, the invariant-basis rows, the coboundary span, the
 solves) but one: the elimination of the cocycle rows puts each pivot at the
 column with the shortest image, ties by index, which fills in far less
-after a change of basis.  Its rank is the same; when representatives are
-wanted and the cohomology is nonzero, its kernel basis, read off the
-fraction-free echelon rows, is turned back into the canonical one, free
-variables ascending, by linalg.canonical_kernel.  Scalars are the field's
-own (linalg): every sum here is exact and reduced once, by field.sparse;
-over QQ the push-forward sums ints, each column scaled by the lcm of its
-denominators, and divides each image entry once.
+after a change of basis.  Its rank is the same.  Every kernel here is read
+by linalg's RrefAccumulator.kernel_basis, the canonical basis, free
+variables ascending, as fraction-free vectors: the three-slot kernel and
+the invariant basis divide each vector once by its entry at its free
+column, and when representatives are wanted and the cohomology is nonzero,
+the cocycle kernel goes into the coboundary span as it is, and only the
+representatives kept are divided.  Scalars are the field's own (linalg):
+every sum here is exact and reduced once, by field.sparse; over QQ the
+push-forward sums ints, each column scaled by the lcm of its denominators
+(linalg.scaled_int), and divides each image entry once.
 """
 
 from __future__ import annotations
@@ -70,8 +73,7 @@ from math import lcm
 
 from .caps import DEFAULT_CAPS
 from .groups import apply_group_sparse, generators, self_module_action
-from .linalg import (LinAlgError, Matrix, RrefAccumulator, canonical_kernel,
-                     nullspace_from_rref, rref_rows, solve_rows)
+from .linalg import LinAlgError, Matrix, RrefAccumulator, scaled_int, solve_rows
 from .lts import CYCLIC, AxiomReport, StructureTensor, permutation_hits, skew_hits
 
 
@@ -89,6 +91,22 @@ def _span_sum(columns, coords, field):
         for pos, v in columns[j].items():
             out[pos] = out.get(pos, 0) + coef * v
     return field.sparse(out.items())
+
+
+def _monic(z, f, field):
+    """The sparse vector z divided by its entry at f."""
+    c = z[f]
+    return z if c == 1 else field.sparse((k, Fraction(v, c)) for k, v in z.items())
+
+
+def _kernel(rows, ncols, field):
+    """The canonical kernel basis of the sparse rows, as (columns, free
+    positions): each column 1 at its own free position and 0 at the others
+    (RrefAccumulator.kernel_basis, divided)."""
+    acc = RrefAccumulator(field)
+    acc.extend(rows)
+    vectors, free = acc.kernel_basis(ncols)
+    return [_monic(z, f, field) for z, f in zip(vectors, free)], free
 
 
 def _transpose(vectors, lengths=None):
@@ -147,8 +165,7 @@ def cochain_violations(c, all_witnesses=False):
 
 @cache
 def _three_slot_kernel(d, m, field):
-    pivots = rref_rows(three_slot_constraint_rows(d, m, field), field)
-    return nullspace_from_rref(pivots, d ** 3 * m, field)
+    return _kernel(three_slot_constraint_rows(d, m, field), d ** 3 * m, field)
 
 
 @dataclass
@@ -270,8 +287,7 @@ def cochain_space_basis(module, degree, action=None, module_action=None,
                     row = grows[i]
                     row[j] = row.get(j, 0) + v
         rows.extend(field.sparse(row.items()) for row in grows)
-    pivots = rref_rows(rows, field)
-    ncols, nfree = nullspace_from_rref(pivots, len(columns), field)
+    ncols, nfree = _kernel(rows, len(columns), field)
     inv_columns = [_span_sum(columns, ncol, field) for ncol in ncols]
     inv_free = [free[j] for j in nfree]
     return CochainBasis(degree, d, m, field, inv_columns, inv_free, invariant=True)
@@ -292,12 +308,6 @@ def _plain_free_index(d, m, field):
     for i, pos in enumerate(wfree):
         index[pos] = i
     return index, len(wfree)
-
-
-def _integral(v, den):
-    """den * v as an int, for an int or Fraction v whose denominator
-    divides den."""
-    return v.numerator * (den // v.denominator)
 
 
 def _coefficient_tables(module):
@@ -322,7 +332,7 @@ def _coefficient_tables(module):
         rest, l = divmod(key, m)
         rest, w = divmod(rest, m)
         a, c = divmod(rest, d)
-        theta[w].append((a, c, l, _integral(right.entries[key], den)))
+        theta[w].append((a, c, l, scaled_int(right.entries[key], den)))
     for terms in theta:
         sums = {}
         for a, c, l, t in terms:
@@ -335,7 +345,7 @@ def _coefficient_tables(module):
         rest, l = divmod(key, d)
         rest, e = divmod(rest, d)
         a, c = divmod(rest, d)
-        inverse_bracket[l].append((a, c, e, _integral(mu.entries[key], den)))
+        inverse_bracket[l].append((a, c, e, scaled_int(mu.entries[key], den)))
     return theta, dop, inverse_bracket, den
 
 
@@ -475,7 +485,7 @@ def _push_forward(cochains, degree, d, m, theta, dop, inverse_bracket, den, fiel
     for col in cochains:
         cden = lcm(*(v.denominator for v in col.values() if v.__class__ is not int))
         if cden != 1:
-            col = {pos: _integral(v, cden) for pos, v in col.items()}
+            col = {pos: scaled_int(v, cden) for pos, v in col.items()}
         out = {}
         get = out.get
         for pos, v in col.items():
@@ -722,15 +732,15 @@ class CochainComplex:
         # basis, first fit in the canonical cocycle order; the whole span is
         # in by now, so the fit does not depend on the order it went in.
         # The dimensions need ranks alone: only representatives read the
-        # echelon rows out and build the cocycle kernel, whose basis in the
-        # pivot order above is made canonical again, and only when Z^k is
-        # larger than B^k, as otherwise no cocycle extends the span.
+        # canonical cocycle kernel, and only when Z^k is larger than B^k, as
+        # otherwise no cocycle extends the span.  Its vectors are
+        # fraction-free multiples of the canonical ones, which add takes as
+        # they are; only the cocycles kept are divided by their entry at f.
         representatives = []
         if want_representatives and dim_z > dim_b:
-            zcols, _ = canonical_kernel(cocycles.kernel_basis(n), field)
-            for z in zcols:
+            for z, f in zip(*cocycles.kernel_basis(n)):
                 if acc.add(z):
-                    representatives.append(basis.combine(z))
+                    representatives.append(basis.combine(_monic(z, f, field)))
         return CohomologyReport(degree, self.action is not None, n,
                                 dim_z, dim_b, dim_z - dim_b, tuple(representatives))
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .caps import DEFAULT_CAPS
 from .linalg import LinAlgError, Matrix, field_from_spec, field_spec
 from .lts import LieTripleSystem, StructureTensor
-from .tensorops import slot_indices
+from .tensorops import value_vectors
 
 # ASCII digits only: int() would also read full-width and other Unicode digits
 _COEFF_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
@@ -112,17 +112,10 @@ def _parse_quadruples(raw, dim, dim_out, fld, what):
 
 def quadruples(tensor, fld):
     """[i_1, ..., i_k, {l: coefficient}] for every input tuple at which the
-    sparse tensor is nonzero, in flat order: the one writer of tensors.  The
-    sorted entries are grouped by their input tuple, key // dim_out."""
-    out, last = [], None
-    for key, v in sorted(tensor.entries.items()):
-        if v:
-            base, l = divmod(key, tensor.dim_out)
-            if base != last:
-                last, cmap = base, {}
-                out.append(list(slot_indices(base, tensor.dims)) + [cmap])
-            cmap[str(l)] = fld.format(v)
-    return out
+    sparse tensor is nonzero, in flat order: the one writer of tensors."""
+    return [[*idx, {str(l): fld.format(v) for l, v in enumerate(vec) if v}]
+            for idx, vec in value_vectors(tensor.entries, tensor.dims + (tensor.dim_out,), 0)
+            if any(vec)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ form of its row span in a fixed column order (rows enter the elimination
 by ascending nonzero count, which keeps fill-in and coefficient growth
 down without changing the result).  That order is the index order unless
 an RrefAccumulator is given a pivot key; the cocycle elimination of
-cohomology is the one caller that passes one, and ``canonical_kernel``
-turns the kernel of its echelon form (``kernel_basis``, read off the
-fraction-free rows) back into the canonical one.
-Nullspace bases list free variables in ascending index order, and
-``solve_rows`` sets free variables to zero.
+cohomology is the one caller that passes one.  Every kernel is read by
+``RrefAccumulator.kernel_basis``: the canonical basis of the index-order
+RREF, free variables ascending, for any pivot key, each vector a
+fraction-free multiple of its canonical one.  ``solve_rows`` sets free
+variables to zero.
 """
 
 from __future__ import annotations
@@ -324,9 +324,9 @@ class RrefAccumulator:
     whatever order the rows come in: every pivot row starts at its pivot
     in that order, as a later pivot eliminated from it lies after its own.
     With a key, a pivot row may hold columns before its pivot in index
-    order, and its kernel (nullspace_from_rref) is a kernel basis but not
-    the canonical one; canonical_kernel restores that.  Only rows that raise
-    the rank call the key.
+    order, and the kernel read off the rows is a basis but not the
+    canonical one; kernel_basis restores that.  Only rows that raise the
+    rank call the key.
 
     The elimination is fraction-free (after Bareiss, Math. Comp. 22, 1968).
     Over QQ a stored row is the primitive integer multiple of its RREF row
@@ -405,8 +405,8 @@ class RrefAccumulator:
                             scale = lcm(scale, piv)
             if den != 1 or scale != 1:
                 m = den * scale
-                out = {c: _times(v, m) for c, v in out.items()}
-                hits = [(c, _times(v, den) * (scale // prow[c]), prow) for c, v, prow in hits]
+                out = {c: scaled_int(v, m) for c, v in out.items()}
+                hits = [(c, scaled_int(v, den) * (scale // prow[c]), prow) for c, v, prow in hits]
         if not hits:
             return out
         get = out.get
@@ -492,20 +492,27 @@ class RrefAccumulator:
         return len(self._rows)
 
     def kernel_basis(self, ncols):
-        """A basis of the kernel of the rows, one sparse vector per free
-        column below ncols, ascending, read off the fraction-free rows
-        without dividing: the vector of free column f is its
-        nullspace_from_rref column times the lcm of the pivot entries of the
-        rows that hold f, so over QQ its entries are ints.  canonical_kernel
-        takes it as it is.  The rows that hold f are read from the index
-        of add, which may list a row twice or list a row that lost f
-        again."""
+        """The canonical kernel basis of the rows, fraction-free, as
+        (vectors, free): one sparse vector per free column f below ncols of
+        the index-order RREF, ascending.  The canonical z_f is 1 at f and 0
+        at the other free columns, with its other entries at pivot columns
+        below f; the vector returned is z_f times its own entry at f, a
+        positive int over QQ (whose entries are then ints) and 1 over GF(p).
+
+        Without a key the vectors are read off the fraction-free rows
+        without dividing: the vector of f is z_f times the lcm of the pivot
+        entries of the rows that hold f, found through the index of add,
+        which may list a row twice or list a row that lost f again.  With a
+        key that kernel is a basis but not the canonical one, and one more
+        elimination restores it: z_f's last nonzero entry is the one at f,
+        so the canonical basis is the RREF of the kernel with the column
+        order reversed, whose fraction-free rows are returned by ascending
+        pivot f."""
         rows = self._rows
         p = self.field.char
+        free = [f for f in range(ncols) if f not in rows]
         out = []
-        for f in range(ncols):
-            if f in rows:
-                continue
+        for f in free:
             holders = [pc for pc in self._holders.get(f, ()) if f in rows[pc]]
             if p:
                 z = {pc: -rows[pc][f] % p for pc in holders}
@@ -515,10 +522,16 @@ class RrefAccumulator:
                 z = {pc: -rows[pc][f] * (scale // rows[pc][pc]) for pc in holders}
                 z[f] = scale
             out.append(z)
-        return out
+        if self._key is None:
+            return out, free
+        acc = RrefAccumulator(self.field, neg)
+        acc.extend(out)
+        rows = acc._rows
+        free = sorted(rows)
+        return [rows[f] for f in free], free
 
 
-def _times(v, m):
+def scaled_int(v, m):
     """The int v * m, for v an int or a Fraction whose denominator divides m."""
     return v * m if v.__class__ is int else v.numerator * (m // v.denominator)
 
@@ -559,46 +572,6 @@ def rref_rows(rows, field):
     acc = RrefAccumulator(field)
     acc.extend(rows)
     return acc.pivots
-
-
-def nullspace_from_rref(pivots, ncols, field):
-    """Kernel basis of a reduced echelon form: one column per free column,
-    ascending.
-
-    Each basis column carries 1 at its free coordinate, so reading a kernel
-    vector's coordinates off the free positions recovers its expansion.
-    Returns (columns, free_positions) with columns as sparse dicts of
-    scalars, like the pivot rows.  The pivots may sit in any column order
-    (an RrefAccumulator with a key); the basis is the canonical one when
-    they sit at the lowest index, as in rref_rows.
-    """
-    p = field.char
-    free = [c for c in range(ncols) if c not in pivots]
-    cols = [{f: 1} for f in free]
-    index = {f: j for j, f in enumerate(free)}
-    for pc, prow in pivots.items():
-        for c, v in prow.items():
-            if c != pc:
-                cols[index[c]][pc] = -v % p if p else -v
-    return cols, free
-
-
-def canonical_kernel(vectors, field):
-    """The canonical kernel basis of nullspace_from_rref(rref_rows(rows)),
-    from the sparse vectors of any basis of that kernel, as (columns, free
-    positions).
-
-    The canonical column z_f is 1 at its free column f and 0 at the other
-    free columns, and its other entries sit at pivot columns below f: its
-    last nonzero entry is the 1 at f.  So the canonical basis is the RREF
-    of the kernel with the column order reversed, with its rows listed by
-    ascending pivot, and one elimination of the vectors gives it.
-    """
-    acc = RrefAccumulator(field, neg)
-    acc.extend(vectors)
-    pivots = acc.pivots
-    free = sorted(pivots)
-    return [pivots[f] for f in free], free
 
 
 def _matrix_rows_sparse(m):

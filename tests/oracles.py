@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import product
 from math import prod
+from operator import neg
 
 from ltsdeform.caps import DEFAULT_CAPS
 from ltsdeform.cohomology import (CochainBasis, apply_coboundary, cochain_space_basis,
@@ -10,8 +11,7 @@ from ltsdeform.cohomology import (CochainBasis, apply_coboundary, cochain_space_
 from ltsdeform.deformation import DeformationError
 from ltsdeform.groups import (GroupActionError, _subgroup, equivariance_failure,
                               self_module_action)
-from ltsdeform.linalg import (QQ, LinAlgError, Matrix, RrefAccumulator, nullspace_from_rref,
-                              rref_rows, solve_rows)
+from ltsdeform.linalg import QQ, LinAlgError, Matrix, RrefAccumulator, rref_rows, solve_rows
 from ltsdeform.lts import (CYCLIC, SKEW, AxiomReport, StructureTensor, Violation,
                            permuted_sum, theta_module)
 from ltsdeform.tensorops import slot_indices, transform_series
@@ -688,9 +688,49 @@ def invariant_basis_all_elements(module, degree, action, module_action=None):
                         invariant=True)
 
 
+def nullspace_from_rref(pivots, ncols, field):
+    """Kernel basis of a reduced echelon form: one column per free column,
+    ascending.
+
+    Each basis column carries 1 at its free coordinate, so reading a kernel
+    vector's coordinates off the free positions recovers its expansion.
+    Returns (columns, free_positions) with columns as sparse dicts of
+    scalars, like the pivot rows.  The pivots may sit in any column order
+    (an RrefAccumulator with a key); the basis is the canonical one when
+    they sit at the lowest index, as in rref_rows.
+    """
+    p = field.char
+    free = [c for c in range(ncols) if c not in pivots]
+    cols = [{f: 1} for f in free]
+    index = {f: j for j, f in enumerate(free)}
+    for pc, prow in pivots.items():
+        for c, v in prow.items():
+            if c != pc:
+                cols[index[c]][pc] = -v % p if p else -v
+    return cols, free
+
+
+def canonical_kernel(vectors, field):
+    """The canonical kernel basis of nullspace_from_rref(rref_rows(rows)),
+    from the sparse vectors of any basis of that kernel, as (columns, free
+    positions).
+
+    The canonical column z_f is 1 at its free column f and 0 at the other
+    free columns, and its other entries sit at pivot columns below f: its
+    last nonzero entry is the 1 at f.  So the canonical basis is the RREF
+    of the kernel with the column order reversed, with its rows listed by
+    ascending pivot, and one elimination of the vectors gives it.
+    """
+    acc = RrefAccumulator(field, neg)
+    acc.extend(vectors)
+    pivots = acc.pivots
+    free = sorted(pivots)
+    return [pivots[f] for f in free], free
+
+
 def nullspace(m):
     """Basis of the right kernel of the Matrix m as matrix columns, the
-    canonical one of linalg.nullspace_from_rref (free variables ascending)."""
+    canonical one of nullspace_from_rref (free variables ascending)."""
     field = m.field
     pivots = rref_rows([{j: v for j, v in enumerate(row) if v} for row in m.rows], field)
     cols, _ = nullspace_from_rref(pivots, m.ncols, field)

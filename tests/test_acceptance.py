@@ -10,7 +10,7 @@ import time
 
 import pytest
 from oracles import (action_on_cochain_ambient, coboundary_pointwise, cochain, d_operator,
-                     dense)
+                     dense, nullspace_from_rref)
 
 from ltsdeform import bundled_path
 from ltsdeform.cli import main as cli_main
@@ -22,7 +22,7 @@ from ltsdeform.deformation import (apply_isomorphism, check_deformation_equation
                                    obstruction, pad_deformation, trivialize)
 from ltsdeform.documents import dump_document, load_document, system_from_document
 from ltsdeform.groups import make_group_action, self_module_action, sign_action
-from ltsdeform.linalg import Matrix, QQ, nullspace_from_rref, rref_rows
+from ltsdeform.linalg import Matrix, QQ, rref_rows
 from ltsdeform.lts import (StructureTensor, from_lie_algebra, function_lts,
                            matrix_lts, meson, rect_lts, self_module, skew_lts,
                            sl2_brackets, sym_lts, verify_lts, verify_module)

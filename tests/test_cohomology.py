@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (act_dense, coboundary_images_per_term, coboundary_pointwise, cochain,
-                     constraint_rows, dense, evaluate_dense)
+                     constraint_rows, dense, evaluate_dense, nullspace_from_rref)
 
 from ltsdeform import bundled_path
 from ltsdeform.caps import CapExceeded, Caps
@@ -21,8 +21,7 @@ from ltsdeform.cohomology import (CochainComplex, SpanError, _coboundary_images,
 from ltsdeform.documents import load_document, system_from_document
 from ltsdeform.groups import (make_group_action, self_module_action, sign_action,
                               transpose_action_on_rect)
-from ltsdeform.linalg import (LinAlgError, Matrix, PrimeField, QQ, nullspace_from_rref,
-                              rref_rows)
+from ltsdeform.linalg import LinAlgError, Matrix, PrimeField, QQ, rref_rows
 from ltsdeform.lts import (LtsModule, StructureTensor, from_lie_algebra, make_system, meson,
                            self_module, skew_lts, sl2_brackets, verify_lts)
 

@@ -279,6 +279,29 @@ def test_rank_only_cohomology_builds_no_cocycle_kernel(monkeypatch, name, equiva
     assert kernels == ([with_reps.dim_space] if with_reps.dim_h else [])
 
 
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("name, equivariant, degree",
+                         [("skew3", False, 1), ("rect22", True, 1), ("matrix2", False, 5)])
+def test_representatives_read_no_divided_echelon_rows(monkeypatch, name, equivariant, degree,
+                                                      field):
+    # the cocycle kernel is read fraction-free, and only the representatives
+    # kept are divided: with the bases and rows built, cohomology reads no
+    # echelon form out through pivots, which divides every row
+    if name == "matrix2":
+        cx = CochainComplex(self_module(matrix_lts(2, FIELDS[field])))
+    else:
+        cx = bundled_complex(name, equivariant, field)
+    for k in range(max(degree - 2, 1), degree + 1, 2):
+        cx.rows(k)
+    reads = []
+    pivots = RrefAccumulator.pivots
+    monkeypatch.setattr(RrefAccumulator, "pivots",
+                        property(lambda acc: reads.append(acc) or pivots.fget(acc)))
+    report = cx.cohomology(degree)
+    assert report.dim_h > 0 and len(report.representatives) == report.dim_h
+    assert reads == []
+
+
 # ---------------------------------------------------------------------------
 # scalars at the boundary of the complex
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (check_terms_loop, cochain, equivalence_gap_two_series, evaluate_dense,
-                     fundamental_residual_loop, gauge_dense)
+                     fundamental_residual_loop, gauge_dense, nullspace_from_rref)
 
 from ltsdeform import bundled_path, deformation
 from ltsdeform.cohomology import apply_coboundary, coboundary_matrix, cochain_space_basis
@@ -20,7 +20,7 @@ from ltsdeform.documents import (action_elements_from_document, deformation_from
                                   deformation_terms, load_document, system_from_document)
 from ltsdeform.groups import (make_group_action, sign_action, transpose_action_on_rect,
                               trivial_action)
-from ltsdeform.linalg import Matrix, PrimeField, QQ, nullspace_from_rref, rref_rows
+from ltsdeform.linalg import Matrix, PrimeField, QQ, rref_rows
 from ltsdeform.lts import (StructureTensor, make_system, meson, self_module, skew_lts,
                            sym_lts)
 

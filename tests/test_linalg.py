@@ -4,11 +4,12 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import is_prime_trial_division, nullspace, rref_dense, rref_in_order
+from oracles import (canonical_kernel, is_prime_trial_division, nullspace, nullspace_from_rref,
+                     rref_dense, rref_in_order)
 
 from ltsdeform.linalg import (_PRIME_BOUND, LinAlgError, Matrix, PrimeField, QQ,
-                              RrefAccumulator, _is_prime, canonical_kernel, field_from_spec,
-                              nullspace_from_rref, rank, rref_rows, solve, solve_rows)
+                              RrefAccumulator, _is_prime, field_from_spec, rank, rref_rows,
+                              solve, solve_rows)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -239,7 +240,9 @@ def keyed_rows(draw):
 def test_accumulator_with_a_pivot_key_and_the_canonical_kernel(case):
     # with a key the pivots are the RREF in the key's column order; its row
     # span and rank are those of the index-order RREF, and canonical_kernel
-    # turns its kernel into nullspace_from_rref's canonical basis
+    # turns its kernel into nullspace_from_rref's canonical basis; so does
+    # kernel_basis, with and without the key, up to one positive int per
+    # vector over QQ
     fld, ncols, rows, order = case
     acc = RrefAccumulator(fld, order.__getitem__)
     acc.extend(rows)
@@ -255,6 +258,20 @@ def test_accumulator_with_a_pivot_key_and_the_canonical_kernel(case):
     cols, free = nullspace_from_rref(acc.pivots, ncols, fld)
     assert canonical_kernel(cols, fld) == nullspace_from_rref(rref_rows(rows, fld), ncols, fld)
     assert canonical_kernel(reversed(cols), fld) == canonical_kernel(cols, fld)
+    canonical, canonical_free = nullspace_from_rref(want, ncols, fld)
+    for key in (order.__getitem__, None):
+        acc = RrefAccumulator(fld, key)
+        acc.extend(rows)
+        vectors, free = acc.kernel_basis(ncols)
+        assert free == canonical_free == [max(z) for z in vectors]
+        assert all(all(z.values()) for z in vectors)
+        assert [{c: fld.div(v, z[f]) for c, v in z.items()}
+                for z, f in zip(vectors, free)] == canonical
+        if fld.char:
+            assert all(z[f] == 1 for z, f in zip(vectors, free))
+        else:
+            assert all(type(v) is int for z in vectors for v in z.values())
+            assert all(z[f] > 0 for z, f in zip(vectors, free))
 
 
 def test_fraction_free_rows_with_non_unit_pivot_entries():
@@ -285,7 +302,8 @@ def test_kernel_basis_skips_stale_and_repeated_holders():
         assert acc._holders[5].count(0) == 2 and 5 in acc._rows[0]
         assert 1 in acc._holders[5] and 5 not in acc._rows[1]
         cols, free = nullspace_from_rref(rref_rows(rows, fld), 6, fld)
-        kernel = acc.kernel_basis(6)
+        kernel, kernel_free = acc.kernel_basis(6)
+        assert kernel_free == free
         assert len(kernel) == len(cols) == 1
         for z, col, f in zip(kernel, cols, free):
             scale = 1 if fld.char else lcm(*(acc._rows[pc][pc] for pc in col if pc != f))
