@@ -351,7 +351,6 @@ class RrefAccumulator:
     column becomes a pivot.  The column's list is then dropped, since no
     row ever gains a pivot column again.  Every row that holds the column
     is eliminated, as by a full scan, so the pivot rows are the same.
-    The lists of the free columns stay, and kernel_basis reads them.
     """
 
     def __init__(self, field, key=None):
@@ -499,36 +498,37 @@ class RrefAccumulator:
         below f; the vector returned is z_f times its own entry at f, a
         positive int over QQ (whose entries are then ints) and 1 over GF(p).
 
-        Without a key the vectors are read off the fraction-free rows
-        without dividing: the vector of f is z_f times the lcm of the pivot
-        entries of the rows that hold f, found through the index of add,
-        which may list a row twice or list a row that lost f again.  With a
-        key that kernel is a basis but not the canonical one, and one more
-        elimination restores it: z_f's last nonzero entry is the one at f,
-        so the canonical basis is the RREF of the kernel with the column
-        order reversed, whose fraction-free rows are returned by ascending
-        pivot f."""
+        The vectors are read off the fraction-free rows, without dividing,
+        in one pass over them: every entry of a pivot row other than its
+        pivot sits at a free column, and the vector of f is z_f times the
+        lcm of the pivot entries of the rows that hold f.  Without a key
+        that is the canonical basis.  With one it is a basis but not the
+        canonical one, and one more elimination restores it: z_f's last
+        nonzero entry is the one at f, so the canonical basis is the RREF of
+        the kernel with the column order reversed, whose fraction-free rows
+        are returned by ascending pivot f."""
         rows = self._rows
         p = self.field.char
-        free = [f for f in range(ncols) if f not in rows]
-        out = []
-        for f in free:
-            holders = [pc for pc in self._holders.get(f, ()) if f in rows[pc]]
-            if p:
-                z = {pc: -rows[pc][f] % p for pc in holders}
-                z[f] = 1
-            else:
-                scale = lcm(*(rows[pc][pc] for pc in holders))
-                z = {pc: -rows[pc][f] * (scale // rows[pc][pc]) for pc in holders}
-                z[f] = scale
-            out.append(z)
+        kernel = {f: {} for f in range(ncols) if f not in rows}
+        scales = {}
+        for pc, prow in rows.items():
+            piv = prow[pc]
+            for c, v in prow.items():
+                if c != pc:
+                    kernel[c][pc] = -v % p if p else -v
+                    if piv != 1:
+                        scales[c] = lcm(scales.get(c, 1), piv)
+        for f, z in kernel.items():
+            if (scale := scales.get(f, 1)) != 1:
+                for pc in z:
+                    z[pc] *= scale // rows[pc][pc]
+            z[f] = scale
         if self._key is None:
-            return out, free
+            return list(kernel.values()), list(kernel)
         acc = RrefAccumulator(self.field, neg)
-        acc.extend(out)
-        rows = acc._rows
-        free = sorted(rows)
-        return [rows[f] for f in free], free
+        acc.extend(kernel.values())
+        free = sorted(acc._rows)
+        return [acc._rows[f] for f in free], free
 
 
 def scaled_int(v, m):
