@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS
 from .linalg import QQ, Matrix, rank
-from .lts import rect_lts
+from .lts import rect_lts, self_module
 from .tensorops import first_difference, slot_indices, transform_sparse
 
 
@@ -59,12 +59,15 @@ class ModuleAction:
 def make_group_action(system, elements, caps=DEFAULT_CAPS):
     """Validate (label, matrix) pairs as a group acting on the system.
 
-    Checks, in order: shapes, duplicate elements, invertibility, closure
-    (building the multiplication table from |G| matrix products per element
-    of a generating set, see _closed_table; when it fails, a row-major scan
-    names the first pair whose product is not an element), and equivariance
-    of the bracket under the generating set of generators(); equivariance
-    under s and t implies it under st, so that covers every element.
+    Checks, in order: shapes, duplicate elements, the group axioms, and
+    equivariance of the bracket under the generating set of generators();
+    equivariance under s and t implies it under st, so that covers every
+    element.  The group axioms are read off the multiplication table (built
+    from |G| matrix products per element of a generating set, see
+    _closed_table): a closed finite list that holds I is a group exactly
+    when every row of its table holds I, as an invertible a has a^i = a^j
+    for some i < j, so its inverse a^(j-i-1) is in the list.  Only a list
+    that fails is scanned for the error, by _not_a_group.
     """
     labels = tuple(lab for lab, _ in elements)
     mats = tuple(m for _, m in elements)
@@ -88,16 +91,10 @@ def make_group_action(system, elements, caps=DEFAULT_CAPS):
         raise GroupActionError("duplicate element matrices %r and %r"
                                % (labels[i], labels[j]))
     index = {key: ks[0] for key, ks in where.items()}
-    for lab, m in zip(labels, mats):
-        if rank(m) != d:
-            raise GroupActionError("element %r is not invertible" % (lab,))
-
     identity_index = index.get(Matrix.identity(d, fld))
     table = None if identity_index is None else _closed_table(mats, index, identity_index)
-    if table is None:
-        i, j = _first_non_product(mats, index)
-        raise GroupActionError("not closed under product: %r * %r is not "
-                               "an element" % (labels[i], labels[j]))
+    if table is None or any(identity_index not in row for row in table):
+        raise _not_a_group(labels, mats, index)
     inverses = tuple(row.index(identity_index) for row in table)
 
     action = GroupAction(system, labels, mats, identity_index, table, inverses)
@@ -150,14 +147,19 @@ def _closed_table(mats, index, identity):
     return tuple(table)
 
 
-def _first_non_product(mats, index):
-    """First pair (i, j) in row-major order whose product is not an element
-    (there is one: a finite set of invertible matrices closed under
-    products is a group, so it holds the identity)."""
+def _not_a_group(labels, mats, index):
+    """The error for a list that is not a group: its first singular element
+    in list order, or else the first pair (i, j) in row-major order whose
+    product is not an element (there is one: a finite set of invertible
+    matrices closed under products is a group, so it holds the identity)."""
+    for lab, m in zip(labels, mats):
+        if rank(m) != m.nrows:
+            return GroupActionError("element %r is not invertible" % (lab,))
     for i, mi in enumerate(mats):
         for j, mj in enumerate(mats):
             if mi * mj not in index:
-                return i, j
+                return GroupActionError("not closed under product: %r * %r is not "
+                                        "an element" % (labels[i], labels[j]))
 
 
 def equivariance_witness(tensors, in_mats, out_inv):
@@ -272,15 +274,20 @@ def transpose_action_on_rect(p, fld=QQ):
 
 
 def self_module_action(action, module):
-    """The module action on the self-module, reusing the element matrices."""
-    return make_module_action(action, module, list(action.matrices))
+    """The module action through the element matrices.  On the system's own
+    self-module it is built unchecked: its three actions are the bracket
+    with its slots permuted, and make_group_action has checked the bracket
+    under the same generators.  Any other module goes through
+    make_module_action."""
+    if module == self_module(action.system):
+        return ModuleAction(module, action.matrices)
+    return make_module_action(action, module, action.matrices)
 
 
 def make_module_action(action, module, matrices):
     """Validate the module matrices as a representation V of the group
     (V(e) = I and V(s) V(g) = V(sg) for every generator s and element g,
-    which makes every V(g) invertible; module matrices equal to the element
-    matrices pass by the table) under which the three module actions
+    which makes every V(g) invertible) under which the three module actions
     are equivariant.
 
     Equivariance is checked under the generators only: for a representation
@@ -298,15 +305,13 @@ def make_module_action(action, module, matrices):
     if mats[e] != Matrix.identity(m, action.system.field):
         raise GroupActionError("module matrix for the identity %r is not the identity"
                                % (action.labels[e],))
-    # the element matrices themselves need no check: the table holds their products
-    if mats != action.matrices:
-        for s in generators(action):
-            row = action.mult_table[s]
-            for g in range(action.size):
-                if mats[s] * mats[g] != mats[row[g]]:
-                    raise GroupActionError(
-                        "module matrices are not a representation: V(%r) V(%r) != V(%r)"
-                        % (action.labels[s], action.labels[g], action.labels[row[g]]))
+    for s in generators(action):
+        row = action.mult_table[s]
+        for g in range(action.size):
+            if mats[s] * mats[g] != mats[row[g]]:
+                raise GroupActionError(
+                    "module matrices are not a representation: V(%r) V(%r) != V(%r)"
+                    % (action.labels[s], action.labels[g], action.labels[row[g]]))
     failures = equivariance_failure(action, [module.left, module.right, module.middle], mats)
     for name, failure in zip(("left", "right", "middle"), failures):
         if failure is not None:

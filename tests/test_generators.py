@@ -23,8 +23,8 @@ from ltsdeform.groups import (GroupActionError, _subgroup, apply_group_sparse, g
                               make_group_action, make_module_action, self_module_action,
                               sign_action, transpose_action_on_rect)
 from ltsdeform.linalg import Matrix, PrimeField, QQ
-from ltsdeform.lts import (function_lts, make_system, meson, self_module, skew_lts,
-                           StructureTensor)
+from ltsdeform.lts import (LtsModule, StructureTensor, function_lts, make_system, meson,
+                           self_module, skew_lts)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
@@ -300,10 +300,34 @@ def test_group_table_takes_one_product_per_element_and_chosen_generator(monkeypa
     assert action.size == 48
     chosen = {id(b) for b in calls}
     assert len(calls) == 48 * len(chosen) <= 48 * int(math.log2(48))
-    # the element matrices as module matrices are a representation by the table
+    # the self-module action is built unchecked: its three actions permute
+    # the slots of the bracket, which make_group_action has just checked
     calls.clear()
     self_module_action(action, self_module(action.system))
     assert calls == []
+
+
+def test_a_valid_element_list_takes_no_rank(monkeypatch):
+    # every row of the table holding I proves every element invertible, so
+    # rank only names the singular element of a list that is not a group
+    ranks = []
+    rank = sys.modules["ltsdeform.groups"].rank
+
+    def counting(m):
+        ranks.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(sys.modules["ltsdeform.groups"], "rank", counting)
+    n, gens = GROUPS["B3"]
+    elements = [("g%d" % k, Matrix(m))
+                for k, m in enumerate(closure([signed_perm(p, s) for p, s in gens]))]
+    assert make_group_action(meson(n), elements).size == 48
+    assert ranks == []
+    # {I, 0} is closed and holds I, but is no group: both are ranked, in order
+    zero = Matrix.zero(n, n)
+    with pytest.raises(GroupActionError, match="element 'z' is not invertible"):
+        make_group_action(meson(n), [("e", Matrix.identity(n)), ("z", zero)])
+    assert ranks == [Matrix.identity(n), zero]
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -421,6 +445,37 @@ def test_self_module_matrices_are_accepted():
     module = self_module(system)
     ma = make_module_action(action, module, list(action.matrices))
     assert ma.module is module and ma.matrices == action.matrices
+
+
+def test_self_module_action_runs_no_equivariance_check(monkeypatch):
+    system, action = meson_action("B3", QQ)
+    groups = sys.modules["ltsdeform.groups"]
+    failures = []
+    equivariance_failure = groups.equivariance_failure
+
+    def counting(*args):
+        failures.append(args)
+        return equivariance_failure(*args)
+
+    monkeypatch.setattr(groups, "equivariance_failure", counting)
+    module = self_module(system)
+    ma = self_module_action(action, module)
+    assert ma.module is module and ma.matrices == action.matrices
+    assert failures == []
+
+
+def test_another_module_of_the_same_dimension_is_still_checked():
+    # the self-module with one left entry moved, (0, 0, 0) -> 0, is no
+    # self-module, and the swap sends that entry to (1, 1, 1) -> 1
+    system, action = swap_action()
+    module = self_module(system)
+    left = module.left.entries | {0: 1}
+    other = LtsModule(system, 2, StructureTensor.from_entries(left, (2, 2, 2), 2),
+                      module.right, module.middle)
+    assert other != module
+    with pytest.raises(GroupActionError) as err:
+        self_module_action(action, other)
+    assert str(err.value) == "module action left is not equivariant under '1' at (0, 0, 0)"
 
 
 def test_singular_module_matrix_is_rejected():

@@ -59,6 +59,16 @@ def test_singular_element_is_rejected(t2):
                                ("g", Matrix([[1, 1], [1, 1]]))])
 
 
+def test_closed_list_with_an_idempotent_is_rejected(t2):
+    # {I, P} with P^2 = P != I is closed and holds the identity, but the row
+    # of P in its table does not hold I
+    idem = Matrix([[1, 0], [0, 0]])
+    assert idem * idem == idem
+    with pytest.raises(GroupActionError) as err:
+        make_group_action(t2, [("e", Matrix.identity(2)), ("p", idem)])
+    assert str(err.value) == "element 'p' is not invertible"
+
+
 def test_duplicate_elements_are_rejected(t2):
     with pytest.raises(GroupActionError, match="duplicate"):
         make_group_action(t2, [("e", Matrix.identity(2)),
@@ -143,11 +153,13 @@ def _meson_basis(d, fld, conjugate):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([QQ, PrimeField(10007)]), st.booleans(),
-       st.sampled_from(["none", "drop", "swap"]), st.integers(0, 2 ** 32))
+       st.sampled_from(["none", "drop", "swap", "singular"]), st.integers(0, 2 ** 32))
 def test_group_table_matches_the_row_major_oracle(d, fld, conjugate, change, seed):
     # the closure of 1-3 random signed permutations (at most 48 elements),
     # shuffled and for d >= 3 possibly conjugated to non-monomial matrices;
-    # then one element dropped or swapped for 2I, which is never a member
+    # then one element dropped, swapped for 2I, which is never a member, or
+    # swapped for a singular matrix, which is named first whether or not the
+    # list is closed
     rnd = random.Random(seed)
     gens = [signed_perm(rnd.sample(range(d), d), [rnd.choice((1, -1)) for _ in range(d)])
             for _ in range(rnd.randint(1, 3))]
@@ -163,6 +175,15 @@ def test_group_table_matches_the_row_major_oracle(d, fld, conjugate, change, see
         del elements[k]
     elif change == "swap":
         elements[k] = (elements[k][0], Matrix.identity(d, fld).scale(fld(2)))
+    elif change == "singular":
+        # the zero matrix at d = 1, diag(1, 0, ..., 0) otherwise
+        singular = Matrix.zero(d, d, fld) if d == 1 else Matrix(
+            [[fld(int(i == j == 0)) for j in range(d)] for i in range(d)], fld)
+        elements[k] = (elements[k][0], singular)
+        with pytest.raises(GroupActionError) as err:
+            make_group_action(system, elements)
+        assert str(err.value) == "element %r is not invertible" % (elements[k][0],)
+        return
     labels = [lab for lab, _ in elements]
     table, miss = mult_table_row_major([m for _, m in elements], fld)
     if miss is not None:
