@@ -219,7 +219,7 @@ def _order_checks(system, residuals):
     """One OrderCheck per residual coefficient, witnessed by its first nonzero vector."""
     d = system.dim
     for r, res in enumerate(residuals):
-        witness, residual = next(value_vectors(res, (d,) * 6, system.field.zero), (None, None))
+        witness, residual = next(value_vectors(res, (d,) * 6), (None, None))
         yield OrderCheck(r, witness is None, witness, residual)
 
 

@@ -114,7 +114,7 @@ def quadruples(tensor, fld):
     """[i_1, ..., i_k, {l: coefficient}] for every input tuple at which the
     sparse tensor is nonzero, in flat order: the one writer of tensors."""
     return [[*idx, {str(l): fld.format(v) for l, v in enumerate(vec) if v}]
-            for idx, vec in value_vectors(tensor.entries, tensor.dims + (tensor.dim_out,), 0)
+            for idx, vec in value_vectors(tensor.entries, tensor.dims + (tensor.dim_out,))
             if any(vec)]
 
 

@@ -215,7 +215,7 @@ def permutation_hits(terms):
     """(witness, residual) of every argument tuple, in flat order, at which
     the permuted_sum of the terms is nonzero."""
     t = permuted_sum(terms)
-    return list(value_vectors(t.entries, t.dims + (t.dim_out,), t.field.zero))
+    return list(value_vectors(t.entries, t.dims + (t.dim_out,)))
 
 
 def skew_hits(tensor, polarized_diagonal=True):
@@ -228,7 +228,7 @@ def skew_hits(tensor, polarized_diagonal=True):
     *_, n0, n1, n2, m = dims = tensor.dims + (tensor.dim_out,)
     diag = list(value_vectors(fld.sparse((key, v) for key, v in tensor.entries.items()
                                          if key // (n1 * n2 * m) % n0 == key // (n2 * m) % n1),
-                              dims, fld.zero))
+                              dims))
     polar = [h for h in permutation_hits([(tensor, p) for p in SKEW])
              if h[0][-3] < h[0][-2] or polarized_diagonal and h[0][-3] == h[0][-2]]
     return sorted(diag + polar, key=lambda h: h[0])
@@ -262,7 +262,7 @@ def verify_lts(mu, all_witnesses=False):
     res = nested_sum(fundamental_terms(series, series), (d,) * 6, 0)[0]
     return AxiomReport.from_hits(
         [[("skew", skew_hits(mu)), ("cyclic", permutation_hits([(mu, p) for p in CYCLIC]))],
-         [("fundamental", list(value_vectors(res, (d,) * 6, mu.field.zero)))]],
+         [("fundamental", list(value_vectors(res, (d,) * 6)))]],
         all_witnesses)
 
 
@@ -353,7 +353,6 @@ def verify_module(module, all_witnesses=False):
     d, m = T.dim, module.dim
     left, right, middle = module.left, module.right, module.middle
     dims = (d, d, d, d, m, m)
-    zero = T.field.zero
     identities = [
         ("module-skew", skew_hits(left)),
         ("module-skew-mixed", permutation_hits([(middle, SKEW[0]), (right, SKEW[0])])),
@@ -363,13 +362,13 @@ def verify_module(module, all_witnesses=False):
     for p in (4, 3, 2, 1, 0):  # the module slot in position last, 4, 3, 2, 1
         res = nested_sum(_module_fundamental_terms(module, p), dims, 0)[0]
         fundamental.append(("module-fundamental-%s" % ("last" if p == 4 else p + 1),
-                            list(value_vectors(res, dims, zero))))
+                            list(value_vectors(res, dims))))
     for axiom, p in (("theta-square", 0), ("theta-d", 2)):
         res = nested_sum(_module_fundamental_terms(tm, p), dims, 0)[0]
         # the negated residual, row-major over (l, w)
         res = T.field.sparse(((key // (m * m) * m + key % m) * m + key // m % m, -v)
                              for key, v in res.items())
-        theta.append((axiom, list(value_vectors(res, (d, d, d, d, m * m), zero))))
+        theta.append((axiom, list(value_vectors(res, (d, d, d, d, m * m)))))
     return AxiomReport.from_hits([identities, fundamental, theta], all_witnesses)
 
 

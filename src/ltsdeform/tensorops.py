@@ -217,13 +217,14 @@ def _positions(series):
     return [(slot_indices(key, shape), us) for key, us in by_key.items()], last
 
 
-def value_vectors(entries, dims, zero):
+def value_vectors(entries, dims):
     """(index tuple, value vector) of every input tuple at which the sparse
-    tensor over dims (value slot last) is nonzero, in flat order."""
-    m = dims[-1]
+    tensor over dims (value slot last) is nonzero, in flat order; a missing
+    value reads as 0, the zero of every field."""
+    *head, m = dims
+    get, values = entries.get, range(m)
     for base in sorted({k // m for k in entries}):
-        yield (slot_indices(base, dims[:-1]),
-               tuple(entries.get(base * m + l, zero) for l in range(m)))
+        yield slot_indices(base, head), tuple([get(base * m + l, 0) for l in values])
 
 
 def first_difference(a, b):
