@@ -8,7 +8,9 @@ The cohomology cases are H^5 of matrix_lts(2) and H^3 of matrix_lts(3),
 each over QQ and over GF(10007), plain and invariant under transposition
 (a group of order 2), and H^3 of matrix_lts(3) in the basis of the
 benchmark's seeded unimodular change (perfbench/gen.py, seed 1), the
-change that the scan-plain workload applies to its systems.  Each is
+change that the scan-plain workload applies to its systems.  On request
+only (see FILTER below) there is also H^5 of sym_lts(3) over QQ, plain,
+which takes about half a minute and a few hundred MB.  Each is
 computed as cohomology(self_module(system), degree, action) with
 representatives; the system and the action are built before the clock
 starts.  The deformation commands run through cli.main on the bundled
@@ -24,7 +26,9 @@ cohomology, or the command's exit code.
 
 Each FILTER is a substring of a case's label, as printed with single
 spaces (for example H^3, "GF(10007) plain" or deform-check): only the cases
-whose label contains one of them run, in the order above.  With --repeat N each case runs N times, each
+whose label contains one of them run, in the order above.  A case on
+request runs only for a filter that names its system (for example sym_lts
+or "sym_lts(3) H^5"), never without filters.  With --repeat N each case runs N times, each
 in a fresh process, and a last line gives the median wall time and the
 median peak of its runs.
 """
@@ -44,30 +48,32 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
-CASES = [(n, degree, p, variant) for variant in ("plain", "transpose")
+CASES = [("matrix_lts", n, degree, p, variant) for variant in ("plain", "transpose")
          for n, degree in ((2, 5), (3, 3)) for p in (0, 10007)]
-CASES += [(3, 3, p, "unimodular") for p in (0, 10007)]
+CASES += [("matrix_lts", 3, 3, p, "unimodular") for p in (0, 10007)]
+ON_REQUEST = [("sym_lts", 3, 5, 0, "plain")]
 UNIMODULAR_SEED = 1
 COMMANDS = [["deform-check", "meson2_swap_t2.json", "--order", "100000", "--json"],
             ["deform-equiv", "meson2_swap_t2.json", "meson2_swap_trivial.json",
              "--cap", "100"]]
 
 
-def case_label(n, degree, p, variant):
-    return "matrix_lts(%d) H^%d %-10s %-10s" % (n, degree, "GF(%d)" % p if p else "QQ",
-                                                 variant)
+def case_label(family, n, degree, p, variant):
+    return "%-13s H^%d %-10s %-10s" % ("%s(%d)" % (family, n), degree,
+                                        "GF(%d)" % p if p else "QQ", variant)
 
 
-def run_case(n, degree, p, variant):
+def run_case(family, n, degree, p, variant):
+    from ltsdeform import lts
     from ltsdeform.cohomology import cohomology
     from ltsdeform.groups import make_group_action
     from ltsdeform.linalg import QQ, Matrix, PrimeField
-    from ltsdeform.lts import StructureTensor, make_system, matrix_lts, self_module
+    from ltsdeform.lts import StructureTensor, make_system, self_module
     from perfbench import gen
 
     field = PrimeField(p) if p else QQ
-    system = matrix_lts(n, field)
-    d = n * n
+    system = getattr(lts, family)(n, field)
+    d = system.dim
     if variant == "unimodular":
         # gen.matrix_tensor(n) holds the structure constants of matrix_lts(n)
         u, uinv = gen.unimodular(d, random.Random(UNIMODULAR_SEED))
@@ -110,10 +116,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    jobs = ([(case_label(*case), run_case, case) for case in CASES]
-            + [("%-75s" % " ".join(argv), run_command, (argv,)) for argv in COMMANDS])
-    jobs = [job for job in jobs
-            if not args.filters or any(f in " ".join(job[0].split()) for f in args.filters)]
+    jobs = ([(case_label(*case), run_case, case, "") for case in CASES]
+            + [(case_label(*case), run_case, case, case[0]) for case in ON_REQUEST]
+            + [("%-75s" % " ".join(argv), run_command, (argv,), "") for argv in COMMANDS])
+    # a job on request needs a filter that names its system
+    jobs = [job[:3] for job in jobs
+            if any(f in " ".join(job[0].split()) and job[3] in f for f in args.filters)
+            or not args.filters and not job[3]]
     if not jobs:
         parser.error("no case matches the filters")
     ctx = multiprocessing.get_context("spawn")
